@@ -17,12 +17,12 @@ from .eigen import (EigenPairs, SymmetricOperator, generalized_smallest_eigs,
 from .errors import (ConfigError, ConvergenceError, DataError, SchemaError,
                      SpecmixError, SpectralGapError)
 from .graph import (AssignmentMatrix, AugmentedGraph, BaseWeights,
-                    assemble_augmented, assignment_energy, assignment_matrix,
-                    base_similarity, delta_counts)
+                    StackedEncoder, assemble_augmented, assignment_energy,
+                    assignment_matrix, base_similarity, delta_counts)
 from .kmeans import KMeansConfig, kmeans
 from .metrics import (ContingencyTable, imbalance_ratio, label_agreement,
                       purity)
-from .pipelines import (ClusteringResult, SpecMixConfig, StackedEncoder,
+from .pipelines import (ClusteringResult, SpecMixConfig,
                         build_bipartite_reduction, build_stacked,
                         numeric_spectral, onlycat, specmix, transfer_cut)
 from .sweep import ExperimentGrid, derive_seed, run_sweep

@@ -16,6 +16,7 @@ import numpy as np
 
 from .dataset import MixedDataset
 from .errors import ConfigError
+from .kmeans import _repair_empty, _sq_dists
 
 
 @dataclass(frozen=True)
@@ -32,32 +33,12 @@ def _hamming(categorical: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return (categorical[:, None, :] != modes[None, :, :]).sum(axis=2).astype(np.float64)
 
 
-def _sq_euclid(numeric: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    p2 = np.einsum("ij,ij->i", numeric, numeric)
-    c2 = np.einsum("ij,ij->i", centers, centers)
-    d2 = p2[:, None] + c2[None, :] - 2.0 * (numeric @ centers.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def _column_modes(categorical, members, cards) -> np.ndarray:
     out = np.empty(categorical.shape[1], dtype=np.int64)
     for col in range(categorical.shape[1]):
         counts = np.bincount(categorical[members, col], minlength=cards[col])
         out[col] = int(np.argmax(counts))  # ties to the lowest category index
     return out
-
-
-def _repair_empty(labels, counts, cost):
-    for c in np.flatnonzero(counts == 0):
-        own = cost[np.arange(labels.size), labels]
-        movable = counts[labels] > 1
-        own = np.where(movable, own, -np.inf)
-        p = int(np.argmax(own))
-        counts[labels[p]] -= 1
-        labels[p] = c
-        counts[c] = 1
-    return labels, counts
 
 
 def _alternate(numeric, categorical, cards, k, rng, max_iters, gamma_mix):
@@ -71,7 +52,7 @@ def _alternate(numeric, categorical, cards, k, rng, max_iters, gamma_mix):
     def assignment_cost():
         cost = np.zeros((n, k))
         if numeric is not None:
-            cost += _sq_euclid(numeric, centers)
+            cost += _sq_dists(numeric, centers)
         if gamma_mix != 0.0:
             cost += gamma_mix * _hamming(categorical, modes)
         return cost

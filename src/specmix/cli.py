@@ -22,14 +22,13 @@ import numpy as np
 
 from .baselines import kmodes, kprototypes
 from .dataset import (ColumnSchema, SyntheticParams, generate_synthetic,
-                      load_mixed_csv, one_hot, standardize_numeric)
+                      load_mixed_csv, standardize_numeric)
 from .errors import (ConfigError, ConvergenceError, DataError, SchemaError,
                      SpecmixError, SpectralGapError)
-from .graph import assemble_augmented, base_similarity
 from .kmeans import KMeansConfig
 from .metrics import imbalance_ratio, label_agreement, purity
 from .pipelines import (ClusteringResult, SpecMixConfig, numeric_spectral,
-                        onlycat, specmix)
+                        onlycat, specmix, specmix_graph)
 from .sweep import ExperimentGrid, fmt, run_sweep
 
 _EXIT_CODES = {
@@ -119,29 +118,20 @@ def _parse_lambdas(text: str):
     return values[0] if len(values) == 1 else values
 
 
-def _dump_graph(ds, lambdas, path) -> None:
-    weights = base_similarity(ds)
-    lams = np.asarray(lambdas if not np.isscalar(lambdas) else
-                      [lambdas] * ds.num_categorical, dtype=np.float64)
-    active = np.flatnonzero(lams > 0.0)
-    encoders = [one_hot(ds, int(l)) for l in active]
-    graph = assemble_augmented(weights, encoders, lams[active]) if len(encoders) \
-        else None
-    dim = graph.dim if graph is not None else weights.n
-    if dim > DUMP_NODE_LIMIT:
-        raise ConfigError(
-            f"refusing to dump a graph with {dim} > {DUMP_NODE_LIMIT} nodes")
-    dense = graph.dense() if graph is not None else weights.matrix
-    degrees = graph.degrees if graph is not None else weights.degrees
+def _dump_graph(ds, cfg, path) -> None:
+    graph = specmix_graph(ds, cfg)
+    if graph.dim > DUMP_NODE_LIMIT:
+        raise ConfigError(f"refusing to dump a graph with {graph.dim} > "
+                          f"{DUMP_NODE_LIMIT} nodes")
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        for row in dense:
+        for row in graph.dense():
             writer.writerow([fmt(v) for v in row])
     deg_path = path.with_name(path.stem + ".degrees.csv")
     with open(deg_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        for v in degrees:
+        for v in graph.degrees:
             writer.writerow([fmt(v)])
 
 
@@ -151,13 +141,12 @@ def _cmd_cluster(args) -> int:
     ds, truth = load_mixed_csv(args.dataset, schema, missing_values=missing)
     if ds.num_numeric >= 1 and not args.no_standardize:
         ds = standardize_numeric(ds)
-    lambdas = _parse_lambdas(args.lam)
-    if args.dump_graph:
-        _dump_graph(ds, lambdas, args.dump_graph)
-
-    cfg = SpecMixConfig(k=args.k, lambdas=lambdas,
+    cfg = SpecMixConfig(k=args.k, lambdas=_parse_lambdas(args.lam),
                         kmeans=KMeansConfig(restarts=args.restarts),
                         seed=args.seed)
+    if args.dump_graph:
+        _dump_graph(ds, cfg, args.dump_graph)
+
     start = time.perf_counter()
     if args.method == "specmix":
         result = specmix(ds, cfg)

@@ -1,10 +1,12 @@
 """Symmetric and generalized eigensolvers for the spectral relaxation.
 
-Two strategies behind one interface: dense LAPACK decomposition up to
-DENSE_CUTOFF rows, and a Lanczos iteration with full reorthogonalization for
-operator-form problems above that. The generalized problem L v = mu D v is
-reduced to the symmetric problem on D^{-1/2} L D^{-1/2} and mapped back, so
-returned generalized eigenvectors are D-orthonormal.
+Every solve runs one Lanczos iteration with full reorthogonalization on a
+matrix-vector product, whatever the size of the problem and whether it comes
+as a matrix or as an operator. ``method="dense"`` runs a full LAPACK
+decomposition instead; it is kept as the oracle that tests compare the
+Lanczos path against. The generalized problem L v = mu D v is reduced to the
+symmetric problem on D^{-1/2} L D^{-1/2} and mapped back, so returned
+generalized eigenvectors are D-orthonormal.
 
 Returned vectors follow a sign convention (largest-magnitude entry positive)
 that makes repeated solves bitwise comparable outside of degenerate
@@ -20,8 +22,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, ConvergenceError
-
-DENSE_CUTOFF = 2048
 
 _RESIDUAL_TOL = 1e-8
 _SYM_TOL = 1e-10
@@ -46,33 +46,61 @@ class SymmetricOperator:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    for col in range(vectors.shape[1]):
-        v = vectors[:, col]
-        if v[np.argmax(np.abs(v))] < 0.0:
-            np.negative(v, out=v)
+    """Flip each column, in place, so that its largest-magnitude entry is
+    positive.
+
+    One whole-array product: on numpy 2.4.6 an in-place ``np.negative`` on a
+    column view of a wide array writes to the wrong elements.
+    """
+    cols = np.arange(vectors.shape[1])
+    peaks = vectors[np.argmax(np.abs(vectors), axis=0), cols]
+    vectors *= np.where(peaks < 0.0, -1.0, 1.0)
     return vectors
 
 
 def _as_operator(a):
-    """Normalize to (matvec, dim, dense-or-None)."""
-    if isinstance(a, SymmetricOperator):
-        return a.matvec, a.dim, None
+    """Normalize to (matvec, dim, dense), where ``dense`` materializes the
+    matrix and is None for an operator that cannot."""
+    if hasattr(a, "matvec") and hasattr(a, "dim"):
+        return a.matvec, a.dim, getattr(a, "dense", None)
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ConfigError("expected a square matrix or a SymmetricOperator")
+        raise ConfigError("expected a square matrix or an object exposing "
+                          "matvec and dim")
     err = np.abs(arr - arr.T).max(initial=0.0)
     if err > _SYM_TOL * max(1.0, np.abs(arr).max(initial=0.0)):
         raise ConfigError(f"matrix is not symmetric (max asymmetry {err:.3g})")
-    return (lambda x: arr @ x), arr.shape[0], arr
+    return (lambda x: arr @ x), arr.shape[0], (lambda: arr)
+
+
+def _smallest(matvec, dim: int, k: int, method: str, seed: int, dense):
+    """K smallest pairs of one symmetric problem: Lanczos on ``matvec``, or
+    for the dense oracle a full decomposition of ``dense()``."""
+    if method == "lanczos":
+        return _lanczos_smallest(matvec, dim, k, seed=seed)
+    if method != "dense":
+        raise ConfigError(f"unknown eigensolver method {method!r}")
+    if dense is None:
+        raise ConfigError("dense solve requires a materializable matrix")
+    values, vectors = np.linalg.eigh(dense())
+    return values[:k].copy(), vectors[:, :k].copy()
 
 
 def _lanczos_smallest(matvec, dim: int, k: int, *, seed: int = 0,
                       check_every: int = 10,
                       target: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """K algebraically smallest eigenpairs via Lanczos with full
-    reorthogonalization. Hard-errors after 10*dim iterations."""
+    reorthogonalization.
+
+    A breakdown (beta below the target) means the basis spans an invariant
+    subspace to working accuracy: its Ritz values are exact, but one Krylov
+    sequence holds only one copy of a repeated eigenvalue. The iteration then
+    restarts in the orthogonal complement, and after a restart it accepts
+    only once the newest block's smallest Ritz value has converged at or
+    above the k-th smallest overall, so no copy below it is missing. At
+    ``dim`` steps the basis is complete and the result exact.
+    """
     rng = np.random.default_rng(seed)
-    max_total = 10 * dim
     cap = min(dim, max(4 * k, 128))
     basis = np.empty((dim, cap))
     alphas = np.empty(cap)
@@ -93,44 +121,42 @@ def _lanczos_smallest(matvec, dim: int, k: int, *, seed: int = 0,
     r = r - alphas[0] * q
 
     m = 1
-    total = 1
-    while True:
+    start = 0  # first basis column of the current Krylov block
+    while m < dim:
         for _ in range(2):  # full reorthogonalization, twice for safety
             r -= basis[:, :m] @ (basis[:, :m].T @ r)
         beta = float(np.linalg.norm(r))
+        breakdown = beta <= target * max(1.0, float(np.abs(alphas[:m]).max()))
 
-        final = m == dim
-        if m >= k and (final or m % check_every == 0 or beta == 0.0):
-            theta, s = eigh_tridiagonal(alphas[:m], betas[:m - 1])
-            scale = max(1.0, float(np.abs(theta).max()))
-            bounds = beta * np.abs(s[m - 1, :k])
-            if final or np.all(bounds <= target * scale):
+        if m >= k and (m % check_every == 0 or breakdown) \
+                and not (breakdown and start == 0):
+            theta, s = eigh_tridiagonal(alphas[:m], betas[:m - 1], select="i",
+                                        select_range=(0, k - 1))
+            top = eigh_tridiagonal(alphas[:m], betas[:m - 1], eigvals_only=True,
+                                   select="i", select_range=(m - 1, m - 1))
+            scale = max(1.0, abs(float(theta[0])), abs(float(top[0])))
+            ok = np.all(beta * np.abs(s[m - 1, :k]) <= target * scale)
+            if ok and start > 0:
+                low, low_vec = eigh_tridiagonal(
+                    alphas[start:m], betas[start:m - 1], select="i",
+                    select_range=(0, 0))
+                ok = (beta * abs(low_vec[-1, 0]) <= target * scale
+                      and low[0] >= theta[k - 1] - target * scale)
+            if ok:
                 vectors = basis[:, :m] @ s[:, :k]
-                res = np.empty(k)
-                ok = True
-                for i in range(k):
-                    res[i] = np.linalg.norm(matvec(vectors[:, i]) - theta[i] * vectors[:, i])
-                    ok = ok and res[i] <= _RESIDUAL_TOL * scale
-                if ok or final:
+                if all(np.linalg.norm(matvec(vectors[:, i]) - theta[i] * vectors[:, i])
+                       <= _RESIDUAL_TOL * scale for i in range(k)):
                     return theta[:k], vectors
-        if final:
-            break
-        if total >= max_total:
-            raise ConvergenceError(
-                f"Lanczos did not converge within {max_total} iterations")
         if m == cap:
             grow()
 
-        if beta <= 1e-13:
-            # Invariant subspace found: restart with a fresh direction.
+        if breakdown:
             v = rng.standard_normal(dim)
             for _ in range(2):
                 v -= basis[:, :m] @ (basis[:, :m].T @ v)
-            nv = float(np.linalg.norm(v))
-            if nv <= 1e-13:
-                break
-            basis[:, m] = v / nv
+            basis[:, m] = v / np.linalg.norm(v)
             betas[m - 1] = 0.0
+            start = m
         else:
             basis[:, m] = r / beta
             betas[m - 1] = beta
@@ -140,34 +166,23 @@ def _lanczos_smallest(matvec, dim: int, k: int, *, seed: int = 0,
         alphas[m] = q @ r
         r = r - alphas[m] * q - betas[m - 1] * basis[:, m - 1]
         m += 1
-        total += 1
 
     theta, s = eigh_tridiagonal(alphas[:m], betas[:m - 1])
     vectors = basis[:, :m] @ s[:, :k]
     return theta[:k], vectors
 
 
-def symmetric_smallest_eigs(a, k: int, method: str = "auto",
+def symmetric_smallest_eigs(a, k: int, method: str = "lanczos",
                             seed: int = 0) -> EigenPairs:
     """K algebraically smallest eigenpairs of a symmetric matrix or operator.
 
-    ``method`` is "auto" (dense for matrices up to DENSE_CUTOFF, Lanczos
-    otherwise), "dense", or "lanczos". Eigenvectors are orthonormal.
+    ``method`` is "lanczos" or "dense", the full-decomposition oracle for
+    matrices. Eigenvectors are orthonormal.
     """
     matvec, dim, dense = _as_operator(a)
     if not 1 <= k <= dim:
         raise ConfigError(f"k must lie in [1, {dim}], got {k}")
-    if method not in ("auto", "dense", "lanczos"):
-        raise ConfigError(f"unknown eigensolver method {method!r}")
-    use_dense = method == "dense" or (method == "auto" and dense is not None
-                                      and dim <= DENSE_CUTOFF)
-    if use_dense:
-        if dense is None:
-            raise ConfigError("dense solve requires an explicit matrix")
-        values, vectors = np.linalg.eigh(dense)
-        values, vectors = values[:k].copy(), vectors[:, :k].copy()
-    else:
-        values, vectors = _lanczos_smallest(matvec, dim, k, seed=seed)
+    values, vectors = _smallest(matvec, dim, k, method, seed, dense)
     vectors = _fix_signs(vectors)
     residuals = np.array([
         np.linalg.norm(matvec(vectors[:, i]) - values[i] * vectors[:, i])
@@ -176,58 +191,38 @@ def symmetric_smallest_eigs(a, k: int, method: str = "auto",
     return EigenPairs(values, vectors, residuals)
 
 
-def generalized_smallest_eigs(weights, degrees, k: int, method: str = "auto",
+def generalized_smallest_eigs(weights, degrees, k: int, method: str = "lanczos",
                               seed: int = 0) -> EigenPairs:
     """K smallest eigenpairs of L v = mu D v with L = D - W.
 
     ``weights`` is a dense symmetric matrix or an object with ``matvec``,
-    ``dim`` and optionally ``dense()`` (the augmented graph qualifies).
-    Solved through the symmetric reduction D^{-1/2} L D^{-1/2}; eigenvalues
-    lie in [0, 2] and eigenvectors are D-orthonormal. The smallest eigenvalue
-    is 0 with a constant eigenvector on each connected component.
+    ``dim`` and, for ``method="dense"``, ``dense()`` (the augmented graph
+    qualifies). Solved through the symmetric reduction D^{-1/2} L D^{-1/2};
+    eigenvalues lie in [0, 2] and eigenvectors are D-orthonormal. The
+    smallest eigenvalue is 0 with a constant eigenvector on each connected
+    component.
     """
     degrees = np.asarray(degrees, dtype=np.float64)
     if (degrees <= 0.0).any():
         bad = int(np.flatnonzero(degrees <= 0.0)[0])
         raise ConfigError(f"node {bad} has nonpositive degree")
-    if method not in ("auto", "dense", "lanczos"):
-        raise ConfigError(f"unknown eigensolver method {method!r}")
-
-    if isinstance(weights, np.ndarray):
-        w_matvec, dim, w_dense = _as_operator(weights)
-    else:
-        if not hasattr(weights, "matvec") or not hasattr(weights, "dim"):
-            raise ConfigError(
-                "weights must be a square array or expose matvec/dim")
-        w_matvec, dim = weights.matvec, weights.dim
-        w_dense = None
-        can_densify = hasattr(weights, "dense")
-        if method == "dense" or (method == "auto" and can_densify
-                                 and dim <= DENSE_CUTOFF):
-            w_dense = weights.dense()
+    w_matvec, dim, w_dense = _as_operator(weights)
     if degrees.shape != (dim,):
         raise ConfigError("degree vector length does not match graph dimension")
     if not 1 <= k <= dim:
         raise ConfigError(f"k must lie in [1, {dim}], got {k}")
 
     dinv_sqrt = 1.0 / np.sqrt(degrees)
-    use_dense = method == "dense" or (method == "auto" and w_dense is not None
-                                      and dim <= DENSE_CUTOFF)
-    if use_dense:
-        if w_dense is None:
-            raise ConfigError("dense solve requires a materializable graph")
-        lsym = w_dense * dinv_sqrt[:, None] * dinv_sqrt[None, :]
-        np.negative(lsym, out=lsym)
-        lsym = 0.5 * (lsym + lsym.T)
-        lsym[np.diag_indices(dim)] += 1.0
-        values, full = np.linalg.eigh(lsym)
-        values, u = values[:k].copy(), full[:, :k]
-    else:
-        def lsym_matvec(x):
-            return x - dinv_sqrt * w_matvec(dinv_sqrt * x)
 
-        values, u = _lanczos_smallest(lsym_matvec, dim, k, seed=seed)
+    def lsym_matvec(x):
+        return x - dinv_sqrt * w_matvec(dinv_sqrt * x)
 
+    def lsym_dense():
+        lsym = np.eye(dim) - w_dense() * np.outer(dinv_sqrt, dinv_sqrt)
+        return 0.5 * (lsym + lsym.T)
+
+    values, u = _smallest(lsym_matvec, dim, k, method, seed,
+                          lsym_dense if w_dense is not None else None)
     vectors = _fix_signs(u * dinv_sqrt[:, None])
     scale = max(1.0, float(degrees.max()))
     residuals = np.empty(k)

@@ -52,9 +52,20 @@ class BaseWeights:
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def dim(self) -> int:
+        return self.n
+
     @cached_property
     def degrees(self) -> np.ndarray:
         return self.matrix.sum(axis=1)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Weight matrix times ``x``."""
+        return self.matrix @ x
+
+    def dense(self) -> np.ndarray:
+        return self.matrix
 
 
 def base_similarity(ds: MixedDataset) -> BaseWeights:
@@ -75,18 +86,78 @@ def base_similarity(ds: MixedDataset) -> BaseWeights:
 
 
 @dataclass(frozen=True)
+class StackedEncoder:
+    """The n x t matrix H: column concatenation of the lambda-weighted
+    one-hot matrices, one block per categorical variable.
+
+    Every row sums to the total edge weight (``lam_total``); column j of
+    variable l sums to lambda_l times that category's count.
+    """
+
+    encoders: tuple[OneHotMatrix, ...]
+    lambdas: tuple[float, ...]
+
+    def __post_init__(self):
+        if not self.encoders:
+            raise ConfigError("stacked encoder needs at least one variable")
+        if len(self.encoders) != len(self.lambdas):
+            raise ConfigError("one lambda per categorical variable is required")
+        if any(lam <= 0.0 for lam in self.lambdas):
+            raise ConfigError("edge weights lambda must be positive")
+        n = self.encoders[0].n
+        if any(enc.n != n for enc in self.encoders):
+            raise DataError("encoders disagree on row count")
+
+    @property
+    def n(self) -> int:
+        return self.encoders[0].n
+
+    @property
+    def t(self) -> int:
+        return sum(enc.cardinality for enc in self.encoders)
+
+    @property
+    def lam_total(self) -> float:
+        """Constant row sum of the stacked matrix."""
+        return float(sum(self.lambdas))
+
+    @cached_property
+    def column_sums(self) -> np.ndarray:
+        return np.concatenate([lam * enc.column_sums
+                               for enc, lam in zip(self.encoders, self.lambdas)])
+
+    def dense(self) -> np.ndarray:
+        blocks = [lam * enc.entries
+                  for enc, lam in zip(self.encoders, self.lambdas)]
+        return np.concatenate(blocks, axis=1)
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """H @ vec for a length-t vector."""
+        vec = np.asarray(vec, dtype=np.float64)
+        ends = np.cumsum([enc.cardinality for enc in self.encoders])
+        out = np.zeros(self.n)
+        for enc, lam, block in zip(self.encoders, self.lambdas, np.split(vec, ends[:-1])):
+            out += lam * enc.apply(block)
+        return out
+
+    def apply_transpose(self, vec: np.ndarray) -> np.ndarray:
+        """H.T @ vec for a length-n vector."""
+        return np.concatenate([lam * enc.apply_transpose(vec)
+                               for enc, lam in zip(self.encoders, self.lambdas)])
+
+
+@dataclass(frozen=True)
 class AugmentedGraph:
     """Base graph plus category extra nodes, in block-structured form.
 
     Node layout: data nodes 0..n-1, then the categories of variable 0, of
-    variable 1, and so on. The implied dense matrix has the base weights in
-    the top-left block, lambda_l-scaled one-hot blocks off-diagonal, identity
-    blocks (unit self-loops) on the extra-node diagonal, and zeros elsewhere.
+    variable 1, and so on. The implied dense matrix is [[W, H], [H.T, I]]:
+    the base weights W, the stacked lambda-weighted one-hot matrix H
+    off-diagonal, and unit self-loops on the extra nodes.
     """
 
     base: BaseWeights
-    encoders: tuple[OneHotMatrix, ...]
-    lambdas: tuple[float, ...]
+    stacked: StackedEncoder
     degrees: np.ndarray
 
     @property
@@ -95,21 +166,11 @@ class AugmentedGraph:
 
     @property
     def t(self) -> int:
-        return sum(enc.cardinality for enc in self.encoders)
+        return self.stacked.t
 
     @property
     def dim(self) -> int:
         return self.n + self.t
-
-    @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        """Start index of each variable's extra-node block."""
-        out = []
-        pos = self.n
-        for enc in self.encoders:
-            out.append(pos)
-            pos += enc.cardinality
-        return tuple(out)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Implied dense weight matrix times ``x``."""
@@ -117,26 +178,14 @@ class AugmentedGraph:
         if x.shape != (self.dim,):
             raise ConfigError(f"expected vector of length {self.dim}, got {x.shape}")
         n = self.n
-        out = np.empty(self.dim)
-        out[:n] = self.base.matrix @ x[:n]
-        for enc, lam, off in zip(self.encoders, self.lambdas, self.offsets):
-            block = x[off:off + enc.cardinality]
-            out[:n] += lam * enc.apply(block)
-            out[off:off + enc.cardinality] = lam * enc.apply_transpose(x[:n]) + block
-        return out
+        return np.concatenate([
+            self.base.matrix @ x[:n] + self.stacked.apply(x[n:]),
+            self.stacked.apply_transpose(x[:n]) + x[n:]])
 
     def dense(self) -> np.ndarray:
         """Materialize the full (n+t) x (n+t) weight matrix."""
-        n = self.n
-        w = np.zeros((self.dim, self.dim))
-        w[:n, :n] = self.base.matrix
-        rows = np.arange(n)
-        for enc, lam, off in zip(self.encoders, self.lambdas, self.offsets):
-            end = off + enc.cardinality
-            w[rows, off + enc.codes] = lam
-            w[off + enc.codes, rows] = lam
-            w[off:end, off:end] = np.eye(enc.cardinality)
-        return w
+        h = self.stacked.dense()
+        return np.block([[self.base.matrix, h], [h.T, np.eye(self.t)]])
 
 
 def assemble_augmented(base: BaseWeights, encoders, lambdas) -> AugmentedGraph:
@@ -145,20 +194,12 @@ def assemble_augmented(base: BaseWeights, encoders, lambdas) -> AugmentedGraph:
     Data node i has degree (row sum of the base weights) + sum_l lambda_l;
     extra node (l, j) has degree lambda_l * (count of category j) + 1.
     """
-    encoders = tuple(encoders)
-    lambdas = tuple(float(v) for v in lambdas)
-    if len(encoders) != len(lambdas):
-        raise ConfigError("one lambda per categorical variable is required")
-    if any(lam <= 0.0 for lam in lambdas):
-        raise ConfigError("edge weights lambda must be positive")
-    n = base.n
-    for l, enc in enumerate(encoders):
-        if enc.n != n:
-            raise DataError(f"encoder {l} has {enc.n} rows, base graph has {n}")
-    degs = [base.degrees + sum(lambdas)]
-    for enc, lam in zip(encoders, lambdas):
-        degs.append(lam * enc.column_sums + 1.0)
-    return AugmentedGraph(base, encoders, lambdas, np.concatenate(degs))
+    stacked = StackedEncoder(tuple(encoders), tuple(float(v) for v in lambdas))
+    if stacked.n != base.n:
+        raise DataError(f"encoders have {stacked.n} rows, base graph has {base.n}")
+    degrees = np.concatenate([base.degrees + stacked.lam_total,
+                              stacked.column_sums + 1.0])
+    return AugmentedGraph(base, stacked, degrees)
 
 
 @dataclass(frozen=True)
@@ -197,10 +238,8 @@ def assignment_matrix(labels, degrees, k: int) -> AssignmentMatrix:
 
 
 def _graph_interface(graph):
-    if isinstance(graph, AugmentedGraph):
+    if isinstance(graph, (AugmentedGraph, BaseWeights)):
         return graph.matvec, graph.degrees, graph.dim
-    if isinstance(graph, BaseWeights):
-        return (lambda x: graph.matrix @ x), graph.degrees, graph.n
     w = np.asarray(graph, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ConfigError("graph must be an AugmentedGraph, BaseWeights, or square matrix")

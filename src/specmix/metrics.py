@@ -16,8 +16,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError
 
-_EXACT_MATCH_LIMIT = 12
-
 
 @dataclass(frozen=True)
 class ContingencyTable:
@@ -68,23 +66,8 @@ def label_agreement(a, b) -> float:
     """Largest fraction of positions where ``a`` equals a cluster-id
     permutation of ``b``.
 
-    Exact optimal matching over the contingency table up to 12 clusters
-    per side, greedy above.
+    Exact optimal matching over the contingency table.
     """
     table = ContingencyTable.from_labels(a, b)
-    counts = table.counts
-    if max(counts.shape) <= _EXACT_MATCH_LIMIT:
-        rows, cols = linear_sum_assignment(counts, maximize=True)
-        matched = int(counts[rows, cols].sum())
-    else:
-        work = counts.copy()
-        matched = 0
-        for _ in range(min(work.shape)):
-            flat = int(np.argmax(work))
-            r, c = divmod(flat, work.shape[1])
-            if work[r, c] <= 0:
-                break
-            matched += int(work[r, c])
-            work[r, :] = -1
-            work[:, c] = -1
-    return matched / table.n
+    rows, cols = linear_sum_assignment(table.counts, maximize=True)
+    return int(table.counts[rows, cols].sum()) / table.n

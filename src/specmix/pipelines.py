@@ -20,15 +20,15 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
 
-from .dataset import MixedDataset, OneHotMatrix, one_hot, _check_seed
-from .eigen import EigenPairs, generalized_smallest_eigs
+from .dataset import MixedDataset, one_hot, _check_seed
+from .eigen import EigenPairs, _fix_signs, generalized_smallest_eigs
 from .errors import ConfigError, DataError, SpectralGapError
-from .graph import assemble_augmented, base_similarity
+from .graph import (AugmentedGraph, BaseWeights, StackedEncoder,
+                    assemble_augmented, base_similarity)
 from .kmeans import KMeansConfig, kmeans
 
 RESULT_FORMAT_VERSION = 1
@@ -125,74 +125,6 @@ class ClusteringResult:
         )
 
 
-@dataclass(frozen=True)
-class StackedEncoder:
-    """Column concatenation of the lambda-weighted one-hot matrices.
-
-    Every row sums to the total edge weight (``lam_total``); column j of
-    variable l sums to lambda_l times that category's count.
-    """
-
-    encoders: tuple[OneHotMatrix, ...]
-    lambdas: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.encoders:
-            raise ConfigError("stacked encoder needs at least one variable")
-        if len(self.encoders) != len(self.lambdas):
-            raise ConfigError("one lambda per categorical variable is required")
-        if any(lam <= 0.0 for lam in self.lambdas):
-            raise ConfigError("stacked encoder requires positive lambdas")
-        n = self.encoders[0].n
-        if any(enc.n != n for enc in self.encoders):
-            raise DataError("encoders disagree on row count")
-
-    @property
-    def n(self) -> int:
-        return self.encoders[0].n
-
-    @property
-    def t(self) -> int:
-        return sum(enc.cardinality for enc in self.encoders)
-
-    @property
-    def lam_total(self) -> float:
-        """Constant row sum of the stacked matrix."""
-        return float(sum(self.lambdas))
-
-    @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        out = []
-        pos = 0
-        for enc in self.encoders:
-            out.append(pos)
-            pos += enc.cardinality
-        return tuple(out)
-
-    @cached_property
-    def column_sums(self) -> np.ndarray:
-        return np.concatenate([lam * enc.column_sums
-                               for enc, lam in zip(self.encoders, self.lambdas)])
-
-    def dense(self) -> np.ndarray:
-        blocks = [lam * enc.entries
-                  for enc, lam in zip(self.encoders, self.lambdas)]
-        return np.concatenate(blocks, axis=1)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """H @ vec for a length-t vector."""
-        vec = np.asarray(vec, dtype=np.float64)
-        out = np.zeros(self.n)
-        for enc, lam, off in zip(self.encoders, self.lambdas, self.offsets):
-            out += lam * enc.apply(vec[off:off + enc.cardinality])
-        return out
-
-    def apply_transpose(self, vec: np.ndarray) -> np.ndarray:
-        """H.T @ vec for a length-n vector."""
-        return np.concatenate([lam * enc.apply_transpose(vec)
-                               for enc, lam in zip(self.encoders, self.lambdas)])
-
-
 def build_stacked(ds: MixedDataset, lambdas) -> StackedEncoder:
     encoders = tuple(one_hot(ds, l) for l in range(ds.num_categorical))
     return StackedEncoder(encoders, tuple(float(v) for v in lambdas))
@@ -226,7 +158,7 @@ def transfer_cut(stacked: StackedEncoder, k: int) -> tuple[EigenPairs, np.ndarra
     mu = 1 - sqrt(1 - gamma) (equivalently gamma = mu (2 - mu)) and
     data-side block f = D_rows^{-1} H u / (1 - mu); the stacked vector
     (f, u) / sqrt(2) is D-orthonormal on the full bipartite graph. Requires
-    gamma_k < 1; total work is O(nt(k+t) + kt^2), linear in n.
+    gamma_k < 1; total work is O(nt(k+t) + t^3), linear in n.
 
     Returns the lifted pairs over all n+t rows and the n x k data-row
     embedding fed to K-means.
@@ -234,7 +166,10 @@ def transfer_cut(stacked: StackedEncoder, k: int) -> tuple[EigenPairs, np.ndarra
     if k > stacked.t:
         raise ConfigError(f"k={k} exceeds the {stacked.t} category nodes")
     w_small, d_small, _ = build_bipartite_reduction(stacked)
-    small = generalized_smallest_eigs(w_small, d_small, k)
+    # The reduction is already dense and costs O(n t^2), more than a full
+    # O(t^3) decomposition. Lanczos would save nothing here and can miss
+    # copies of gamma = 0 when category groups never co-occur.
+    small = generalized_smallest_eigs(w_small, d_small, k, method="dense")
     gammas = small.values
     if gammas[-1] >= 1.0 - _GAP_TOL:
         raise SpectralGapError(
@@ -252,10 +187,7 @@ def transfer_cut(stacked: StackedEncoder, k: int) -> tuple[EigenPairs, np.ndarra
         vectors[n:, i] = u * inv_sqrt2
 
     # Sign convention on the lifted vectors; keep the embedding consistent.
-    for i in range(k):
-        v = vectors[:, i]
-        if v[np.argmax(np.abs(v))] < 0.0:
-            np.negative(v, out=v)
+    vectors = _fix_signs(vectors)
     embedding = vectors[:n, :] * np.sqrt(2.0)
 
     d_all = np.concatenate([np.full(n, stacked.lam_total), d_small])
@@ -293,13 +225,27 @@ def numeric_spectral(ds: MixedDataset, cfg: SpecMixConfig) -> ClusteringResult:
     t0 = time.perf_counter()
     weights = base_similarity(ds)
     t1 = time.perf_counter()
-    pairs = generalized_smallest_eigs(weights.matrix, weights.degrees, cfg.k,
+    pairs = generalized_smallest_eigs(weights, weights.degrees, cfg.k,
                                       seed=cfg.seed)
     t2 = time.perf_counter()
     labels, _, _ = kmeans(pairs.vectors, cfg.k, _kmeans_config(cfg))
     t3 = time.perf_counter()
     timings = {"graph": t1 - t0, "eigen": t2 - t1, "kmeans": t3 - t2}
     return _finish(labels, pairs, ds.n, timings, cfg, "numeric-spectral")
+
+
+def specmix_graph(ds: MixedDataset,
+                  cfg: SpecMixConfig) -> Union[AugmentedGraph, BaseWeights]:
+    """The graph ``specmix`` clusters: the numeric similarity graph augmented
+    with every categorical variable whose lambda is positive, or the bare
+    similarity graph when every lambda is zero."""
+    lams = cfg.resolve_lambdas(ds.num_categorical)
+    active = np.flatnonzero(lams > 0.0)
+    weights = base_similarity(ds)
+    if active.size == 0:
+        return weights
+    encoders = [one_hot(ds, int(l)) for l in active]
+    return assemble_augmented(weights, encoders, lams[active])
 
 
 def specmix(ds: MixedDataset, cfg: SpecMixConfig) -> ClusteringResult:
@@ -314,16 +260,8 @@ def specmix(ds: MixedDataset, cfg: SpecMixConfig) -> ClusteringResult:
         raise ConfigError(f"k={cfg.k} exceeds the {ds.n} datapoints")
     if ds.num_numeric < 1:
         raise ConfigError("numeric features required; use onlycat")
-    lams = cfg.resolve_lambdas(ds.num_categorical)
-    active = np.flatnonzero(lams > 0.0)
-    if active.size == 0:
-        result = numeric_spectral(ds, cfg)
-        return replace(result, method="specmix", config=cfg.echo())
-
     t0 = time.perf_counter()
-    weights = base_similarity(ds)
-    encoders = [one_hot(ds, int(l)) for l in active]
-    graph = assemble_augmented(weights, encoders, lams[active])
+    graph = specmix_graph(ds, cfg)
     t1 = time.perf_counter()
     pairs = generalized_smallest_eigs(graph, graph.degrees, cfg.k, seed=cfg.seed)
     t2 = time.perf_counter()

@@ -23,7 +23,9 @@ import csv
 import hashlib
 import os
 import statistics
+import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -228,7 +230,9 @@ def _compute_row(args: tuple[RowKey, int]) -> tuple[RowKey, dict]:
         }
     except SpecmixError as exc:
         out["error"] = exc.code
-    except Exception:  # pragma: no cover - defensive: record, don't abort
+    except Exception:  # record the row and keep the sweep going
+        print(f"sweep row {','.join(key.as_tuple())} failed:", file=sys.stderr)
+        traceback.print_exc()
         out["error"] = "internal"
     return key, out
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specmix import (ConfigError, SymmetricOperator, generalized_smallest_eigs,
                      symmetric_smallest_eigs)
@@ -148,12 +150,41 @@ class TestGeneralized:
         lanczos = generalized_smallest_eigs(op, d, 5, method="lanczos")
         assert np.abs(dense.values - lanczos.values).max() <= 1e-8
 
-    def test_auto_switches_to_lanczos_above_cutoff(self):
-        from specmix.eigen import DENSE_CUTOFF
+    def test_default_matches_dense_at_dim_2100(self):
         rng = np.random.default_rng(9)
-        dim = DENSE_CUTOFF + 52
+        dim = 2100
         w = random_graph_weights(rng, dim)
         d = w.sum(axis=1)
-        auto = generalized_smallest_eigs(w, d, 2)
+        default = generalized_smallest_eigs(w, d, 2)
         forced = generalized_smallest_eigs(w, d, 2, method="dense")
-        assert np.abs(auto.values - forced.values).max() <= 1e-8
+        assert np.abs(default.values - forced.values).max() <= 1e-8
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random connected weighted graph: a random spanning tree plus random
+    extra edges, with k and a node permutation."""
+    dim = draw(st.integers(3, 40))
+    k = draw(st.integers(1, dim))
+    density = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0.01, 1.0, (dim, dim)) * (rng.uniform(size=(dim, dim)) < density)
+    order = rng.permutation(dim)
+    for i in range(1, dim):
+        w[order[i], order[rng.integers(i)]] = rng.uniform(0.01, 1.0)
+    w = np.triu(w + w.T, 1)
+    return w + w.T, k, rng.permutation(dim)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(connected_graphs())
+def test_default_solver_matches_dense_oracle(graph):
+    w, k, perm = graph
+    d = w.sum(axis=1)
+    pairs = generalized_smallest_eigs(w, d, k)
+    oracle = generalized_smallest_eigs(w, d, k, method="dense")
+    assert np.abs(pairs.values - oracle.values).max() <= 1e-8
+    gram = pairs.vectors.T @ (d[:, None] * pairs.vectors)
+    assert np.abs(gram - np.eye(k)).max() <= 1e-8
+    permuted = generalized_smallest_eigs(w[np.ix_(perm, perm)], d[perm], k)
+    assert np.abs(permuted.values - pairs.values).max() <= 1e-8

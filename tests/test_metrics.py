@@ -98,13 +98,18 @@ class TestLabelAgreement:
             perm = rng.permutation(4)
             assert label_agreement(a, perm[b]) == base
 
-    def test_greedy_path_above_exact_limit(self):
+    def test_exact_above_twelve_clusters(self):
         rng = np.random.default_rng(5)
         a = rng.integers(0, 15, 400)
         assert label_agreement(a, a) == 1.0
         b = rng.integers(0, 15, 400)
         value = label_agreement(a, b)
         assert 0.0 <= value <= 1.0
+        # contingency block [[3, 2], [2, 0]] plus 11 singleton clusters:
+        # matching the 3 first (greedy) gives 14/18, the optimum is 15/18
+        pred = [0] * 5 + [1] * 2 + list(range(2, 13))
+        truth = [0, 0, 0, 1, 1, 0, 0] + list(range(2, 13))
+        assert label_agreement(pred, truth) == pytest.approx(15 / 18)
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):

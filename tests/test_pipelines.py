@@ -137,6 +137,23 @@ class TestOnlyCat:
         result = onlycat(ds, SpecMixConfig(k=2, lambdas=1.0, seed=0))
         assert purity(result.labels, truth) == 1.0
 
+    def test_disjoint_category_groups(self):
+        # Four row groups whose categories never co-occur: the reduced graph
+        # has four components, so gamma = 0 is a fourfold eigenvalue, and a
+        # single-vector Krylov solve can return fewer than four copies.
+        rng = np.random.default_rng(3)
+        n, per, groups = 1000, 12, 4
+        t = groups * per
+        group = np.concatenate([np.arange(t) // per,
+                                rng.integers(0, groups, n - t)])
+        cats = np.column_stack([
+            np.concatenate([np.arange(t),
+                            group[t:] * per + rng.integers(0, per, n - t)])
+            for _ in range(2)])
+        ds = MixedDataset(np.empty((n, 0)), cats, (t, t))
+        result = onlycat(ds, SpecMixConfig(k=groups, lambdas=1.0, seed=0))
+        assert label_agreement(result.labels, group) == 1.0
+
     def test_lambda_invariance(self):
         ds, _ = generate_synthetic(SyntheticParams(n=120, k=3, q=3,
                                                    sigma=0.0, p=0.3, seed=1))
@@ -240,6 +257,18 @@ class TestSpecMix:
             cfg.resolve_lambdas(3)
         with pytest.raises(ConfigError):
             SpecMixConfig(k=2, lambdas=-1.0).resolve_lambdas(1)
+
+
+def test_eight_cluster_solves_pass_residual_gate():
+    # Regression: the sign convention once negated column views of the
+    # (rows, 8) eigenvector array in place, which corrupted other entries
+    # and failed every K=8 solve with ConvergenceError.
+    ds, truth = generate_synthetic(SyntheticParams(n=500, k=8, q=3, sigma=0.5,
+                                                   p=0.25, seed=0))
+    cat = onlycat(ds, SpecMixConfig(k=8, lambdas=1.0, seed=0))
+    mixed = specmix(ds, SpecMixConfig(k=8, lambdas=10.0, seed=0))
+    assert purity(cat.labels, truth) > 0.85
+    assert purity(mixed.labels, truth) > 0.85
 
 
 class TestResultSerialization:

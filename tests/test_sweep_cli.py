@@ -160,6 +160,22 @@ class TestSweep:
         with pytest.raises(DataError):
             run_sweep(other, out)
 
+    def test_internal_error_recorded_with_traceback(self, tmp_path,
+                                                    monkeypatch, capsys):
+        def broken(ds, cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("specmix.sweep.specmix", broken)
+        grid = ExperimentGrid(n_values=(20,), k_values=(2,), q_values=(1,),
+                              sigma_values=(0.5,), p_values=(0.0,),
+                              lambda_values=(1.0,), methods=("specmix",),
+                              repetitions=1, seed=0)
+        out = tmp_path / "results.csv"
+        run_sweep(grid, out, workers=1)
+        assert [row["error"] for row in read_rows(out)] == ["internal"]
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: boom" in err
+
 
 class TestSynthCommand:
     def test_noise_free_exact_and_deterministic(self, tmp_path):
@@ -251,6 +267,18 @@ class TestClusterCommand:
         degrees = np.loadtxt(tmp_path / "wall.degrees.csv", delimiter=",")
         assert dense.shape == (14, 14)  # 10 data nodes + 2x2 categories
         assert np.allclose(dense.sum(axis=1), degrees, atol=1e-6)
+
+    def test_dump_graph_checks_lambdas_first(self, tmp_path, capsys):
+        path = tmp_path / "three.csv"
+        main(["synth", "--n", "20", "--k", "2", "--q", "3", "--sigma", "0.2",
+              "--p", "0", "--seed", "5", "--output", str(path)])
+        dump = tmp_path / "g.csv"
+        code = main(["cluster", str(path), "--schema",
+                     "num,num,cat,cat,cat,label", "--k", "2",
+                     "--lambda", "1,2", "--dump-graph", str(dump)])
+        assert code == 4
+        assert "expected 3 lambda values" in capsys.readouterr().err
+        assert not dump.exists()
 
     def test_dump_graph_refuses_large(self, tmp_path, capsys):
         # 120 rows x 50 categorical columns with 120 distinct values each
