@@ -1,12 +1,15 @@
 """Symmetric and generalized eigensolvers for the spectral relaxation.
 
-Every solve runs one Lanczos iteration with full reorthogonalization on a
-matrix-vector product, whatever the size of the problem and whether it comes
-as a matrix or as an operator. ``method="dense"`` runs a full LAPACK
-decomposition instead; it is kept as the oracle that tests compare the
-Lanczos path against. The generalized problem L v = mu D v is reduced to the
-symmetric problem on D^{-1/2} L D^{-1/2} and mapped back, so returned
-generalized eigenvectors are D-orthonormal.
+Every solve runs Lanczos with full reorthogonalization on a matrix-vector
+product, whatever the size of the problem and whether it comes as a matrix
+or as an operator. One Krylov sequence sees a single copy of a repeated
+eigenvalue (disconnected or nearly disconnected graphs repeat mu = 0), so a
+second run in the complement of the pairs found checks for missing copies.
+``method="dense"`` runs a full LAPACK decomposition instead; it is kept as
+the oracle that tests compare the Lanczos path against. The generalized
+problem L v = mu D v is reduced to the symmetric problem on
+D^{-1/2} L D^{-1/2} and mapped back, so returned generalized eigenvectors
+are D-orthonormal.
 
 Returned vectors follow a sign convention (largest-magnitude entry positive)
 that makes repeated solves bitwise comparable outside of degenerate
@@ -25,6 +28,8 @@ from .errors import ConfigError, ConvergenceError
 
 _RESIDUAL_TOL = 1e-8
 _SYM_TOL = 1e-10
+_LANCZOS_TOL = 1e-10  # Ritz residual estimate, relative to the spectrum's scale
+_CHECK_EVERY = 10  # Lanczos steps between convergence checks
 
 
 @dataclass(frozen=True)
@@ -86,90 +91,93 @@ def _smallest(matvec, dim: int, k: int, method: str, seed: int, dense):
     return values[:k].copy(), vectors[:, :k].copy()
 
 
-def _lanczos_smallest(matvec, dim: int, k: int, *, seed: int = 0,
-                      check_every: int = 10,
-                      target: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """K algebraically smallest eigenpairs via Lanczos with full
-    reorthogonalization.
+def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
+    """K algebraically smallest eigenpairs via Lanczos with locking.
 
-    A breakdown (beta below the target) means the basis spans an invariant
-    subspace to working accuracy: its Ritz values are exact, but one Krylov
-    sequence holds only one copy of a repeated eigenvalue. The iteration then
-    restarts in the orthogonal complement, and after a restart it accepts
-    only once the newest block's smallest Ritz value has converged at or
-    above the k-th smallest overall, so no copy below it is missing. At
-    ``dim`` steps the basis is complete and the result exact.
+    One Krylov sequence holds only one copy of a repeated eigenvalue, so the
+    k pairs of the first run are checked by a second run in their orthogonal
+    complement. A pair found there below the k-th value is a missing copy: it
+    replaces the k-th pair, and the check repeats.
     """
     rng = np.random.default_rng(seed)
-    cap = min(dim, max(4 * k, 128))
-    basis = np.empty((dim, cap))
-    alphas = np.empty(cap)
-    betas = np.empty(cap)
+    values, vectors = _lanczos_run(matvec, dim, k, rng, np.empty((dim, 0)))
+    while k < dim:
+        missing = _lanczos_run(matvec, dim, 1, rng, vectors, floor=values[-1])
+        if missing is None:
+            break
+        at = int(np.searchsorted(values, missing[0][0]))
+        values = np.insert(values[:-1], at, missing[0][0])
+        vectors = np.insert(vectors[:, :-1], at, missing[1][:, 0], axis=1)
+    return values, vectors
 
-    def grow():
-        nonlocal basis, alphas, betas, cap
-        cap = min(dim, 2 * cap)
-        basis = np.concatenate([basis, np.empty((dim, cap - basis.shape[1]))], axis=1)
-        alphas = np.concatenate([alphas, np.empty(cap - alphas.shape[0])])
-        betas = np.concatenate([betas, np.empty(cap - betas.shape[0])])
 
-    q = rng.standard_normal(dim)
+def _lanczos_run(matvec, dim: int, k: int, rng, lock: np.ndarray,
+                 floor: float | None = None):
+    """K smallest Ritz pairs of one Lanczos iteration, with full
+    reorthogonalization, in the orthogonal complement of the orthonormal
+    columns of ``lock``.
+
+    With a ``floor`` (and k = 1) the run looks for a pair below it, and
+    returns None once its smallest Ritz pair has converged at or above the
+    floor. A breakdown (beta near zero) means the basis spans an invariant
+    subspace: its Ritz values are exact, and the iteration goes on from a
+    random vector orthogonal to it. Once the basis fills the complement the
+    result is exact.
+    """
+    off = lock.shape[1]  # the locked columns lead the basis
+    basis = np.empty((dim, min(dim, off + max(4 * k, 128))))
+    basis[:, :off] = lock
+    alphas, betas = np.empty(dim - off), np.empty(dim - off)
+
+    def orthogonalize(x, m):  # against the lock and the first m Lanczos vectors
+        for _ in range(2):  # full reorthogonalization, twice for safety
+            x -= basis[:, :off + m] @ (basis[:, :off + m].T @ x)
+        return x
+
+    q = orthogonalize(rng.standard_normal(dim), 0)
     q /= np.linalg.norm(q)
-    basis[:, 0] = q
+    basis[:, off] = q
     r = matvec(q)
     alphas[0] = q @ r
     r = r - alphas[0] * q
 
     m = 1
-    start = 0  # first basis column of the current Krylov block
-    while m < dim:
-        for _ in range(2):  # full reorthogonalization, twice for safety
-            r -= basis[:, :m] @ (basis[:, :m].T @ r)
+    while off + m < dim:
+        r = orthogonalize(r, m)
         beta = float(np.linalg.norm(r))
-        breakdown = beta <= target * max(1.0, float(np.abs(alphas[:m]).max()))
+        breakdown = beta <= _LANCZOS_TOL * max(1.0, float(np.abs(alphas[:m]).max()))
 
-        if m >= k and (m % check_every == 0 or breakdown) \
-                and not (breakdown and start == 0):
+        if m >= k and (m % _CHECK_EVERY == 0 or breakdown):
             theta, s = eigh_tridiagonal(alphas[:m], betas[:m - 1], select="i",
                                         select_range=(0, k - 1))
             top = eigh_tridiagonal(alphas[:m], betas[:m - 1], eigvals_only=True,
                                    select="i", select_range=(m - 1, m - 1))
             scale = max(1.0, abs(float(theta[0])), abs(float(top[0])))
-            ok = np.all(beta * np.abs(s[m - 1, :k]) <= target * scale)
-            if ok and start > 0:
-                low, low_vec = eigh_tridiagonal(
-                    alphas[start:m], betas[start:m - 1], select="i",
-                    select_range=(0, 0))
-                ok = (beta * abs(low_vec[-1, 0]) <= target * scale
-                      and low[0] >= theta[k - 1] - target * scale)
-            if ok:
-                vectors = basis[:, :m] @ s[:, :k]
+            if np.all(beta * np.abs(s[m - 1, :k]) <= _LANCZOS_TOL * scale):
+                if floor is not None and theta[0] >= floor - _LANCZOS_TOL * scale:
+                    return None
+                vectors = basis[:, off:off + m] @ s[:, :k]
                 if all(np.linalg.norm(matvec(vectors[:, i]) - theta[i] * vectors[:, i])
                        <= _RESIDUAL_TOL * scale for i in range(k)):
                     return theta[:k], vectors
-        if m == cap:
-            grow()
+        if off + m == basis.shape[1]:
+            grown = min(dim, 2 * (off + m))
+            basis = np.concatenate([basis, np.empty((dim, grown - off - m))], axis=1)
 
-        if breakdown:
-            v = rng.standard_normal(dim)
-            for _ in range(2):
-                v -= basis[:, :m] @ (basis[:, :m].T @ v)
-            basis[:, m] = v / np.linalg.norm(v)
-            betas[m - 1] = 0.0
-            start = m
-        else:
-            basis[:, m] = r / beta
-            betas[m - 1] = beta
-
-        q = basis[:, m]
+        if breakdown:  # go on from a fresh direction, decoupled from the basis
+            r, beta = orthogonalize(rng.standard_normal(dim), m), 0.0
+        basis[:, off + m] = r / (beta or np.linalg.norm(r))
+        betas[m - 1] = beta
+        q = basis[:, off + m]
         r = matvec(q)
         alphas[m] = q @ r
-        r = r - alphas[m] * q - betas[m - 1] * basis[:, m - 1]
+        r = r - alphas[m] * q - beta * basis[:, off + m - 1]
         m += 1
 
     theta, s = eigh_tridiagonal(alphas[:m], betas[:m - 1])
-    vectors = basis[:, :m] @ s[:, :k]
-    return theta[:k], vectors
+    if floor is not None and theta[0] >= floor - _LANCZOS_TOL * max(1.0, abs(float(theta[0]))):
+        return None
+    return theta[:k], basis[:, off:off + m] @ s[:, :k]
 
 
 def symmetric_smallest_eigs(a, k: int, method: str = "lanczos",
@@ -199,8 +207,8 @@ def generalized_smallest_eigs(weights, degrees, k: int, method: str = "lanczos",
     ``dim`` and, for ``method="dense"``, ``dense()`` (the augmented graph
     qualifies). Solved through the symmetric reduction D^{-1/2} L D^{-1/2};
     eigenvalues lie in [0, 2] and eigenvectors are D-orthonormal. The
-    smallest eigenvalue is 0 with a constant eigenvector on each connected
-    component.
+    eigenvalue 0 appears once per connected component, and its eigenvectors
+    span the components' indicator vectors.
     """
     degrees = np.asarray(degrees, dtype=np.float64)
     if (degrees <= 0.0).any():

@@ -167,8 +167,7 @@ def transfer_cut(stacked: StackedEncoder, k: int) -> tuple[EigenPairs, np.ndarra
         raise ConfigError(f"k={k} exceeds the {stacked.t} category nodes")
     w_small, d_small, _ = build_bipartite_reduction(stacked)
     # The reduction is already dense and costs O(n t^2), more than a full
-    # O(t^3) decomposition. Lanczos would save nothing here and can miss
-    # copies of gamma = 0 when category groups never co-occur.
+    # O(t^3) decomposition, so Lanczos would save nothing here.
     small = generalized_smallest_eigs(w_small, d_small, k, method="dense")
     gammas = small.values
     if gammas[-1] >= 1.0 - _GAP_TOL:

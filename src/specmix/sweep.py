@@ -147,23 +147,15 @@ class ExperimentGrid:
             raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
         if "n" not in values or "k" not in values:
             raise ConfigError("grid must define 'n' and 'K'")
-        kwargs = dict(
-            n_values=ints("n"),
-            k_values=ints("k"),
-            seed=int(values["seed"][0]) if "seed" in values else 0,
+        return cls(
+            n_values=ints("n"), k_values=ints("k"),
+            q_values=ints("q", cls.q_values),
+            sigma_values=floats("sigma", cls.sigma_values),
+            p_values=floats("p", cls.p_values),
+            lambda_values=floats("lambda", cls.lambda_values),
+            methods=tuple(values.get("methods", cls.methods)),
             repetitions=int(values["reps"][0]) if "reps" in values else 1,
-        )
-        if "q" in values:
-            kwargs["q_values"] = ints("q")
-        if "sigma" in values:
-            kwargs["sigma_values"] = floats("sigma")
-        if "p" in values:
-            kwargs["p_values"] = floats("p")
-        if "lambda" in values:
-            kwargs["lambda_values"] = floats("lambda")
-        if "methods" in values:
-            kwargs["methods"] = tuple(values["methods"])
-        return cls(**kwargs)
+            seed=int(values["seed"][0]) if "seed" in values else 0)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentGrid":

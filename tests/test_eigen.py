@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from specmix import (ConfigError, SymmetricOperator, generalized_smallest_eigs,
                      symmetric_smallest_eigs)
@@ -160,24 +161,72 @@ class TestGeneralized:
         assert np.abs(default.values - forced.values).max() <= 1e-8
 
 
-@st.composite
-def connected_graphs(draw):
+class TestRepeatedEigenvalues:
+    @pytest.mark.parametrize("link", [0.0, 1e-18])
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    def test_twin_components_match_dense(self, k, link):
+        # two identical components: with link = 0 every eigenvalue is doubled
+        c = connected_block(np.random.default_rng(0), 46, 1.0)
+        w = np.block([[c, np.full_like(c, link)], [np.full_like(c, link), c]])
+        d = w.sum(axis=1)
+        pairs = generalized_smallest_eigs(w, d, k)
+        oracle = generalized_smallest_eigs(w, d, k, method="dense")
+        assert np.abs(pairs.values - oracle.values).max() <= 1e-8
+
+    def test_one_null_vector_per_component(self):
+        # four disconnected clusters: mu = 0 four times, and the eigenvectors
+        # span the four component indicators
+        rng = np.random.default_rng(1)
+        sizes = [12, 20, 9, 15]
+        w = block_diag(*[random_graph_weights(rng, s) for s in sizes])
+        d = w.sum(axis=1)
+        pairs = generalized_smallest_eigs(w, d, 4)
+        assert np.abs(pairs.values).max() <= 1e-10
+        labels = np.repeat(np.arange(4), sizes)
+        indicators = (labels[:, None] == np.arange(4)).astype(float)
+        assert subspace_sine(indicators, pairs.vectors) <= 1e-8
+
+    def test_symmetric_block_copies(self):
+        rng = np.random.default_rng(2)
+        a = random_symmetric(rng, 30)
+        b = block_diag(a, a, a)
+        pairs = symmetric_smallest_eigs(b, 7)
+        dense = symmetric_smallest_eigs(b, 7, method="dense")
+        assert np.abs(pairs.values - dense.values).max() <= 1e-8
+        assert np.abs(pairs.vectors.T @ pairs.vectors - np.eye(7)).max() <= 1e-8
+
+
+def connected_block(rng, size, density):
     """A random connected weighted graph: a random spanning tree plus random
-    extra edges, with k and a node permutation."""
-    dim = draw(st.integers(3, 40))
-    k = draw(st.integers(1, dim))
-    density = draw(st.floats(0.0, 1.0))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    w = rng.uniform(0.01, 1.0, (dim, dim)) * (rng.uniform(size=(dim, dim)) < density)
-    order = rng.permutation(dim)
-    for i in range(1, dim):
+    extra edges."""
+    w = rng.uniform(0.01, 1.0, (size, size)) * (rng.uniform(size=(size, size)) < density)
+    order = rng.permutation(size)
+    for i in range(1, size):
         w[order[i], order[rng.integers(i)]] = rng.uniform(0.01, 1.0)
     w = np.triu(w + w.T, 1)
-    return w + w.T, k, rng.permutation(dim)
+    return w + w.T
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(connected_graphs())
+@st.composite
+def weighted_graphs(draw):
+    """One to four random connected components of 3-40 nodes, optionally
+    plus an exact copy of the first one, joined by no edges or by edges too
+    weak to matter (1e-18); also draws k and a node permutation."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(3, 40), min_size=1, max_size=4))
+    density = draw(st.floats(0.0, 1.0))
+    blocks = [connected_block(rng, size, density) for size in sizes]
+    if draw(st.booleans()):
+        blocks.append(blocks[0])
+    w = block_diag(*blocks)
+    labels = np.repeat(np.arange(len(blocks)), [b.shape[0] for b in blocks])
+    w[labels[:, None] != labels[None, :]] = draw(st.sampled_from([0.0, 1e-18]))
+    k = draw(st.integers(1, w.shape[0]))
+    return w, k, rng.permutation(w.shape[0])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(weighted_graphs())
 def test_default_solver_matches_dense_oracle(graph):
     w, k, perm = graph
     d = w.sum(axis=1)

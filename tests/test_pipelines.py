@@ -271,6 +271,24 @@ def test_eight_cluster_solves_pass_residual_gate():
     assert purity(mixed.labels, truth) > 0.85
 
 
+@pytest.mark.parametrize("pipeline", ["numeric_spectral", "specmix_zero_lambda"])
+def test_far_apart_clusters_each_get_a_cluster(pipeline):
+    # Clusters 7 units apart: cross weights exp(-49) ~ 5e-22, so mu = 0 is
+    # repeated to working precision, once per cluster, and one Krylov
+    # sequence alone sees a single copy of it.
+    rng = np.random.default_rng(0)
+    truth = np.repeat(np.arange(4), 25)
+    x = 0.3 * rng.standard_normal((100, 2))
+    x[:, 0] += 7.0 * truth
+    ds = MixedDataset(x, rng.integers(0, 3, (100, 1)), (3,))
+    if pipeline == "numeric_spectral":
+        result = numeric_spectral(ds, SpecMixConfig(k=4, seed=0))
+    else:
+        result = specmix(ds, SpecMixConfig(k=4, lambdas=0.0, seed=0))
+    assert np.allclose(result.eigenvalues, 0.0, atol=1e-10)
+    assert label_agreement(result.labels, truth) == 1.0
+
+
 class TestResultSerialization:
     def test_round_trip(self):
         ds, _ = generate_synthetic(SyntheticParams(n=30, k=2, q=2,
