@@ -15,21 +15,19 @@ import argparse
 import csv
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import kmodes, kprototypes
 from .dataset import (ColumnSchema, SyntheticParams, generate_synthetic,
                       load_mixed_csv, standardize_numeric)
 from .errors import (ConfigError, ConvergenceError, DataError, SchemaError,
                      SpecmixError, SpectralGapError)
 from .kmeans import KMeansConfig
 from .metrics import imbalance_ratio, label_agreement, purity
-from .pipelines import (ClusteringResult, SpecMixConfig, numeric_spectral,
-                        onlycat, specmix, specmix_graph)
-from .sweep import ExperimentGrid, fmt, run_sweep
+from .pipelines import ClusteringResult, SpecMixConfig, specmix_graph
+from .sweep import (METHODS, ExperimentGrid, fmt, parse_values, run_method,
+                    run_sweep)
 
 _EXIT_CODES = {
     SchemaError: 2,
@@ -40,9 +38,6 @@ _EXIT_CODES = {
 }
 
 DUMP_NODE_LIMIT = 5000
-
-METHOD_CHOICES = ("specmix", "onlycat", "kmodes", "kprototypes",
-                  "numeric-spectral")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     schema.add_argument("--schema",
                         help="comma-separated column roles, e.g. num,num,cat,label")
     schema.add_argument("--schema-file", help="file containing the role string")
-    cluster.add_argument("--method", choices=METHOD_CHOICES, default="specmix")
+    cluster.add_argument("--method", choices=METHODS, default="specmix")
     cluster.add_argument("--k", type=int, required=True, help="cluster count")
     cluster.add_argument("--lambda", dest="lam", default="1",
                          help="edge weight; one value or a comma list per variable")
@@ -110,12 +105,9 @@ def _load_schema(args) -> ColumnSchema:
     return ColumnSchema.from_file(args.schema_file)
 
 
-def _parse_lambdas(text: str):
-    parts = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not parts:
-        raise ConfigError("--lambda needs at least one value")
-    values = [float(tok) for tok in parts]
-    return values[0] if len(values) == 1 else values
+def _write_rows(path, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
 def _dump_graph(ds, cfg, path) -> None:
@@ -124,15 +116,9 @@ def _dump_graph(ds, cfg, path) -> None:
         raise ConfigError(f"refusing to dump a graph with {graph.dim} > "
                           f"{DUMP_NODE_LIMIT} nodes")
     path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        for row in graph.dense():
-            writer.writerow([fmt(v) for v in row])
-    deg_path = path.with_name(path.stem + ".degrees.csv")
-    with open(deg_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        for v in graph.degrees:
-            writer.writerow([fmt(v)])
+    _write_rows(path, ([fmt(v) for v in row] for row in graph.dense()))
+    _write_rows(path.with_name(path.stem + ".degrees.csv"),
+                ([fmt(v)] for v in graph.degrees))
 
 
 def _cmd_cluster(args) -> int:
@@ -141,35 +127,14 @@ def _cmd_cluster(args) -> int:
     ds, truth = load_mixed_csv(args.dataset, schema, missing_values=missing)
     if ds.num_numeric >= 1 and not args.no_standardize:
         ds = standardize_numeric(ds)
-    cfg = SpecMixConfig(k=args.k, lambdas=_parse_lambdas(args.lam),
+    lams = parse_values("--lambda", args.lam)
+    cfg = SpecMixConfig(k=args.k, lambdas=lams[0] if len(lams) == 1 else lams,
                         kmeans=KMeansConfig(restarts=args.restarts),
                         seed=args.seed)
     if args.dump_graph:
         _dump_graph(ds, cfg, args.dump_graph)
 
-    start = time.perf_counter()
-    if args.method == "specmix":
-        result = specmix(ds, cfg)
-    elif args.method == "onlycat":
-        result = onlycat(ds, cfg)
-    elif args.method == "numeric-spectral":
-        result = numeric_spectral(ds, cfg)
-    else:
-        if args.method == "kmodes":
-            if ds.num_categorical < 1:
-                raise ConfigError("kmodes requires categorical features")
-            labels = kmodes(ds.categorical, args.k, seed=args.seed,
-                            restarts=args.restarts)
-        else:
-            labels = kprototypes(ds, args.k, seed=args.seed,
-                                 restarts=args.restarts)
-        result = ClusteringResult(
-            labels=np.asarray(labels, dtype=np.int64),
-            eigenvalues=np.empty(0),
-            embedding_rows_used=0,
-            timings={"total": time.perf_counter() - start},
-            config=cfg.echo(), seed=args.seed, method=args.method)
-
+    result = run_method(args.method, ds, cfg)
     doc = result.to_json()
     if args.output:
         Path(args.output).write_text(doc + "\n", encoding="utf-8")

@@ -113,10 +113,11 @@ class ColumnSchema:
 class MixedDataset:
     """n datapoints with R numeric and Q categorical features.
 
-    ``numeric`` is (n, R) float64; ``categorical`` is (n, Q) int64 with the
-    entry of column l in ``range(cardinalities[l])``. A declared category may
-    have zero occurrences (the synthetic generator fixes the cardinality per
-    column); the CSV loader only declares categories it has seen.
+    ``numeric`` is (n, R) finite float64; ``categorical`` is (n, Q) int64
+    with the entry of column l in ``range(cardinalities[l])``. A declared
+    category may have zero occurrences (the synthetic generator fixes the
+    cardinality per column), though the graph pipelines reject one; the CSV
+    loader only declares categories it has seen.
     """
 
     numeric: np.ndarray
@@ -137,6 +138,10 @@ class MixedDataset:
             raise DataError("dataset has no rows")
         if self.num_numeric + self.num_categorical < 1:
             raise DataError("dataset has no feature columns")
+        nonfinite = np.flatnonzero(~np.isfinite(num).all(axis=0))
+        if nonfinite.size:
+            raise DataError(
+                f"numeric column {int(nonfinite[0])} has non-finite values")
         if len(self.cardinalities) != self.num_categorical:
             raise DataError("cardinalities length does not match categorical columns")
         for l, t in enumerate(self.cardinalities):

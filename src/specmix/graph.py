@@ -113,6 +113,11 @@ class StackedEncoder:
         n = self.encoders[0].n
         if any(enc.n != n for enc in self.encoders):
             raise DataError("encoders disagree on row count")
+        # An unused category would be an isolated extra node (specmix) or a
+        # zero-degree one (onlycat); both pipelines reject it here.
+        empty = np.flatnonzero(self.column_sums <= 0.0)
+        if empty.size:
+            raise DataError(f"category column {int(empty[0])} has no datapoints")
 
     @property
     def n(self) -> int:
@@ -140,10 +145,12 @@ class StackedEncoder:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """H @ vec for a length-t vector."""
         vec = np.asarray(vec, dtype=np.float64)
-        ends = np.cumsum([enc.cardinality for enc in self.encoders])
         out = np.zeros(self.n)
-        for enc, lam, block in zip(self.encoders, self.lambdas, np.split(vec, ends[:-1])):
-            out += lam * enc.apply(block)
+        start = 0
+        for enc, lam in zip(self.encoders, self.lambdas):
+            stop = start + enc.cardinality
+            out += lam * enc.apply(vec[start:stop])
+            start = stop
         return out
 
     def apply_transpose(self, vec: np.ndarray) -> np.ndarray:

@@ -64,8 +64,8 @@ class SpecMixConfig:
             if lams.shape != (q,):
                 raise ConfigError(
                     f"expected {q} lambda values, got {lams.shape}")
-        if (lams < 0.0).any():
-            raise ConfigError("lambda values must be nonnegative")
+        if not (np.isfinite(lams).all() and (lams >= 0.0).all()):
+            raise ConfigError("lambda values must be finite and nonnegative")
         return lams
 
     def echo(self) -> dict:
@@ -139,10 +139,6 @@ def build_bipartite_reduction(stacked: StackedEncoder):
     the same total, the reduced degrees coincide with the bipartite degrees
     of the category nodes.
     """
-    col = stacked.column_sums
-    if (col <= 0.0).any():
-        bad = int(np.flatnonzero(col <= 0.0)[0])
-        raise DataError(f"category column {bad} has no datapoints")
     h = stacked.dense()
     w_small = (h.T @ h) / stacked.lam_total
     w_small = 0.5 * (w_small + w_small.T)
@@ -257,8 +253,6 @@ def specmix(ds: MixedDataset, cfg: SpecMixConfig) -> ClusteringResult:
     """
     if cfg.k > ds.n:
         raise ConfigError(f"k={cfg.k} exceeds the {ds.n} datapoints")
-    if ds.num_numeric < 1:
-        raise ConfigError("numeric features required; use onlycat")
     t0 = time.perf_counter()
     graph = specmix_graph(ds, cfg)
     t1 = time.perf_counter()

@@ -1,4 +1,5 @@
-"""Benchmark harness: declarative synthetic sweeps with resumable CSV output.
+"""Benchmark harness: declarative synthetic sweeps with resumable CSV output,
+run through ``run_method``, the dispatch over ``METHODS`` that the CLI shares.
 
 A grid config enumerates axes over (n, K, Q, sigma, p, lambda), a method
 list, a repetition count and a base seed. Every (cell, repetition, method)
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import os
 import statistics
 import sys
@@ -29,34 +31,36 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .baselines import kmodes, kprototypes
-from .dataset import SyntheticParams, generate_synthetic
+from .dataset import MixedDataset, SyntheticParams, generate_synthetic
 from .errors import ConfigError, DataError, SpecmixError
 from .kmeans import KMeansConfig
 from .metrics import purity
-from .pipelines import SpecMixConfig, numeric_spectral, onlycat, specmix
+from .pipelines import (ClusteringResult, SpecMixConfig, numeric_spectral,
+                        onlycat, specmix)
 
 METHODS = ("specmix", "onlycat", "kmodes", "kprototypes", "numeric-spectral")
 
-# Methods that consume the lambda axis; the others get one row per cell
-# with a fixed placeholder (onlycat's labels are invariant in lambda).
-_LAMBDA_METHODS = ("specmix",)
+# specmix consumes the lambda axis; the others get one row per cell with a
+# fixed placeholder (onlycat's labels are invariant in lambda).
 _FIXED_LAMBDA = {"onlycat": 1.0, "kmodes": 0.0, "kprototypes": 0.0,
                  "numeric-spectral": 0.0}
 
-RESULT_COLUMNS = ("n", "K", "Q", "sigma", "p", "lambda", "method", "rep",
-                  "seed", "purity_weighted", "purity_macro", "error")
-TIMING_COLUMNS = ("n", "K", "Q", "sigma", "p", "lambda", "method", "rep",
-                  "seconds_graph", "seconds_eigen", "seconds_kmeans",
-                  "seconds_total")
-AGG_COLUMNS = ("n", "K", "Q", "sigma", "p", "lambda", "method",
-               "repetitions", "errors", "purity_weighted", "purity_macro")
-AGG_TIMING_COLUMNS = ("n", "K", "Q", "sigma", "p", "lambda", "method",
-                      "repetitions", "median_graph", "median_eigen",
-                      "median_kmeans", "median_total")
+# CSV names of the row coordinates; a cell is a row without its repetition.
+COORDS = ("n", "K", "Q", "sigma", "p", "lambda", "method", "rep")
+CELL = COORDS[:-1]
+STAGES = ("graph", "eigen", "kmeans", "total")
+
+RESULT_COLUMNS = COORDS + ("seed", "purity_weighted", "purity_macro", "error")
+TIMING_COLUMNS = COORDS + tuple(f"seconds_{stage}" for stage in STAGES)
+AGG_COLUMNS = CELL + ("repetitions", "errors", "purity_weighted",
+                      "purity_macro")
+AGG_TIMING_COLUMNS = CELL + ("repetitions",) + tuple(
+    f"median_{stage}" for stage in STAGES)
 
 
 def fmt(value) -> str:
@@ -73,9 +77,44 @@ def derive_seed(base_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-@dataclass(frozen=True)
-class RowKey:
-    """Coordinates of one sweep row, in canonical string form."""
+def parse_values(name: str, text: str, convert=float) -> tuple:
+    """Parse a comma-separated list, naming ``name`` and the bad token in
+    the ConfigError raised for an empty list or an unparsable value."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not tokens:
+        raise ConfigError(f"{name} needs at least one value")
+    try:
+        return tuple(convert(tok) for tok in tokens)
+    except ValueError as exc:  # its message quotes the token
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def run_method(method: str, ds: MixedDataset,
+               cfg: SpecMixConfig) -> ClusteringResult:
+    """Run one of ``METHODS`` on ``ds``: the dispatch of the CLI and the sweep.
+
+    The baselines use ``cfg.k``, ``cfg.seed`` and ``cfg.kmeans.restarts``;
+    their result carries no eigenvalues and times only the whole run.
+    """
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r} (choose from {METHODS})")
+    # Looked up in the module globals at call time so wrappers set on this
+    # module's attributes (tracing, tests) see every call.
+    run = globals()[method.replace("-", "_")]
+    if method not in ("kmodes", "kprototypes"):
+        return run(ds, cfg)
+    start = time.perf_counter()
+    labels = run(ds.categorical if method == "kmodes" else ds, cfg.k,
+                 seed=cfg.seed, restarts=cfg.kmeans.restarts)
+    return ClusteringResult(
+        labels=np.asarray(labels, dtype=np.int64), eigenvalues=np.empty(0),
+        embedding_rows_used=0, timings={"total": time.perf_counter() - start},
+        config=cfg.echo(), seed=cfg.seed, method=method)
+
+
+class RowKey(NamedTuple):
+    """Coordinates of one sweep row, in canonical string form, in the order
+    of ``COORDS``."""
 
     n: str
     k: str
@@ -85,10 +124,6 @@ class RowKey:
     lam: str
     method: str
     rep: str
-
-    def as_tuple(self) -> tuple[str, ...]:
-        return (self.n, self.k, self.q, self.sigma, self.p, self.lam,
-                self.method, self.rep)
 
 
 @dataclass(frozen=True)
@@ -119,7 +154,7 @@ class ExperimentGrid:
     @classmethod
     def from_text(cls, text: str) -> "ExperimentGrid":
         """Parse the plain key-value grid format (``key = v1, v2, ...``)."""
-        values: dict[str, list[str]] = {}
+        values: dict[str, str] = {}
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -127,18 +162,18 @@ class ExperimentGrid:
             if "=" not in line:
                 raise ConfigError(f"grid line {line_no}: expected 'key = values'")
             key, _, rhs = line.partition("=")
-            key = key.strip().lower()
-            values[key] = [tok.strip() for tok in rhs.split(",") if tok.strip()]
+            values[key.strip().lower()] = rhs
 
-        def ints(key, default=None):
+        def parse(key, convert, default):
             if key not in values:
                 return default
-            return tuple(int(tok) for tok in values[key])
+            return parse_values(f"grid key {key!r}", values[key], convert)
 
-        def floats(key, default=None):
-            if key not in values:
-                return default
-            return tuple(float(tok) for tok in values[key])
+        def single(key, default):
+            value, *extra = parse(key, int, (default,))
+            if extra:
+                raise ConfigError(f"grid key {key!r} takes one value")
+            return value
 
         known = {"n", "k", "q", "sigma", "p", "lambda", "methods", "reps",
                  "seed"}
@@ -148,100 +183,64 @@ class ExperimentGrid:
         if "n" not in values or "k" not in values:
             raise ConfigError("grid must define 'n' and 'K'")
         return cls(
-            n_values=ints("n"), k_values=ints("k"),
-            q_values=ints("q", cls.q_values),
-            sigma_values=floats("sigma", cls.sigma_values),
-            p_values=floats("p", cls.p_values),
-            lambda_values=floats("lambda", cls.lambda_values),
-            methods=tuple(values.get("methods", cls.methods)),
-            repetitions=int(values["reps"][0]) if "reps" in values else 1,
-            seed=int(values["seed"][0]) if "seed" in values else 0)
+            n_values=parse("n", int, None), k_values=parse("k", int, None),
+            q_values=parse("q", int, cls.q_values),
+            sigma_values=parse("sigma", float, cls.sigma_values),
+            p_values=parse("p", float, cls.p_values),
+            lambda_values=parse("lambda", float, cls.lambda_values),
+            methods=parse("methods", str, cls.methods),
+            repetitions=single("reps", 1), seed=single("seed", 0))
 
     @classmethod
     def from_file(cls, path) -> "ExperimentGrid":
         return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
     def method_lambdas(self, method: str) -> tuple[float, ...]:
-        if method in _LAMBDA_METHODS:
-            return self.lambda_values
-        return (_FIXED_LAMBDA[method],)
+        if method in _FIXED_LAMBDA:
+            return (_FIXED_LAMBDA[method],)
+        return self.lambda_values
 
     def row_keys(self) -> list[RowKey]:
         """All row coordinates in canonical emission order."""
         keys = []
-        for n in self.n_values:
-            for k in self.k_values:
-                for q in self.q_values:
-                    for sigma in self.sigma_values:
-                        for p in self.p_values:
-                            for method in self.methods:
-                                for lam in self.method_lambdas(method):
-                                    for rep in range(self.repetitions):
-                                        keys.append(RowKey(
-                                            fmt(n), fmt(k), fmt(q), fmt(sigma),
-                                            fmt(p), fmt(lam), method, fmt(rep)))
+        for n, k, q, sigma, p, method in itertools.product(
+                self.n_values, self.k_values, self.q_values,
+                self.sigma_values, self.p_values, self.methods):
+            for lam in self.method_lambdas(method):
+                for rep in range(self.repetitions):
+                    keys.append(RowKey(fmt(n), fmt(k), fmt(q), fmt(sigma),
+                                       fmt(p), fmt(lam), method, fmt(rep)))
         return keys
 
 
 def _compute_row(args: tuple[RowKey, int]) -> tuple[RowKey, dict]:
     key, seed = args
-    n, k, q = int(key.n), int(key.k), int(key.q)
-    sigma, p, lam = float(key.sigma), float(key.p), float(key.lam)
     out = {"seed": str(seed), "purity_weighted": "", "purity_macro": "",
            "error": "", "timings": None}
-    start = time.perf_counter()
     try:
-        ds, truth = generate_synthetic(
-            SyntheticParams(n=n, k=k, q=q, sigma=sigma, p=p, seed=seed))
-        cfg = SpecMixConfig(k=k, lambdas=lam, kmeans=KMeansConfig(),
+        k = int(key.k)
+        ds, truth = generate_synthetic(SyntheticParams(
+            n=int(key.n), k=k, q=int(key.q), sigma=float(key.sigma),
+            p=float(key.p), seed=seed))
+        cfg = SpecMixConfig(k=k, lambdas=float(key.lam), kmeans=KMeansConfig(),
                             seed=seed)
-        if key.method == "specmix":
-            result = specmix(ds, cfg)
-            labels, timings = result.labels, result.timings
-        elif key.method == "onlycat":
-            result = onlycat(ds, cfg)
-            labels, timings = result.labels, result.timings
-        elif key.method == "numeric-spectral":
-            result = numeric_spectral(ds, cfg)
-            labels, timings = result.labels, result.timings
-        elif key.method == "kmodes":
-            labels = kmodes(ds.categorical, k, seed=seed)
-            timings = {"total": time.perf_counter() - start}
-        elif key.method == "kprototypes":
-            labels = kprototypes(ds, k, seed=seed)
-            timings = {"total": time.perf_counter() - start}
-        else:
-            raise ConfigError(f"unknown method {key.method!r}")
-        out["purity_weighted"] = fmt(purity(labels, truth, "weighted"))
-        out["purity_macro"] = fmt(purity(labels, truth, "macro"))
-        out["timings"] = {
-            "seconds_graph": fmt(timings.get("graph", 0.0)),
-            "seconds_eigen": fmt(timings.get("eigen", 0.0)),
-            "seconds_kmeans": fmt(timings.get("kmeans", 0.0)),
-            "seconds_total": fmt(timings.get("total", 0.0)),
-        }
+        result = run_method(key.method, ds, cfg)
+        out["purity_weighted"] = fmt(purity(result.labels, truth, "weighted"))
+        out["purity_macro"] = fmt(purity(result.labels, truth, "macro"))
+        out["timings"] = {f"seconds_{stage}": fmt(result.timings.get(stage, 0.0))
+                          for stage in STAGES}
     except SpecmixError as exc:
         out["error"] = exc.code
     except Exception:  # record the row and keep the sweep going
-        print(f"sweep row {','.join(key.as_tuple())} failed:", file=sys.stderr)
+        print(f"sweep row {','.join(key)} failed:", file=sys.stderr)
         traceback.print_exc()
         out["error"] = "internal"
     return key, out
 
 
 def _read_csv(path, expected_columns) -> dict[tuple[str, ...], dict]:
-    rows: dict[tuple[str, ...], dict] = {}
-    if not Path(path).exists():
-        return rows
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if tuple(reader.fieldnames or ()) != expected_columns:
-            raise DataError(f"{path} has unexpected columns; refusing to resume")
-        for row in reader:
-            key = (row["n"], row["K"], row["Q"], row["sigma"], row["p"],
-                   row["lambda"], row["method"], row["rep"])
-            rows[key] = row
-    return rows
+    return {tuple(row[col] for col in COORDS): row
+            for row in _read_ordered(path, expected_columns)}
 
 
 def _write_csv(path, columns, rows) -> None:
@@ -275,9 +274,8 @@ def run_sweep(grid: ExperimentGrid, results_path, workers: int | None = None) ->
         raise ConfigError("workers must be >= 1")
 
     keys = grid.row_keys()
-    wanted = {key.as_tuple() for key in keys}
     existing = _read_csv(results_path, RESULT_COLUMNS)
-    foreign = set(existing) - wanted
+    foreign = set(existing) - set(keys)
     if foreign:
         raise DataError(
             f"{results_path} contains {len(foreign)} rows not generated by "
@@ -285,35 +283,28 @@ def run_sweep(grid: ExperimentGrid, results_path, workers: int | None = None) ->
     paths = sidecar_paths(results_path)
     existing_timings = _read_csv(paths["timings"], TIMING_COLUMNS)
 
-    todo = [key for key in keys if key.as_tuple() not in existing]
-    tasks = [(key, derive_seed(grid.seed, *key.as_tuple())) for key in todo]
+    todo = [key for key in keys if key not in existing]
+    tasks = [(key, derive_seed(grid.seed, *key)) for key in todo]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             computed = list(pool.map(_compute_row, tasks))
     else:
         computed = [_compute_row(task) for task in tasks]
 
-    fresh = {key.as_tuple(): out for key, out in computed}
+    fresh = dict(computed)
     result_rows = []
     timing_rows = []
     for key in keys:
-        tup = key.as_tuple()
-        coord = dict(zip(("n", "K", "Q", "sigma", "p", "lambda", "method",
-                          "rep"), tup))
-        if tup in existing:
-            result_rows.append(existing[tup])
-            if tup in existing_timings:
-                timing_rows.append(existing_timings[tup])
+        if key in existing:
+            result_rows.append(existing[key])
+            if key in existing_timings:
+                timing_rows.append(existing_timings[key])
             continue
-        out = fresh[tup]
-        row = dict(coord)
-        row.update(seed=out["seed"], purity_weighted=out["purity_weighted"],
-                   purity_macro=out["purity_macro"], error=out["error"])
-        result_rows.append(row)
+        coord = dict(zip(COORDS, key))
+        out = fresh[key]
+        result_rows.append({**coord, **out})
         if out["timings"] is not None:
-            trow = dict(coord)
-            trow.update(out["timings"])
-            timing_rows.append(trow)
+            timing_rows.append({**coord, **out["timings"]})
 
     _write_csv(results_path, RESULT_COLUMNS, result_rows)
     _write_csv(paths["timings"], TIMING_COLUMNS, timing_rows)
@@ -326,13 +317,14 @@ def run_sweep(grid: ExperimentGrid, results_path, workers: int | None = None) ->
 def _group_rows(rows: list[dict]) -> dict[tuple[str, ...], list[dict]]:
     groups: dict[tuple[str, ...], list[dict]] = {}
     for row in rows:
-        key = (row["n"], row["K"], row["Q"], row["sigma"], row["p"],
-               row["lambda"], row["method"])
-        groups.setdefault(key, []).append(row)
+        groups.setdefault(tuple(row[col] for col in CELL), []).append(row)
     return groups
 
 
 def _read_ordered(path, columns) -> list[dict]:
+    """The rows of a CSV written with ``columns``; none if it is missing."""
+    if not Path(path).exists():
+        return []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         if tuple(reader.fieldnames or ()) != columns:
@@ -345,9 +337,9 @@ def aggregate_results(results_path, out_path) -> None:
     aggregate is a pure function of the results CSV."""
     rows = _read_ordered(results_path, RESULT_COLUMNS)
     out = []
-    for key, group in _group_rows(rows).items():
+    for cell, group in _group_rows(rows).items():
         ok = [row for row in group if not row["error"]]
-        record = dict(zip(("n", "K", "Q", "sigma", "p", "lambda", "method"), key))
+        record = dict(zip(CELL, cell))
         record["repetitions"] = str(len(group))
         record["errors"] = str(len(group) - len(ok))
         for col in ("purity_weighted", "purity_macro"):
@@ -361,15 +353,12 @@ def aggregate_results(results_path, out_path) -> None:
 
 def aggregate_timings(timings_path, out_path) -> None:
     """Per-cell medians of the wall-clock stage timings."""
-    if not Path(timings_path).exists():
-        _write_csv(out_path, AGG_TIMING_COLUMNS, [])
-        return
     rows = _read_ordered(timings_path, TIMING_COLUMNS)
     out = []
-    for key, group in _group_rows(rows).items():
-        record = dict(zip(("n", "K", "Q", "sigma", "p", "lambda", "method"), key))
+    for cell, group in _group_rows(rows).items():
+        record = dict(zip(CELL, cell))
         record["repetitions"] = str(len(group))
-        for stage in ("graph", "eigen", "kmeans", "total"):
+        for stage in STAGES:
             med = statistics.median(float(row[f"seconds_{stage}"]) for row in group)
             record[f"median_{stage}"] = fmt(med)
         out.append(record)

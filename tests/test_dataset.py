@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from specmix import (ColumnSchema, ConfigError, DataError, SchemaError,
-                     SyntheticParams, generate_synthetic, load_mixed_csv,
-                     one_hot, standardize_numeric)
+from specmix import (ColumnSchema, ConfigError, DataError, MixedDataset,
+                     SchemaError, SyntheticParams, generate_synthetic,
+                     load_mixed_csv, one_hot, standardize_numeric)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -64,6 +64,14 @@ class TestLoad:
         with pytest.raises(DataError, match="oops"):
             load_mixed_csv(path, ColumnSchema.parse("num,cat"))
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_token_rejected(self, tmp_path, token):
+        # float() accepts these; left in, they zeroed the whole column
+        # through standardize_numeric
+        path = write(tmp_path, f"x,y,c\n1,2,a\n3,{token},b\n5,6,a\n")
+        with pytest.raises(DataError, match="numeric column 1"):
+            load_mixed_csv(path, ColumnSchema.parse("num,num,cat"))
+
     def test_width_mismatch(self, tmp_path):
         path = write(tmp_path, "x,c\n1,a,extra\n")
         with pytest.raises(SchemaError):
@@ -88,6 +96,14 @@ class TestLoad:
         ds, _ = load_mixed_csv(path, ColumnSchema.parse("num,cat"),
                                missing_values=("NA",))
         assert ds.n == 1
+
+
+class TestMixedDataset:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_numeric_rejected(self, value):
+        numeric = np.array([[0.0, 1.0], [2.0, value], [4.0, 5.0]])
+        with pytest.raises(DataError, match="numeric column 1"):
+            MixedDataset(numeric, np.zeros((3, 1), dtype=np.int64), (1,))
 
 
 class TestStandardize:

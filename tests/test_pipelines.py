@@ -71,9 +71,31 @@ class TestBipartiteReduction:
     def test_zero_count_category_rejected(self):
         # declared category 2 never occurs
         ds = MixedDataset(np.empty((3, 0)), np.array([[0], [0], [1]]), (3,))
-        stacked = build_stacked(ds, [1.0])
         with pytest.raises(DataError):
-            build_bipartite_reduction(stacked)
+            build_bipartite_reduction(build_stacked(ds, [1.0]))
+
+
+def unused_category_dataset():
+    """Two separated numeric clusters whose category column declares a third
+    category that no datapoint takes."""
+    rng = np.random.default_rng(9)
+    truth = np.repeat([0, 1], 20)
+    numeric = truth[:, None] * 3.0 + 0.3 * rng.standard_normal((40, 1))
+    return MixedDataset(numeric, truth[:, None], (3,))
+
+
+@pytest.mark.parametrize("pipeline", [specmix, onlycat])
+def test_unused_category_rejected_by_both_pipelines(pipeline):
+    # specmix used to return one cluster ([40, 0]) here without an error:
+    # the unused category is an isolated node and adds a zero eigenvalue
+    with pytest.raises(DataError, match="category column 2 has no datapoints"):
+        pipeline(unused_category_dataset(), SpecMixConfig(k=2, lambdas=1.0))
+
+
+def test_unused_category_ignored_at_zero_lambda():
+    # a variable with lambda 0 is left out of the graph, empty category or not
+    result = specmix(unused_category_dataset(), SpecMixConfig(k=2, lambdas=0.0))
+    assert sorted(np.bincount(result.labels).tolist()) == [20, 20]
 
 
 class TestTransferCut:
@@ -257,6 +279,12 @@ class TestSpecMix:
             cfg.resolve_lambdas(3)
         with pytest.raises(ConfigError):
             SpecMixConfig(k=2, lambdas=-1.0).resolve_lambdas(1)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, [1.0, np.nan]])
+    def test_non_finite_lambda_rejected(self, lam):
+        # nan used to pass the sign check and cluster without an error
+        with pytest.raises(ConfigError, match="finite"):
+            SpecMixConfig(k=2, lambdas=lam).resolve_lambdas(2)
 
 
 def test_eight_cluster_solves_pass_residual_gate():

@@ -1,12 +1,16 @@
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from specmix import ConfigError, ExperimentGrid, run_sweep
-from specmix.cli import main
-from specmix.sweep import RESULT_COLUMNS, derive_seed, sidecar_paths
+from specmix import (ClusteringResult, ConfigError, ExperimentGrid,
+                     KMeansConfig, SpecMixConfig, SyntheticParams,
+                     generate_synthetic, run_sweep)
+from specmix.cli import _build_parser, main
+from specmix.sweep import (METHODS, RESULT_COLUMNS, derive_seed, run_method,
+                           sidecar_paths)
 
 SMALL_GRID = """\
 # tiny smoke grid
@@ -60,6 +64,19 @@ class TestGrid:
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
             ExperimentGrid.from_text("n = 10\nK = 2\nbananas = 3\n")
+
+    @pytest.mark.parametrize("text, names", [
+        ("n = abc\nK = 2\n", ("'n'", "'abc'")),
+        ("n = 10\nK = 2\nlambda = 1, x\n", ("'lambda'", "'x'")),
+        ("n = 10\nK = 2\nreps =\n", ("'reps'",)),
+        ("n = 10\nK = 2\nreps = 2, 3\n", ("'reps'", "one value")),
+        ("n = 10\nK = 2\nseed = 1, 2\n", ("'seed'", "one value")),
+    ])
+    def test_malformed_values_are_config_errors(self, text, names):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentGrid.from_text(text)
+        for name in names:
+            assert name in str(exc.value)
 
     def test_seed_derivation_stable(self):
         a = derive_seed(7, "36", "2", "0.5")
@@ -177,6 +194,40 @@ class TestSweep:
         assert "Traceback" in err and "RuntimeError: boom" in err
 
 
+class TestRunMethod:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_method_returns_a_result(self, method):
+        ds, _ = generate_synthetic(SyntheticParams(n=60, k=3, q=2, sigma=0.5,
+                                                   p=0.1, seed=3))
+        cfg = SpecMixConfig(k=3, lambdas=10.0,
+                            kmeans=KMeansConfig(restarts=3), seed=1)
+        result = run_method(method, ds, cfg)
+        assert isinstance(result, ClusteringResult)
+        assert result.method == method
+        assert result.labels.shape == (60,)
+        assert result.labels.min() >= 0 and result.labels.max() < 3
+        assert "total" in result.timings
+        doc = result.to_json()
+        back = ClusteringResult.from_json(doc)
+        assert back.method == method
+        assert np.array_equal(back.labels, result.labels)
+        assert back.to_json() == doc
+
+    def test_unknown_method(self):
+        ds, _ = generate_synthetic(SyntheticParams(n=20, k=2, q=1, sigma=0.5,
+                                                   p=0.0))
+        with pytest.raises(ConfigError, match="magic"):
+            run_method("magic", ds, SpecMixConfig(k=2))
+
+    def test_cli_method_choices_are_methods(self):
+        parser = _build_parser()
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        method = next(action for action in sub.choices["cluster"]._actions
+                      if action.dest == "method")
+        assert tuple(method.choices) == METHODS
+
+
 class TestSynthCommand:
     def test_noise_free_exact_and_deterministic(self, tmp_path):
         out = tmp_path / "synth.csv"
@@ -230,6 +281,30 @@ class TestClusterCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert "onlycat" in err["message"]
+
+    def test_kmodes_without_categories_errors(self, tmp_path, capsys):
+        data = self.make_dataset(tmp_path)
+        code = main(["cluster", str(data), "--schema",
+                     "num,num,ignore,ignore,label", "--method", "kmodes",
+                     "--k", "2"])
+        assert code == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_malformed_lambda_is_config_error(self, tmp_path, capsys):
+        data = self.make_dataset(tmp_path)
+        code = main(["cluster", str(data), "--schema", "num,num,cat,cat,label",
+                     "--k", "2", "--lambda", "abc"])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "--lambda" in err["message"] and "'abc'" in err["message"]
+
+    def test_non_finite_numeric_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "nan.csv"
+        data.write_text("x,c\n1,a\nnan,b\n3,a\n2,b\n", encoding="utf-8")
+        code = main(["cluster", str(data), "--schema", "num,cat", "--k", "2"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "data"
 
     def test_missing_schema_is_usage_error(self, tmp_path, capsys):
         data = self.make_dataset(tmp_path)
@@ -342,3 +417,11 @@ class TestEvalCommand:
         assert main(["sweep", "--grid", str(grid_path),
                      "--output", str(out)]) == 0
         assert len(read_rows(out)) == 1
+
+    def test_sweep_command_malformed_grid(self, tmp_path, capsys):
+        grid_path = tmp_path / "grid.txt"
+        grid_path.write_text("n = abc\nK = 2\n")
+        code = main(["sweep", "--grid", str(grid_path),
+                     "--output", str(tmp_path / "results.csv")])
+        assert code == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
