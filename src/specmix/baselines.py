@@ -120,8 +120,8 @@ def kprototypes(ds: MixedDataset, k: int, gamma_mix: Optional[float] = None,
         raise ConfigError(f"need at least k={k} rows, got {ds.n}")
     if gamma_mix is None:
         gamma_mix = 0.5 * float(np.mean(np.var(ds.numeric, axis=0)))
-    if gamma_mix < 0.0:
-        raise ConfigError("gamma_mix must be nonnegative")
+    if not 0.0 <= gamma_mix < np.inf:
+        raise ConfigError(f"gamma_mix must be finite and nonnegative, got {gamma_mix}")
     cards = np.asarray(ds.cardinalities, dtype=np.int64)
 
     best = None

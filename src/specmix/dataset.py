@@ -201,15 +201,6 @@ class OneHotMatrix:
     def column_sums(self) -> np.ndarray:
         return np.bincount(self.codes, minlength=self.cardinality).astype(np.int64)
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """H @ vec for a length-cardinality vector, via gather."""
-        return np.asarray(vec)[self.codes]
-
-    def apply_transpose(self, vec: np.ndarray) -> np.ndarray:
-        """H.T @ vec for a length-n vector, via scatter-add."""
-        return np.bincount(self.codes, weights=np.asarray(vec, dtype=np.float64),
-                           minlength=self.cardinality)
-
 
 def one_hot(ds: MixedDataset, index: int) -> OneHotMatrix:
     """One-hot view of categorical variable ``index`` (0-based)."""
@@ -343,8 +334,8 @@ class SyntheticParams:
             raise ConfigError("q must be nonnegative")
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError("p must lie in [0, 1]")
-        if self.sigma < 0.0:
-            raise ConfigError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ConfigError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.corruption not in ("others", "uniform"):
             raise ConfigError("corruption must be 'others' or 'uniform'")
         _check_seed(self.seed)

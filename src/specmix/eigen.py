@@ -43,7 +43,8 @@ class EigenPairs:
 
 
 class SymmetricOperator:
-    """Matrix-free symmetric linear map: a matvec callable plus dimension."""
+    """Matrix-free symmetric linear map: a matvec callable, which takes a
+    vector or a block of column vectors, plus the dimension."""
 
     def __init__(self, matvec: Callable[[np.ndarray], np.ndarray], dim: int):
         self.matvec = matvec
@@ -72,6 +73,8 @@ def _as_operator(a):
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ConfigError("expected a square matrix or an object exposing "
                           "matvec and dim")
+    if not np.isfinite(arr).all():
+        raise ConfigError("matrix has non-finite entries")
     err = np.abs(arr - arr.T).max(initial=0.0)
     if err > _SYM_TOL * max(1.0, np.abs(arr).max(initial=0.0)):
         raise ConfigError(f"matrix is not symmetric (max asymmetry {err:.3g})")
@@ -89,6 +92,11 @@ def _smallest(matvec, dim: int, k: int, method: str, seed: int, dense):
         raise ConfigError("dense solve requires a materializable matrix")
     values, vectors = np.linalg.eigh(dense())
     return values[:k].copy(), vectors[:, :k].copy()
+
+
+def _residual_norms(product, vectors, values) -> np.ndarray:
+    """The k residual norms of a solve from one block ``product``."""
+    return np.linalg.norm(product - vectors * values, axis=0)
 
 
 def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
@@ -157,8 +165,8 @@ def _lanczos_run(matvec, dim: int, k: int, rng, lock: np.ndarray,
                 if floor is not None and theta[0] >= floor - _LANCZOS_TOL * scale:
                     return None
                 vectors = basis[:, off:off + m] @ s[:, :k]
-                if all(np.linalg.norm(matvec(vectors[:, i]) - theta[i] * vectors[:, i])
-                       <= _RESIDUAL_TOL * scale for i in range(k)):
+                residuals = _residual_norms(matvec(vectors), vectors, theta[:k])
+                if (residuals <= _RESIDUAL_TOL * scale).all():
                     return theta[:k], vectors
         if off + m == basis.shape[1]:
             grown = min(dim, 2 * (off + m))
@@ -192,11 +200,7 @@ def symmetric_smallest_eigs(a, k: int, method: str = "lanczos",
         raise ConfigError(f"k must lie in [1, {dim}], got {k}")
     values, vectors = _smallest(matvec, dim, k, method, seed, dense)
     vectors = _fix_signs(vectors)
-    residuals = np.array([
-        np.linalg.norm(matvec(vectors[:, i]) - values[i] * vectors[:, i])
-        for i in range(k)
-    ])
-    return EigenPairs(values, vectors, residuals)
+    return EigenPairs(values, vectors, _residual_norms(matvec(vectors), vectors, values))
 
 
 def generalized_smallest_eigs(weights, degrees, k: int, method: str = "lanczos",
@@ -211,9 +215,9 @@ def generalized_smallest_eigs(weights, degrees, k: int, method: str = "lanczos",
     span the components' indicator vectors.
     """
     degrees = np.asarray(degrees, dtype=np.float64)
-    if (degrees <= 0.0).any():
-        bad = int(np.flatnonzero(degrees <= 0.0)[0])
-        raise ConfigError(f"node {bad} has nonpositive degree")
+    bad = np.flatnonzero(~(np.isfinite(degrees) & (degrees > 0.0)))
+    if bad.size:
+        raise ConfigError(f"node {int(bad[0])} has nonpositive or non-finite degree")
     w_matvec, dim, w_dense = _as_operator(weights)
     if degrees.shape != (dim,):
         raise ConfigError("degree vector length does not match graph dimension")
@@ -222,8 +226,9 @@ def generalized_smallest_eigs(weights, degrees, k: int, method: str = "lanczos",
 
     dinv_sqrt = 1.0 / np.sqrt(degrees)
 
-    def lsym_matvec(x):
-        return x - dinv_sqrt * w_matvec(dinv_sqrt * x)
+    def lsym_matvec(x):  # a vector, or a block in the residual check
+        d = dinv_sqrt if x.ndim == 1 else dinv_sqrt[:, None]
+        return x - d * w_matvec(d * x)
 
     def lsym_dense():
         lsym = np.eye(dim) - w_dense() * np.outer(dinv_sqrt, dinv_sqrt)
@@ -233,10 +238,8 @@ def generalized_smallest_eigs(weights, degrees, k: int, method: str = "lanczos",
                           lsym_dense if w_dense is not None else None)
     vectors = _fix_signs(u * dinv_sqrt[:, None])
     scale = max(1.0, float(degrees.max()))
-    residuals = np.empty(k)
-    for i in range(k):
-        v = vectors[:, i]
-        residuals[i] = np.linalg.norm(degrees * v - w_matvec(v) - values[i] * (degrees * v))
+    dv = degrees[:, None] * vectors
+    residuals = _residual_norms(dv - w_matvec(vectors), dv, values)
     if (residuals > _RESIDUAL_TOL * scale).any():
         worst = float(residuals.max())
         raise ConvergenceError(

@@ -5,8 +5,8 @@ numeric features. The augmented graph appends one extra node per category of
 each categorical variable; datapoint i is linked to the extra node of its
 category in variable l with weight lambda_l, and every extra node carries a
 unit self-loop. The augmentation is never materialized densely except on
-demand: matrix-vector products use gather/scatter on the category codes,
-costing O(n^2 + nQ) per product.
+demand: products go through the sparse one-hot matrix H, costing
+O(n^2 + nQ) per column, and take a vector or a block of column vectors.
 
 Graphs are immutable after assembly; all queries are pure.
 """
@@ -17,11 +17,21 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .dataset import MixedDataset, OneHotMatrix
+from .eigen import _as_operator
 from .errors import ConfigError, DataError
 
 _SYM_TOL = 1e-10
+
+
+def _block(x, rows: int) -> np.ndarray:
+    """``x`` as a float64 vector or block of column vectors with ``rows`` rows."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[0] != rows:
+        raise ConfigError(f"expected a vector or block with {rows} rows, got shape {x.shape}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -41,10 +51,10 @@ class BaseWeights:
         object.__setattr__(self, "matrix", w)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DataError("weight matrix must be square")
+        if w.size and not (w.min() >= 0.0 and w.max() <= 1.0 + _SYM_TOL):  # NaN fails
+            raise DataError("base similarities must lie in [0, 1]")
         if np.abs(w - w.T).max(initial=0.0) > _SYM_TOL:
             raise DataError("weight matrix must be symmetric")
-        if w.size and (w.min() < 0.0 or w.max() > 1.0 + _SYM_TOL):
-            raise DataError("base similarities must lie in [0, 1]")
         if w.size and np.abs(np.diag(w) - 1.0).max() > _SYM_TOL:
             raise DataError("base similarity diagonal must be 1 (unit self-loops)")
 
@@ -61,8 +71,8 @@ class BaseWeights:
         return self.matrix.sum(axis=1)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Weight matrix times ``x``."""
-        return self.matrix @ x
+        """Weight matrix times a vector or a block of column vectors."""
+        return self.matrix @ _block(x, self.n)
 
     def dense(self) -> np.ndarray:
         return self.matrix
@@ -93,8 +103,9 @@ def base_similarity(ds: MixedDataset) -> BaseWeights:
 
 @dataclass(frozen=True)
 class StackedEncoder:
-    """The n x t matrix H: column concatenation of the lambda-weighted
-    one-hot matrices, one block per categorical variable.
+    """The n x t matrix H = unit @ diag(weights): ``unit`` is the sparse
+    one-hot matrix of all categorical variables side by side (one unit entry
+    per row and variable), and ``weights`` holds each column's lambda.
 
     Every row sums to the total edge weight (``lam_total``); column j of
     variable l sums to lambda_l times that category's count.
@@ -108,11 +119,20 @@ class StackedEncoder:
             raise ConfigError("stacked encoder needs at least one variable")
         if len(self.encoders) != len(self.lambdas):
             raise ConfigError("one lambda per categorical variable is required")
-        if any(lam <= 0.0 for lam in self.lambdas):
-            raise ConfigError("edge weights lambda must be positive")
-        n = self.encoders[0].n
-        if any(enc.n != n for enc in self.encoders):
+        if not all(0.0 < lam < np.inf for lam in self.lambdas):
+            raise ConfigError("edge weights lambda must be positive and finite")
+        if len({enc.n for enc in self.encoders}) > 1:
             raise DataError("encoders disagree on row count")
+        cards = [enc.cardinality for enc in self.encoders]
+        # Columns ascend within each row, so products sum in variable order.
+        cols = np.column_stack([enc.codes for enc in self.encoders])
+        cols += np.cumsum([0] + cards[:-1])
+        unit = sparse.csr_array(
+            (np.ones(cols.size), cols.ravel(), np.arange(0, cols.size + 1, len(cards))),
+            shape=(cols.shape[0], sum(cards)))
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "_unit_t", unit.T)  # a CSC view; .T rebuilds it per call
+        object.__setattr__(self, "weights", np.repeat(self.lambdas, cards))
         # An unused category would be an isolated extra node (specmix) or a
         # zero-degree one (onlycat); both pipelines reject it here.
         empty = np.flatnonzero(self.column_sums <= 0.0)
@@ -121,11 +141,11 @@ class StackedEncoder:
 
     @property
     def n(self) -> int:
-        return self.encoders[0].n
+        return self.unit.shape[0]
 
     @property
     def t(self) -> int:
-        return sum(enc.cardinality for enc in self.encoders)
+        return self.unit.shape[1]
 
     @property
     def lam_total(self) -> float:
@@ -134,29 +154,21 @@ class StackedEncoder:
 
     @cached_property
     def column_sums(self) -> np.ndarray:
-        return np.concatenate([lam * enc.column_sums
-                               for enc, lam in zip(self.encoders, self.lambdas)])
+        return self.weights * np.bincount(self.unit.indices, minlength=self.t)
 
     def dense(self) -> np.ndarray:
-        blocks = [lam * enc.entries
-                  for enc, lam in zip(self.encoders, self.lambdas)]
-        return np.concatenate(blocks, axis=1)
+        return self.unit.toarray() * self.weights
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """H @ vec for a length-t vector."""
-        vec = np.asarray(vec, dtype=np.float64)
-        out = np.zeros(self.n)
-        start = 0
-        for enc, lam in zip(self.encoders, self.lambdas):
-            stop = start + enc.cardinality
-            out += lam * enc.apply(vec[start:stop])
-            start = stop
-        return out
+    # Weights act on the t side, so H.T x is lambda times a sum of x_i and
+    # rounds as a per-variable scatter-add. x.T puts the rows last, so the
+    # weights broadcast over a vector and a block alike.
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """H @ x for a length-t vector or a t x m block."""
+        return self.unit @ (self.weights * _block(x, self.t).T).T
 
-    def apply_transpose(self, vec: np.ndarray) -> np.ndarray:
-        """H.T @ vec for a length-n vector."""
-        return np.concatenate([lam * enc.apply_transpose(vec)
-                               for enc, lam in zip(self.encoders, self.lambdas)])
+    def apply_transpose(self, x: np.ndarray) -> np.ndarray:
+        """H.T @ x for a length-n vector or an n x m block."""
+        return (self.weights * (self._unit_t @ _block(x, self.n)).T).T
 
 
 @dataclass(frozen=True)
@@ -186,10 +198,9 @@ class AugmentedGraph:
         return self.n + self.t
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Implied dense weight matrix times ``x``."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise ConfigError(f"expected vector of length {self.dim}, got {x.shape}")
+        """Implied dense weight matrix times a vector or a block of column
+        vectors."""
+        x = _block(x, self.dim)
         n = self.n
         return np.concatenate([
             self.base.matrix @ x[:n] + self.stacked.apply(x[n:]),
@@ -246,29 +257,19 @@ def assignment_matrix(labels, degrees, k: int) -> AssignmentMatrix:
     return AssignmentMatrix(entries, labels, volumes)
 
 
-def _graph_interface(graph):
-    if isinstance(graph, (AugmentedGraph, BaseWeights)):
-        return graph.matvec, graph.degrees, graph.dim
-    w = np.asarray(graph, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ConfigError("graph must be an AugmentedGraph, BaseWeights, or square matrix")
-    return (lambda x: w @ x), w.sum(axis=1), w.shape[0]
-
-
 def assignment_energy(assign: AssignmentMatrix, graph) -> float:
     """tr(Z.T L Z) for L = D - W, without materializing L.
 
     Equals the normalized-cut value of the partition the matrix encodes.
+    ``graph`` is an AugmentedGraph, BaseWeights or a symmetric matrix.
     """
-    matvec, degrees, dim = _graph_interface(graph)
+    matvec, dim, _ = _as_operator(graph)
+    degrees = graph.degrees if hasattr(graph, "degrees") else np.asarray(graph).sum(axis=1)
     z = assign.entries
     if z.shape[0] != dim:
         raise ConfigError(f"assignment has {z.shape[0]} rows, graph has {dim} nodes")
     degree_term = float(np.sum(degrees * np.einsum("ik,ik->i", z, z)))
-    weight_term = 0.0
-    for col in range(z.shape[1]):
-        weight_term += float(z[:, col] @ matvec(z[:, col]))
-    return degree_term - weight_term
+    return degree_term - float(np.einsum("ik,ik->", z, matvec(z)))
 
 
 def delta_counts(data_labels, extra_labels, encoder: OneHotMatrix, k: int) -> np.ndarray:

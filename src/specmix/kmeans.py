@@ -28,7 +28,7 @@ class KMeansConfig:
             raise ConfigError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:  # NaN fails too
             raise ConfigError("tol must be positive")
 
 

@@ -139,9 +139,10 @@ def build_bipartite_reduction(stacked: StackedEncoder):
     the same total, the reduced degrees coincide with the bipartite degrees
     of the category nodes.
     """
-    h = stacked.dense()
-    w_small = (h.T @ h) / stacked.lam_total
-    w_small = 0.5 * (w_small + w_small.T)
+    # Co-occurrence counts scaled by lambda_a lambda_b: exactly symmetric,
+    # and equal to h.T @ h while every lambda^2 times a count is exact.
+    unit, weights = stacked.unit, stacked.weights
+    w_small = (unit.T @ unit).toarray() * np.outer(weights, weights) / stacked.lam_total
     d_small = w_small.sum(axis=1)
     d_rows = np.full(stacked.n, stacked.lam_total)
     return w_small, d_small, d_rows
@@ -194,13 +195,27 @@ def transfer_cut(stacked: StackedEncoder, k: int) -> tuple[EigenPairs, np.ndarra
     return EigenPairs(mus, vectors, residuals), embedding
 
 
-def _finish(labels, pairs, rows_used, timings, cfg, method) -> ClusteringResult:
-    timings = dict(timings)
+def _cluster(ds: MixedDataset, cfg: SpecMixConfig, method: str,
+             build, solve) -> ClusteringResult:
+    """The timed stages of a spectral pipeline: ``build(ds, cfg)`` makes the
+    graph, ``solve(graph, cfg)`` returns (pairs, embedding), and K-means on
+    the embedding's rows labels the datapoints, which come first. Stages look
+    up what they call in the module globals, so wrappers set there see it."""
+    if cfg.k > ds.n:
+        raise ConfigError(f"k={cfg.k} exceeds the {ds.n} datapoints")
+    t0 = time.perf_counter()
+    graph = build(ds, cfg)
+    t1 = time.perf_counter()
+    pairs, embedding = solve(graph, cfg)
+    t2 = time.perf_counter()
+    labels, _, _ = kmeans(embedding, cfg.k, replace(cfg.kmeans, seed=cfg.seed))
+    t3 = time.perf_counter()
+    timings = {"graph": t1 - t0, "eigen": t2 - t1, "kmeans": t3 - t2}
     timings["total"] = sum(timings.values())
     return ClusteringResult(
-        labels=np.asarray(labels, dtype=np.int64),
+        labels=np.asarray(labels[:ds.n], dtype=np.int64),
         eigenvalues=np.asarray(pairs.values, dtype=np.float64),
-        embedding_rows_used=rows_used,
+        embedding_rows_used=embedding.shape[0],
         timings=timings,
         config=cfg.echo(),
         seed=cfg.seed,
@@ -209,24 +224,16 @@ def _finish(labels, pairs, rows_used, timings, cfg, method) -> ClusteringResult:
     )
 
 
-def _kmeans_config(cfg: SpecMixConfig) -> KMeansConfig:
-    return replace(cfg.kmeans, seed=cfg.seed)
+def _spectral_embedding(graph, cfg: SpecMixConfig):
+    """The k smallest generalized pairs of ``graph``, whose vectors embed it."""
+    pairs = generalized_smallest_eigs(graph, graph.degrees, cfg.k, seed=cfg.seed)
+    return pairs, pairs.vectors
 
 
 def numeric_spectral(ds: MixedDataset, cfg: SpecMixConfig) -> ClusteringResult:
     """Normalized spectral clustering on the numeric similarity graph only."""
-    if cfg.k > ds.n:
-        raise ConfigError(f"k={cfg.k} exceeds the {ds.n} datapoints")
-    t0 = time.perf_counter()
-    weights = base_similarity(ds)
-    t1 = time.perf_counter()
-    pairs = generalized_smallest_eigs(weights, weights.degrees, cfg.k,
-                                      seed=cfg.seed)
-    t2 = time.perf_counter()
-    labels, _, _ = kmeans(pairs.vectors, cfg.k, _kmeans_config(cfg))
-    t3 = time.perf_counter()
-    timings = {"graph": t1 - t0, "eigen": t2 - t1, "kmeans": t3 - t2}
-    return _finish(labels, pairs, ds.n, timings, cfg, "numeric-spectral")
+    return _cluster(ds, cfg, "numeric-spectral",
+                    lambda ds, cfg: base_similarity(ds), _spectral_embedding)
 
 
 def specmix_graph(ds: MixedDataset,
@@ -251,17 +258,7 @@ def specmix(ds: MixedDataset, cfg: SpecMixConfig) -> ClusteringResult:
     the graph and are omitted; with every lambda at zero this is exactly
     ``numeric_spectral``.
     """
-    if cfg.k > ds.n:
-        raise ConfigError(f"k={cfg.k} exceeds the {ds.n} datapoints")
-    t0 = time.perf_counter()
-    graph = specmix_graph(ds, cfg)
-    t1 = time.perf_counter()
-    pairs = generalized_smallest_eigs(graph, graph.degrees, cfg.k, seed=cfg.seed)
-    t2 = time.perf_counter()
-    labels_all, _, _ = kmeans(pairs.vectors, cfg.k, _kmeans_config(cfg))
-    t3 = time.perf_counter()
-    timings = {"graph": t1 - t0, "eigen": t2 - t1, "kmeans": t3 - t2}
-    return _finish(labels_all[:ds.n], pairs, graph.dim, timings, cfg, "specmix")
+    return _cluster(ds, cfg, "specmix", specmix_graph, _spectral_embedding)
 
 
 def onlycat(ds: MixedDataset, cfg: SpecMixConfig) -> ClusteringResult:
@@ -273,18 +270,6 @@ def onlycat(ds: MixedDataset, cfg: SpecMixConfig) -> ClusteringResult:
     """
     if ds.num_categorical < 1:
         raise ConfigError("onlycat requires at least one categorical variable")
-    if cfg.k > ds.n:
-        raise ConfigError(f"k={cfg.k} exceeds the {ds.n} datapoints")
-    lams = cfg.resolve_lambdas(ds.num_categorical)
-    if (lams <= 0.0).any():
-        raise ConfigError("onlycat requires strictly positive lambdas")
-
-    t0 = time.perf_counter()
-    stacked = build_stacked(ds, lams)
-    t1 = time.perf_counter()
-    pairs, embedding = transfer_cut(stacked, cfg.k)
-    t2 = time.perf_counter()
-    labels, _, _ = kmeans(embedding, cfg.k, _kmeans_config(cfg))
-    t3 = time.perf_counter()
-    timings = {"graph": t1 - t0, "eigen": t2 - t1, "kmeans": t3 - t2}
-    return _finish(labels, pairs, ds.n, timings, cfg, "onlycat")
+    lams = cfg.resolve_lambdas(ds.num_categorical)  # build_stacked rejects zeros
+    return _cluster(ds, cfg, "onlycat", lambda ds, cfg: build_stacked(ds, lams),
+                    lambda stacked, cfg: transfer_cut(stacked, cfg.k))

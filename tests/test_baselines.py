@@ -90,6 +90,14 @@ class TestKPrototypes:
         with pytest.raises(ConfigError):
             kprototypes(ds, 2)
 
+    @pytest.mark.parametrize("gamma_mix", [np.nan, np.inf])
+    def test_non_finite_gamma_mix_rejected(self, gamma_mix):
+        # nan used to pass the sign check and return clusters of sizes [59, 1]
+        ds, _ = generate_synthetic(SyntheticParams(n=60, k=2, q=2,
+                                                   sigma=1.0, p=0.2, seed=0))
+        with pytest.raises(ConfigError, match="gamma_mix"):
+            kprototypes(ds, 2, gamma_mix=gamma_mix)
+
     def test_labels_cover_at_least_one_cluster(self):
         ds, _ = generate_synthetic(SyntheticParams(n=30, k=2, q=2,
                                                    sigma=1.0, p=0.4, seed=10))

@@ -229,3 +229,9 @@ class TestSynthetic:
             SyntheticParams(n=10, k=2, q=1, sigma=0.0, p=1.5)
         with pytest.raises(ConfigError):
             SyntheticParams(n=10, k=2, q=1, sigma=-1.0, p=0.0)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # nan used to pass the sign check and fail later as a data error
+        with pytest.raises(ConfigError, match="sigma"):
+            SyntheticParams(n=10, k=2, q=1, sigma=sigma, p=0.0)

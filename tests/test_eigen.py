@@ -196,6 +196,35 @@ class TestRepeatedEigenvalues:
         assert np.abs(pairs.vectors.T @ pairs.vectors - np.eye(7)).max() <= 1e-8
 
 
+class TestNonFiniteInput:
+    # NaN fails every comparison, so these inputs used to reach
+    # eigh_tridiagonal (ValueError) or LAPACK (LinAlgError)
+    @pytest.mark.parametrize("method", ["lanczos", "dense"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_symmetric_matrix(self, method, bad):
+        a = random_symmetric(np.random.default_rng(0), 6)
+        a[2, 3] = a[3, 2] = bad
+        with pytest.raises(ConfigError, match="non-finite"):
+            symmetric_smallest_eigs(a, 2, method=method)
+
+    @pytest.mark.parametrize("method", ["lanczos", "dense"])
+    def test_generalized_matrix(self, method):
+        w = random_graph_weights(np.random.default_rng(1), 6)
+        d = w.sum(axis=1)
+        w[0, 1] = w[1, 0] = np.nan
+        with pytest.raises(ConfigError, match="non-finite"):
+            generalized_smallest_eigs(w, d, 2, method=method)
+
+    @pytest.mark.parametrize("method", ["lanczos", "dense"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_generalized_degrees(self, method, bad):
+        w = random_graph_weights(np.random.default_rng(2), 6)
+        d = w.sum(axis=1)
+        d[4] = bad
+        with pytest.raises(ConfigError, match="node 4"):
+            generalized_smallest_eigs(w, d, 2, method=method)
+
+
 def connected_block(rng, size, density):
     """A random connected weighted graph: a random spanning tree plus random
     extra edges."""

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specmix import (ConfigError, DataError, MixedDataset, assemble_augmented,
-                     assignment_energy, assignment_matrix, base_similarity,
-                     delta_counts, one_hot)
+from specmix import (ConfigError, DataError, MixedDataset, OneHotMatrix,
+                     StackedEncoder, assemble_augmented, assignment_energy,
+                     assignment_matrix, base_similarity,
+                     build_bipartite_reduction, delta_counts, one_hot)
 from specmix.graph import BaseWeights
 
 
@@ -68,6 +71,14 @@ class TestBaseSimilarity:
         with pytest.raises(ConfigError):
             base_similarity(ds)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_weights_outside_unit_interval_rejected(self, bad):
+        # NaN fails every comparison, so a NaN entry used to pass the range check
+        w = np.eye(3)
+        w[0, 1] = w[1, 0] = bad
+        with pytest.raises(DataError, match=r"\[0, 1\]"):
+            BaseWeights(w)
+
 
 class TestAssemble:
     def test_hand_assembled_dense(self):
@@ -111,6 +122,12 @@ class TestAssemble:
         ds = random_mixed(rng, 8, 1, 1)
         with pytest.raises(ConfigError):
             assemble_augmented(base_similarity(ds), [one_hot(ds, 0)], [0.0])
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        ds = random_mixed(np.random.default_rng(4), 8, 1, 1)
+        with pytest.raises(ConfigError, match="finite"):
+            assemble_augmented(base_similarity(ds), [one_hot(ds, 0)], [lam])
 
     def test_row_count_mismatch(self):
         rng = np.random.default_rng(5)
@@ -268,3 +285,104 @@ class TestIdentities:
                 rhs = float(np.sum(incident / z.volumes))
                 assert abs(frob - rhs) <= 1e-9 * max(1.0, frob)
                 off += enc.cardinality
+
+
+def per_variable_products(stacked, u, x):
+    """H @ u and H.T @ x for vectors, one variable at a time: a gather and a
+    scatter-add on each variable's codes."""
+    hu, htx, start = np.zeros(stacked.n), [], 0
+    for enc, lam in zip(stacked.encoders, stacked.lambdas):
+        stop = start + enc.cardinality
+        hu += lam * u[start:stop][enc.codes]
+        htx.append(lam * np.bincount(enc.codes, weights=x, minlength=enc.cardinality))
+        start = stop
+    return hu, np.concatenate(htx)
+
+
+def within(result, reference, bound, tol=1e-12):
+    """Elementwise |result - reference| <= tol * bound, where ``bound`` is the
+    product of the absolute values (a bound on the rounding error)."""
+    return bool(np.all(np.abs(result - reference) <= tol * bound))
+
+
+@st.composite
+def stacked_problems(draw):
+    """One to four categorical variables of 1-6 categories (each used at
+    least once) over up to 40 rows, with equal lambdas from a few values or
+    unequal random ones, plus random blocks of 1-5 columns on both sides."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cards = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    n = draw(st.integers(max(cards), 40))
+    encoders = tuple(
+        OneHotMatrix(rng.permutation(np.concatenate(
+            [np.arange(c), rng.integers(0, c, n - c)])), c) for c in cards)
+    equal = draw(st.booleans())
+    if equal:
+        lams = (draw(st.sampled_from([0.5, 1.0, 3.0, 10.0, 50.0])),) * len(cards)
+    else:
+        lams = tuple(draw(st.floats(1e-3, 1e3)) for _ in cards)
+    m = draw(st.integers(1, 5))
+    return (StackedEncoder(encoders, lams), equal,
+            rng.standard_normal((sum(cards), m)), rng.standard_normal((n, m)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(stacked_problems())
+def test_block_products(problem):
+    stacked, equal, u, x = problem
+    h = stacked.dense()
+    hu, htx = stacked.apply(u), stacked.apply_transpose(x)
+    assert hu.shape == x.shape and htx.shape == u.shape
+    for j in range(u.shape[1]):
+        # a block is bitwise its columns, and a column bitwise the
+        # per-variable gather and scatter-add
+        assert np.array_equal(hu[:, j], stacked.apply(u[:, j]))
+        assert np.array_equal(htx[:, j], stacked.apply_transpose(x[:, j]))
+        gathered, scattered = per_variable_products(stacked, u[:, j], x[:, j])
+        assert np.array_equal(hu[:, j], gathered)
+        assert np.array_equal(htx[:, j], scattered)
+    assert within(hu, h @ u, np.abs(h) @ np.abs(u))
+    assert within(htx, h.T @ x, np.abs(h.T) @ np.abs(x))
+
+    numeric = np.random.default_rng(stacked.n).standard_normal((stacked.n, 2))
+    graph = assemble_augmented(base_similarity(MixedDataset(
+        numeric, np.empty((stacked.n, 0), dtype=int), ())),
+        stacked.encoders, stacked.lambdas)
+    block = np.vstack([x, u])
+    columns = np.column_stack([graph.matvec(block[:, j]) for j in range(u.shape[1])])
+    assert within(graph.matvec(block), columns, np.abs(graph.dense()) @ np.abs(block))
+
+    w_small, _, _ = build_bipartite_reduction(stacked)
+    reference = (h.T @ h) / stacked.lam_total
+    if equal:  # lambda^2 times a count is exact for these lambdas
+        assert np.array_equal(w_small, reference)
+    else:
+        assert within(w_small, reference, np.abs(reference))
+
+
+class TestBlockShape:
+    def setup_method(self):
+        graph, *_ = random_augmented(np.random.default_rng(15))
+        self.graph, self.stacked = graph, graph.stacked
+
+    def test_block_matches_matrix_product(self):
+        block = np.random.default_rng(16).standard_normal((self.graph.dim, 3))
+        assert np.allclose(self.graph.matvec(block), self.graph.dense() @ block,
+                           rtol=0.0, atol=1e-12)
+        base = self.graph.base
+        assert np.array_equal(base.matvec(block[:base.n]), base.matrix @ block[:base.n])
+
+    @pytest.mark.parametrize("rows", [-1, 1])
+    def test_wrong_row_count_rejected(self, rows):
+        stacked, graph = self.stacked, self.graph
+        for product, size in ((stacked.apply, stacked.t),
+                              (stacked.apply_transpose, stacked.n),
+                              (graph.matvec, graph.dim),
+                              (graph.base.matvec, graph.n)):
+            for shape in ((size + rows,), (size + rows, 2)):
+                with pytest.raises(ConfigError, match="rows"):
+                    product(np.zeros(shape))
+
+    def test_three_dimensional_input_rejected(self):
+        with pytest.raises(ConfigError):
+            self.graph.matvec(np.zeros((self.graph.dim, 2, 2)))

@@ -102,3 +102,8 @@ class TestKMeans:
             KMeansConfig(max_iters=0)
         with pytest.raises(ConfigError):
             KMeansConfig(tol=0.0)
+
+    def test_nan_tol_rejected(self):
+        # NaN fails every comparison, so it used to pass the sign check
+        with pytest.raises(ConfigError, match="tol"):
+            KMeansConfig(tol=float("nan"))

@@ -242,6 +242,14 @@ class TestSynthCommand:
         assert main(args) == 0
         assert out.read_bytes() == first
 
+    def test_nan_sigma_is_config_error(self, tmp_path, capsys):
+        # used to exit 3 with a data error about numeric column 0
+        code = main(["synth", "--n", "10", "--k", "2", "--sigma", "nan",
+                     "--output", str(tmp_path / "synth.csv")])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "sigma" in err["message"]
+
     def test_full_corruption_never_attached(self, tmp_path):
         out = tmp_path / "synth.csv"
         assert main(["synth", "--n", "400", "--k", "4", "--q", "2",
