@@ -142,12 +142,17 @@ def _lanczos_run(matvec, dim: int, k: int, rng, lock: np.ndarray,
             x -= basis[:, :off + m] @ (basis[:, :off + m].T @ x)
         return x
 
+    def expand(q, m):  # the product's component past q, with alpha_m
+        r = matvec(q)
+        alphas[m] = q @ r
+        if not np.isfinite(alphas[m]):  # q @ r is non-finite whenever r is
+            raise ConfigError("operator product has non-finite entries")
+        return r - alphas[m] * q
+
     q = orthogonalize(rng.standard_normal(dim), 0)
     q /= np.linalg.norm(q)
     basis[:, off] = q
-    r = matvec(q)
-    alphas[0] = q @ r
-    r = r - alphas[0] * q
+    r = expand(q, 0)
 
     m = 1
     while off + m < dim:
@@ -177,9 +182,7 @@ def _lanczos_run(matvec, dim: int, k: int, rng, lock: np.ndarray,
         basis[:, off + m] = r / (beta or np.linalg.norm(r))
         betas[m - 1] = beta
         q = basis[:, off + m]
-        r = matvec(q)
-        alphas[m] = q @ r
-        r = r - alphas[m] * q - beta * basis[:, off + m - 1]
+        r = expand(q, m) - beta * basis[:, off + m - 1]
         m += 1
 
     theta, s = eigh_tridiagonal(alphas[:m], betas[:m - 1])

@@ -224,6 +224,34 @@ class TestNonFiniteInput:
         with pytest.raises(ConfigError, match="node 4"):
             generalized_smallest_eigs(w, d, 2, method=method)
 
+    # operators are not inspected up front; a non-finite product used to
+    # escape from eigh_tridiagonal as a raw ValueError
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_symmetric_operator(self, bad):
+        op = SymmetricOperator(lambda x: bad * x, 5)
+        with pytest.raises(ConfigError, match="non-finite"):
+            symmetric_smallest_eigs(op, 2)
+
+    def test_symmetric_operator_fails_mid_run(self):
+        a = random_symmetric(np.random.default_rng(3), 40)
+        calls = []
+
+        def matvec(x):
+            calls.append(1)
+            y = a @ x
+            if len(calls) == 7:
+                y[0] = np.nan
+            return y
+
+        with pytest.raises(ConfigError, match="non-finite"):
+            symmetric_smallest_eigs(SymmetricOperator(matvec, 40), 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_generalized_operator(self, bad):
+        op = SymmetricOperator(lambda x: bad * x, 5)
+        with pytest.raises(ConfigError, match="non-finite"):
+            generalized_smallest_eigs(op, np.ones(5), 2)
+
 
 def connected_block(rng, size, density):
     """A random connected weighted graph: a random spanning tree plus random

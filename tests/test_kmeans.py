@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specmix import ConfigError, KMeansConfig, kmeans
+from specmix import ConfigError, DataError, KMeansConfig, kmeans
 from specmix.kmeans import _lloyd, _plus_plus_init
 
 
@@ -107,3 +111,60 @@ class TestKMeans:
         # NaN fails every comparison, so it used to pass the sign check
         with pytest.raises(ConfigError, match="tol"):
             KMeansConfig(tol=float("nan"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        # a NaN used to escape from rng.choice as a raw ValueError
+        points = np.array([[bad, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        with pytest.raises(DataError, match="non-finite"):
+            kmeans(points, 2)
+
+    def test_all_distinct_rows_pinned(self):
+        # every row distinct: the same draws and bits as unweighted K-means
+        points = np.random.default_rng(0).standard_normal((300, 4))
+        labels, centers, inertia = kmeans(points, 4, KMeansConfig(seed=3))
+        assert hashlib.sha256(labels.astype("<i8").tobytes()).hexdigest() == (
+            "eadd53c6c926f45088a3836f9578345b491cbe87f143f547541e3bb7cb4b80c2")
+        assert np.bincount(labels).tolist() == [58, 114, 64, 64]
+        expected = [
+            ["-0x1.212ee3018f38cp+0", "-0x1.c6b7010dac801p-1",
+             "-0x1.51eb7a0f0acf1p-2", "-0x1.667abc466f99cp-2"],
+            ["-0x1.fe600e01d99edp-5", "0x1.ce7193597c188p-2",
+             "-0x1.6ca769c2551aap-1", "0x1.ad388e47d4508p-6"],
+            ["0x1.c4b1b1f5be04bp-1", "-0x1.4642141b3ad3ep-2",
+             "0x1.bb61a6f663170p-2", "-0x1.240cfda4bbcc6p-1"],
+            ["0x1.6dddcd251557fp-4", "0x1.021507893415ap-4",
+             "0x1.4bf8fb5c29401p-1", "0x1.24e9bb5453975p+0"],
+        ]
+        assert [[float(x).hex() for x in row] for row in centers] == expected
+        assert inertia.hex() == "0x1.6e7ea58d4cb08p+9"
+
+
+@st.composite
+def repeated_rows(draw):
+    """A pool of 1-12 distinct rows, each repeated 1-20 times and shuffled,
+    and a k no larger than the row count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.standard_normal((draw(st.integers(1, 12)), draw(st.integers(1, 4))))
+    repeats = draw(st.lists(st.integers(1, 20), min_size=pool.shape[0],
+                            max_size=pool.shape[0]))
+    points = rng.permutation(np.repeat(pool, repeats, axis=0))
+    return points, draw(st.integers(1, points.shape[0]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(repeated_rows(), st.integers(0, 1000))
+def test_repeated_rows_weighted_invariants(data, seed):
+    points, k = data
+    labels, centers, inertia = kmeans(points, k, KMeansConfig(restarts=2, seed=seed))
+    distinct = np.unique(points, axis=0)
+    if k <= distinct.shape[0]:
+        for row in distinct:
+            same = (points == row).all(axis=1)
+            assert np.unique(labels[same]).size == 1
+    assert np.unique(labels).tolist() == list(range(k))
+    expected = float(((points - centers[labels]) ** 2).sum())
+    assert inertia == pytest.approx(expected, rel=1e-12, abs=1e-300)
+    for c in range(k):
+        assert np.allclose(centers[c], points[labels == c].mean(axis=0),
+                           rtol=1e-12, atol=1e-12)
