@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -63,9 +64,10 @@ class ColumnSchema:
     roles: tuple[str, ...]
 
     def __post_init__(self):
+        if not self.roles:
+            raise SchemaError("schema is empty")
         for role in self.roles:
-            if role not in (ROLE_NUMERIC, ROLE_CATEGORICAL, ROLE_ORDINAL,
-                            ROLE_LABEL, ROLE_IGNORE):
+            if role not in set(_ROLE_ALIASES.values()):
                 raise SchemaError(f"unknown column role {role!r}")
         if sum(r == ROLE_LABEL for r in self.roles) > 1:
             raise SchemaError("schema declares more than one label column")
@@ -74,14 +76,10 @@ class ColumnSchema:
     def parse(cls, spec: str) -> "ColumnSchema":
         """Parse a comma-separated role string, e.g. ``"num,num,cat,label"``."""
         tokens = [tok.strip().lower() for tok in spec.split(",")]
-        roles = []
-        for tok in tokens:
-            if tok not in _ROLE_ALIASES:
-                raise SchemaError(f"unknown column role {tok!r}")
-            roles.append(_ROLE_ALIASES[tok])
-        if not roles:
+        if not any(tokens):
             raise SchemaError("schema is empty")
-        return cls(tuple(roles))
+        # an unknown token passes through unmapped and is rejected by __post_init__
+        return cls(tuple(_ROLE_ALIASES.get(tok, tok) for tok in tokens))
 
     @classmethod
     def from_file(cls, path) -> "ColumnSchema":
@@ -215,11 +213,12 @@ def load_mixed_csv(path, schema: ColumnSchema,
                    ) -> tuple[MixedDataset, Optional[np.ndarray]]:
     """Load a header-ed CSV into a MixedDataset plus optional labels.
 
-    Rows containing a missing value in any non-ignored column are dropped.
-    Categorical (and ordinal) columns are dictionary-encoded to dense indices
-    in first-appearance order over the surviving rows, so unused category
-    levels never receive a code. The label column, if declared, is returned
-    separately, dictionary-encoded the same way.
+    The records are read once and parsed column-wise. Blank records are
+    skipped but counted in the line numbers of error messages. Rows with a
+    missing value in any non-ignored column are dropped. Categorical (and
+    ordinal) columns and the label, which is returned separately, are
+    dictionary-encoded in first-appearance order over the surviving rows, so
+    unused category levels never receive a code.
     """
     missing = set(missing_values) | {""}
     try:
@@ -228,68 +227,64 @@ def load_mixed_csv(path, schema: ColumnSchema,
         raise DataError(f"cannot read {path}: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path} is empty")
         if len(header) != schema.width:
             raise SchemaError(
                 f"schema has {schema.width} roles but header has {len(header)} columns")
-        used = [i for i, r in enumerate(schema.roles) if r != ROLE_IGNORE]
-        kept: list[tuple[int, list[str]]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != schema.width:
-                raise SchemaError(
-                    f"line {line_no}: expected {schema.width} fields, got {len(row)}")
-            row = [tok.strip() for tok in row]
-            if any(row[i] in missing for i in used):
-                continue
-            kept.append((line_no, row))
+        rows = list(reader)
 
+    widths = np.fromiter(map(len, rows), np.int64, len(rows))
+    wrong = np.flatnonzero((widths != schema.width) & (widths > 0))
+    if wrong.size:
+        raise SchemaError(f"line {wrong[0] + 2}: expected {schema.width} "
+                          f"fields, got {widths[wrong[0]]}")
     if not schema.numeric_indices and not schema.categorical_indices:
         raise SchemaError("schema declares no feature columns")
-    if not kept:
-        raise DataError("dataset empty after removing rows with missing values")
 
-    n = len(kept)
+    lines = np.flatnonzero(widths) + 2
+    # a file without data records has no columns to transpose
+    columns = list(zip(*filter(None, rows))) or [()] * schema.width
+    used = [i for i, r in enumerate(schema.roles) if r != ROLE_IGNORE]
+    keep = np.ones(lines.size, dtype=bool)
+    for col in used:
+        columns[col] = list(map(str.strip, columns[col]))
+        keep &= ~np.fromiter(map(missing.__contains__, columns[col]), bool, lines.size)
+    n = int(keep.sum())
+    if n == 0:
+        raise DataError("dataset empty after removing rows with missing values")
+    lines, keep = lines[keep], keep.tolist()
+    for col in used:
+        columns[col] = list(compress(columns[col], keep))
+
     numeric = np.empty((n, len(schema.numeric_indices)))
     for j, col in enumerate(schema.numeric_indices):
-        for i, (line_no, row) in enumerate(kept):
-            tok = row[col]
-            try:
-                numeric[i, j] = float(tok)
-            except ValueError:
-                raise DataError(
-                    f"line {line_no}, column {header[col]!r}: "
-                    f"cannot parse {tok!r} as numeric") from None
+        try:
+            numeric[:, j] = np.fromiter(map(float, columns[col]), np.float64, n)
+        except ValueError:
+            for line_no, tok in zip(lines, columns[col]):
+                try:
+                    float(tok)
+                except ValueError:
+                    raise DataError(
+                        f"line {line_no}, column {header[col]!r}: "
+                        f"cannot parse {tok!r} as numeric") from None
 
     def encode(col: int) -> tuple[np.ndarray, int]:
         codebook: dict[str, int] = {}
-        codes = np.empty(n, dtype=np.int64)
-        for i, (_, row) in enumerate(kept):
-            tok = row[col]
-            if tok not in codebook:
-                codebook[tok] = len(codebook)
-            codes[i] = codebook[tok]
+        codes = np.fromiter((codebook.setdefault(tok, len(codebook))
+                             for tok in columns[col]), np.int64, n)
         return codes, len(codebook)
 
-    cat_cols = []
+    categorical = np.empty((n, len(schema.categorical_indices)), dtype=np.int64)
     cards = []
-    for col in schema.categorical_indices:
-        codes, card = encode(col)
-        cat_cols.append(codes)
+    for j, col in enumerate(schema.categorical_indices):
+        categorical[:, j], card = encode(col)
         cards.append(card)
-    categorical = (np.column_stack(cat_cols) if cat_cols
-                   else np.empty((n, 0), dtype=np.int64))
 
-    labels = None
-    if schema.label_index is not None:
-        labels, _ = encode(schema.label_index)
-
-    ds = MixedDataset(numeric, categorical, tuple(cards))
-    return ds, labels
+    labels = None if schema.label_index is None else encode(schema.label_index)[0]
+    return MixedDataset(numeric, categorical, tuple(cards)), labels
 
 
 def standardize_numeric(ds: MixedDataset) -> MixedDataset:

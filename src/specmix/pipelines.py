@@ -98,8 +98,8 @@ class ClusteringResult:
         doc = {
             "version": RESULT_FORMAT_VERSION,
             "method": self.method,
-            "labels": [int(v) for v in self.labels],
-            "eigenvalues": [float(v) for v in self.eigenvalues],
+            "labels": self.labels.tolist(),
+            "eigenvalues": self.eigenvalues.tolist(),
             "embedding_rows_used": self.embedding_rows_used,
             "timings": {k: float(v) for k, v in self.timings.items()},
             "config": self.config,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specmix import (ConfigError, MixedDataset, SyntheticParams,
+from specmix import (ConfigError, DataError, MixedDataset, SyntheticParams,
                      generate_synthetic, kmodes, kprototypes, label_agreement)
 from specmix.baselines import _alternate
 
@@ -29,6 +29,18 @@ class TestKModes:
     def test_rows_fewer_than_k(self):
         with pytest.raises(ConfigError):
             kmodes(np.zeros((2, 2), dtype=int), 3)
+
+    @pytest.mark.parametrize("bad", [-1, 0.5, np.nan, np.inf])
+    def test_codes_must_be_nonnegative_integers(self, bad):
+        # negative codes used to escape from np.bincount as a raw ValueError,
+        # and 0.5 was truncated to 0 and clustered
+        with pytest.raises(DataError, match="nonnegative integer"):
+            kmodes([[bad], [0], [1]], 2)
+
+    def test_integral_float_codes_accepted(self):
+        cats = np.array([[0, 1, 2]] * 3 + [[3, 0, 1]] * 3)
+        assert np.array_equal(kmodes(cats.astype(float), 2, seed=0),
+                              kmodes(cats, 2, seed=0))
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from specmix import (ColumnSchema, ConfigError, DataError, MixedDataset,
                      SchemaError, SyntheticParams, generate_synthetic,
@@ -26,6 +30,20 @@ class TestSchema:
     def test_two_labels_rejected(self):
         with pytest.raises(SchemaError):
             ColumnSchema.parse("label,label")
+
+    @pytest.mark.parametrize("spec", ["", " , ", "\n"])
+    def test_blank_spec_is_empty(self, spec):
+        # "".split(",") is [""], which used to be reported as an unknown role
+        with pytest.raises(SchemaError, match="schema is empty"):
+            ColumnSchema.parse(spec)
+
+    def test_blank_role_in_spec(self):
+        with pytest.raises(SchemaError, match="unknown column role ''"):
+            ColumnSchema.parse("num,")
+
+    def test_no_roles_rejected(self):
+        with pytest.raises(SchemaError, match="schema is empty"):
+            ColumnSchema(())
 
 
 class TestLoad:
@@ -96,6 +114,115 @@ class TestLoad:
         ds, _ = load_mixed_csv(path, ColumnSchema.parse("num,cat"),
                                missing_values=("NA",))
         assert ds.n == 1
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = write(tmp_path, "x,c\n1,a\n\n2,b\n")
+        ds, _ = load_mixed_csv(path, ColumnSchema.parse("num,cat"))
+        assert ds.numeric[:, 0].tolist() == [1.0, 2.0]
+        path = write(tmp_path, "x,c\n1,a\n\n2,b\n\n3\n")
+        with pytest.raises(SchemaError,
+                           match="^line 6: expected 2 fields, got 1$"):
+            load_mixed_csv(path, ColumnSchema.parse("num,cat"))
+
+    def test_numeric_parse_message_names_first_bad_token(self, tmp_path):
+        # column order first: 'x' is checked before 'y', whose bad token
+        # comes on an earlier line
+        path = write(tmp_path, "x,y\n1,bad_y\n\n bad_x ,2\n")
+        message = "line 4, column 'x': cannot parse 'bad_x' as numeric"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_mixed_csv(path, ColumnSchema.parse("num,num"))
+
+    def test_missing_in_ignored_column_keeps_row(self, tmp_path):
+        path = write(tmp_path, "x,skip,c\n1,?,a\n2,,b\n")
+        ds, _ = load_mixed_csv(path, ColumnSchema.parse("num,ignore,cat"))
+        assert ds.n == 2
+
+    def test_padded_tokens_share_a_code(self, tmp_path):
+        path = write(tmp_path, "c\n a\na\nb \nb\n")
+        ds, _ = load_mixed_csv(path, ColumnSchema.parse("cat"))
+        assert ds.categorical[:, 0].tolist() == [0, 0, 1, 1]
+        assert ds.cardinalities == (2,)
+
+    def test_missing_label_drops_row(self, tmp_path):
+        path = write(tmp_path, "x,y\n1,p\n2,?\n3,\n4,q\n")
+        ds, labels = load_mixed_csv(path, ColumnSchema.parse("num,label"))
+        assert ds.numeric[:, 0].tolist() == [1.0, 4.0]
+        assert labels.tolist() == [0, 1]
+
+    def test_header_only_file(self, tmp_path):
+        path = write(tmp_path, "x,c\n")
+        with pytest.raises(DataError, match="dataset empty"):
+            load_mixed_csv(path, ColumnSchema.parse("num,cat"))
+
+    def test_empty_file(self, tmp_path):
+        path = write(tmp_path, "")
+        with pytest.raises(DataError, match="is empty"):
+            load_mixed_csv(path, ColumnSchema.parse("num,cat"))
+
+
+# One column of a random token table: a role, then one token per row, each
+# either a value, a missing sentinel or empty, padded with spaces.
+_PAD = st.sampled_from(["", " ", "  "])
+_MISSING = st.sampled_from(["?", ""])
+_VALUE = {
+    "num": st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    "cat": st.sampled_from(["a", "b", "c", "d"]),
+    "label": st.sampled_from(["x", "y"]),
+    "ignore": st.sampled_from(["u", "?", ""]),
+}
+
+
+@st.composite
+def token_tables(draw):
+    roles = draw(st.lists(st.sampled_from(["num", "cat", "ignore"]),
+                          min_size=1, max_size=4))
+    if draw(st.booleans()):
+        roles.insert(draw(st.integers(0, len(roles))), "label")
+    if not {"num", "cat"} & set(roles):
+        roles.append("cat")
+    n = draw(st.integers(0, 12))
+    table = [[draw(_PAD) + draw(st.one_of(_VALUE[r], _MISSING) if r != "ignore"
+                                else _VALUE[r]) + draw(_PAD)
+              for r in roles] for _ in range(n)]
+    blanks = draw(st.sets(st.integers(0, n)))
+    return roles, table, blanks
+
+
+class TestLoadRoundTrip:
+    @settings(derandomize=True, max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(token_tables())
+    def test_round_trip(self, tmp_path, case):
+        roles, table, blanks = case
+        lines = [",".join(f"h{j}" for j in range(len(roles)))]
+        for i, row in enumerate(table + [None]):
+            if i in blanks:
+                lines.append("")
+            if row is not None:
+                lines.append(",".join(row))
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        schema = ColumnSchema.parse(",".join(roles))
+        stripped = [[tok.strip() for tok in row] for row in table]
+        kept = [row for row in stripped
+                if all(tok not in ("?", "") for tok, r in zip(row, roles)
+                       if r != "ignore")]
+        if not kept:
+            with pytest.raises(DataError, match="dataset empty"):
+                load_mixed_csv(path, schema)
+            return
+        ds, labels = load_mixed_csv(path, schema)
+        assert ds.n == len(kept)
+        for j, col in enumerate(schema.numeric_indices):
+            assert ds.numeric[:, j].tolist() == [float(row[col]) for row in kept]
+        encoded = [(ds.categorical[:, j], ds.cardinalities[j], col)
+                   for j, col in enumerate(schema.categorical_indices)]
+        if labels is not None:
+            encoded.append((labels, None, schema.label_index))
+        for codes, card, col in encoded:
+            tokens = [row[col] for row in kept]
+            firsts = list(dict.fromkeys(tokens))
+            assert [firsts[c] for c in codes] == tokens
+            assert card in (None, len(firsts))
 
 
 class TestMixedDataset:

@@ -332,3 +332,18 @@ class TestResultSerialization:
     def test_version_check(self):
         with pytest.raises(DataError):
             ClusteringResult.from_json('{"version": 99}')
+
+    def test_to_json_bytes_pinned(self):
+        result = ClusteringResult(
+            labels=np.array([1, 0, 2, 0], dtype=np.int64),
+            eigenvalues=np.array([0.0, 1e-17, 0.1, 2.5]),
+            embedding_rows_used=4, timings={"total": 0.25},
+            config={"k": 3, "lambdas": 1.5}, seed=7, method="specmix",
+            max_residual=3e-12)
+        assert result.to_json() == (
+            '{\n  "config": {\n    "k": 3,\n    "lambdas": 1.5\n  },\n'
+            '  "eigenvalues": [\n    0.0,\n    1e-17,\n    0.1,\n    2.5\n  ],\n'
+            '  "embedding_rows_used": 4,\n'
+            '  "labels": [\n    1,\n    0,\n    2,\n    0\n  ],\n'
+            '  "max_residual": 3e-12,\n  "method": "specmix",\n  "seed": 7,\n'
+            '  "timings": {\n    "total": 0.25\n  },\n  "version": 1\n}')
