@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import MixedDataset
+from .dataset import MixedDataset, as_codes
 from .errors import ConfigError, DataError
 from .kmeans import _repair_empty, _sq_dists
 
@@ -90,10 +90,10 @@ def kmodes(categorical, k: int, seed: int = 0, max_iters: int = 100,
     codes = np.asarray(categorical)
     if codes.ndim != 2 or codes.shape[1] < 1:
         raise ConfigError("kmodes needs an (n, Q) category matrix with Q >= 1")
-    with np.errstate(invalid="ignore"):  # nan and inf are caught just below
-        categorical = codes.astype(np.int64)
-    if (categorical < 0).any() or not np.array_equal(categorical, codes):
-        raise DataError("kmodes needs nonnegative integer category codes")
+    message = "kmodes needs nonnegative integer category codes"
+    categorical = as_codes(codes, message)
+    if (categorical < 0).any():
+        raise DataError(message)
     n = categorical.shape[0]
     if n < k:
         raise ConfigError(f"need at least k={k} rows, got {n}")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (ColumnSchema, SyntheticParams, generate_synthetic,
-                      load_mixed_csv, standardize_numeric)
+                      load_mixed_csv, read_text, standardize_numeric)
 from .errors import (ConfigError, ConvergenceError, DataError, SchemaError,
                      SpecmixError, SpectralGapError)
 from .kmeans import KMeansConfig
@@ -182,7 +182,7 @@ def _read_labels(path, schema_text=None, schema_file=None) -> np.ndarray:
         if labels is None:
             raise DataError(f"{path}: schema declares no label column")
         return labels
-    text = path.read_text(encoding="utf-8").strip()
+    text = read_text(path).strip()
     if text.startswith("{"):
         return ClusteringResult.from_json(text).labels
     lines = [line.strip() for line in text.splitlines() if line.strip()]

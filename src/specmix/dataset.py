@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SchemaError
+from .errors import ConfigError, DataError, SchemaError, SpecmixError
 
 ROLE_NUMERIC = "numeric"
 ROLE_CATEGORICAL = "categorical"
@@ -44,6 +44,48 @@ _ROLE_ALIASES = {
 DEFAULT_MISSING = ("?",)
 
 MAX_SEED = 2**64 - 1
+
+
+def _not_utf8(path, error: type[SpecmixError] = DataError) -> SpecmixError:
+    """``error`` for a file that is not UTF-8, naming the line of its first
+    undecodable byte. A text reader decodes in chunks, so its own error
+    cannot say which line."""
+    data = Path(path).read_bytes()
+    where = ""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        where = f", line {line}"
+    return error(f"{path}{where}: not UTF-8 text")
+
+
+def read_text(path, error: type[SpecmixError] = DataError) -> str:
+    """The UTF-8 text of ``path``; bytes that do not decode raise ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path, error) from None
+
+
+def csv_error(path, reader, exc: Exception) -> DataError:
+    """The DataError for a decode or ``csv.Error`` met by ``reader``."""
+    if isinstance(exc, UnicodeDecodeError):
+        return _not_utf8(path)
+    return DataError(f"{path}, line {reader.line_num}: {exc}")
+
+
+def as_codes(values, message: str) -> np.ndarray:
+    """``values`` as int64 codes. Fractional and non-finite values raise a
+    DataError with ``message``, where a bare cast would truncate them."""
+    values = np.asarray(values)
+    if values.dtype.kind in "biu":  # nothing to truncate; int64 is not copied
+        return values.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):  # nan and inf fail the comparison
+        codes = values.astype(np.int64)
+    if not np.array_equal(codes, values):
+        raise DataError(message)
+    return codes
 
 
 def _check_seed(seed: int) -> int:
@@ -83,8 +125,7 @@ class ColumnSchema:
 
     @classmethod
     def from_file(cls, path) -> "ColumnSchema":
-        text = Path(path).read_text(encoding="utf-8").strip()
-        return cls.parse(text)
+        return cls.parse(read_text(path, SchemaError).strip())
 
     @property
     def width(self) -> int:
@@ -124,7 +165,7 @@ class MixedDataset:
 
     def __post_init__(self):
         num = np.asarray(self.numeric, dtype=np.float64)
-        cat = np.asarray(self.categorical, dtype=np.int64)
+        cat = as_codes(self.categorical, "categorical codes must be integers")
         if num.ndim != 2 or cat.ndim != 2:
             raise DataError("numeric and categorical parts must be 2-D")
         if num.shape[0] != cat.shape[0]:
@@ -178,7 +219,7 @@ class OneHotMatrix:
     cardinality: int
 
     def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int64)
+        codes = as_codes(self.codes, "one-hot codes must be integers")
         object.__setattr__(self, "codes", codes)
         if codes.ndim != 1:
             raise DataError("one-hot codes must be a vector")
@@ -227,13 +268,16 @@ def load_mixed_csv(path, schema: ColumnSchema,
         raise DataError(f"cannot read {path}: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path} is empty")
-        if len(header) != schema.width:
-            raise SchemaError(
-                f"schema has {schema.width} roles but header has {len(header)} columns")
-        rows = list(reader)
+        try:
+            header = next(reader, None)
+            rows = list(reader)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise csv_error(path, reader, exc) from None
+    if header is None:
+        raise DataError(f"{path} is empty")
+    if len(header) != schema.width:
+        raise SchemaError(
+            f"schema has {schema.width} roles but header has {len(header)} columns")
 
     widths = np.fromiter(map(len, rows), np.int64, len(rows))
     wrong = np.flatnonzero((widths != schema.width) & (widths > 0))

@@ -24,6 +24,8 @@ from .eigen import _as_operator
 from .errors import ConfigError, DataError
 
 _SYM_TOL = 1e-10
+# Bytes per row block of the similarity build: small enough to stay in cache.
+_BLOCK_BYTES = 1 << 20
 
 
 def _block(x, rows: int) -> np.ndarray:
@@ -82,22 +84,32 @@ def base_similarity(ds: MixedDataset) -> BaseWeights:
     """Fully connected Gaussian similarity on the numeric features.
 
     w(i, j) = exp(-sum_l (x_il - x_jl)^2), with no bandwidth scaling.
+
+    The Gram matrix is the only n x n buffer: each row block in turn becomes
+    ``(sq_i + sq_j) - 2 g_ij``, then its similarities, then its row sums,
+    while it is still in cache. The degree vector comes from the same pass.
     """
     if ds.num_numeric < 1:
         raise ConfigError("numeric features required; use onlycat")
     x = ds.numeric
+    n = x.shape[0]
     sq = np.einsum("ij,ij->i", x, x)
-    gram = x @ x.T  # numpy fills one triangle and mirrors it: exactly symmetric
-    gram *= 2.0
-    w = np.add.outer(sq, sq)
-    w -= gram
-    del gram
-    np.maximum(w, 0.0, out=w)
-    np.exp(np.negative(w, out=w), out=w)
-    np.fill_diagonal(w, 1.0)
+    w = x @ x.T  # numpy fills one triangle and mirrors it: exactly symmetric
+    degrees = np.empty(n)
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    for start in range(0, n, step):
+        r = slice(start, min(start + step, n))
+        blk = w[r]
+        blk *= 2.0
+        np.subtract(np.add.outer(sq[r], sq), blk, out=blk)
+        np.maximum(blk, 0.0, out=blk)
+        np.exp(np.negative(blk, out=blk), out=blk)
+        np.fill_diagonal(blk[:, r], 1.0)
+        degrees[r] = blk.sum(axis=1)
     # Symmetric, in [0, 1] and with a unit diagonal by construction.
     weights = object.__new__(BaseWeights)
     object.__setattr__(weights, "matrix", w)
+    object.__setattr__(weights, "degrees", degrees)
     return weights
 
 

@@ -39,8 +39,11 @@ class KMeansConfig:
             raise ConfigError("tol must be positive")
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    p2 = np.einsum("ij,ij->i", points, points)
+def _sq_dists(points: np.ndarray, centers: np.ndarray, p2=None) -> np.ndarray:
+    """Squared distances of every point to every center; ``p2`` holds the
+    squared row norms of ``points`` when the caller has them."""
+    if p2 is None:
+        p2 = np.einsum("ij,ij->i", points, points)
     c2 = np.einsum("ij,ij->i", centers, centers)
     d2 = p2[:, None] + c2[None, :] - 2.0 * (points @ centers.T)
     np.maximum(d2, 0.0, out=d2)
@@ -48,20 +51,20 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _plus_plus_init(points: np.ndarray, k: int, rng, weights=None,
-                    inverse=None) -> np.ndarray:
+                    inverse=None, p2=None) -> np.ndarray:
     """Greedy k-means++: each new center is the best of a few
     squared-distance-sampled candidates.
 
     Row i stands for ``weights[i]`` datapoints (default 1), and ``inverse``
     maps each datapoint to its row (default: the identity), so the draws
-    are over datapoints."""
+    are over datapoints. ``p2`` is passed on to ``_sq_dists``."""
     m = points.shape[0]
     w = np.ones(m) if weights is None else weights
     inverse = np.arange(m) if inverse is None else inverse
     trials = 2 + int(np.log(k))
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[inverse[rng.integers(inverse.size)]]
-    d2 = _sq_dists(points, centers[:1])[:, 0]
+    d2 = _sq_dists(points, centers[:1], p2)[:, 0]
     for j in range(1, k):
         wd2 = w * d2
         total = wd2.sum()
@@ -71,7 +74,7 @@ def _plus_plus_init(points: np.ndarray, k: int, rng, weights=None,
             candidates = rng.choice(m, size=trials, p=wd2 / total)
         best_idx, best_d2, best_total = None, None, np.inf
         for idx in candidates:
-            cand = np.minimum(d2, _sq_dists(points, points[idx][None, :])[:, 0])
+            cand = np.minimum(d2, _sq_dists(points, points[idx][None, :], p2)[:, 0])
             cand_total = (w * cand).sum()
             if cand_total < best_total:
                 best_idx, best_d2, best_total = int(idx), cand, cand_total
@@ -94,10 +97,11 @@ def _repair_empty(labels, counts, d2):
     return labels, counts
 
 
-def _lloyd(points, k, centers, max_iters, tol, weights=None):
+def _lloyd(points, k, centers, max_iters, tol, weights=None, p2=None):
     """Lloyd iterations on rows that stand for ``weights`` datapoints each
     (default 1). Empty clusters are repaired by moving a row, so all k
-    labels stay used while there are at least k rows."""
+    labels stay used while there are at least k rows. ``p2`` is passed on
+    to ``_sq_dists``."""
     n = points.shape[0]
     w = np.ones(n) if weights is None else weights
     sqrt_w = np.sqrt(w)[:, None]
@@ -105,7 +109,7 @@ def _lloyd(points, k, centers, max_iters, tol, weights=None):
     inertia = np.inf
     history = []
     for _ in range(max_iters):
-        d2 = _sq_dists(points, centers)
+        d2 = _sq_dists(points, centers, p2)
         new_labels = np.argmin(d2, axis=1).astype(np.int64)
         counts = np.bincount(new_labels, minlength=k)
         if (counts == 0).any():
@@ -169,12 +173,13 @@ def kmeans(points, k: int, cfg: KMeansConfig | None = None):
     if k <= distinct[0].shape[0] < points.shape[0]:
         rows, weights, inverse = distinct
 
+    p2 = np.einsum("ij,ij->i", rows, rows)  # once for all restarts
     best = None
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
-        centers0 = _plus_plus_init(rows, k, rng, weights, inverse)
-        labels, centers, inertia, _ = _lloyd(rows, k, centers0,
-                                             cfg.max_iters, cfg.tol, weights)
+        centers0 = _plus_plus_init(rows, k, rng, weights, inverse, p2)
+        labels, centers, inertia, _ = _lloyd(rows, k, centers0, cfg.max_iters,
+                                             cfg.tol, weights, p2)
         if best is None or inertia < best[2]:
             best = (labels, centers, inertia)
     labels, centers, inertia = best

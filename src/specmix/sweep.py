@@ -36,7 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .baselines import kmodes, kprototypes
-from .dataset import MixedDataset, SyntheticParams, generate_synthetic
+from .dataset import (MixedDataset, SyntheticParams, csv_error,
+                      generate_synthetic, read_text)
 from .errors import ConfigError, DataError, SpecmixError
 from .kmeans import KMeansConfig
 from .metrics import purity
@@ -193,7 +194,7 @@ class ExperimentGrid:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentGrid":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        return cls.from_text(read_text(path, ConfigError))
 
     def method_lambdas(self, method: str) -> tuple[float, ...]:
         if method in _FIXED_LAMBDA:
@@ -327,9 +328,14 @@ def _read_ordered(path, columns) -> list[dict]:
         return []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        if tuple(reader.fieldnames or ()) != columns:
-            raise DataError(f"{path} has unexpected columns")
-        return list(reader)
+        try:
+            fieldnames = tuple(reader.fieldnames or ())
+            rows = list(reader)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise csv_error(path, reader, exc) from None
+    if fieldnames != columns:
+        raise DataError(f"{path} has unexpected columns")
+    return rows
 
 
 def aggregate_results(results_path, out_path) -> None:

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from specmix import (ColumnSchema, ConfigError, DataError, MixedDataset,
-                     SchemaError, SyntheticParams, generate_synthetic,
+                     OneHotMatrix, SchemaError, SyntheticParams, generate_synthetic,
                      load_mixed_csv, one_hot, standardize_numeric)
 
 
@@ -40,6 +41,12 @@ class TestSchema:
     def test_blank_role_in_spec(self):
         with pytest.raises(SchemaError, match="unknown column role ''"):
             ColumnSchema.parse("num,")
+
+    def test_schema_file_not_utf8(self, tmp_path):
+        path = tmp_path / "schema.txt"
+        path.write_bytes(b"num,\xff")
+        with pytest.raises(SchemaError, match="line 1: not UTF-8"):
+            ColumnSchema.from_file(path)
 
     def test_no_roles_rejected(self):
         with pytest.raises(SchemaError, match="schema is empty"):
@@ -103,6 +110,17 @@ class TestLoad:
     def test_empty_after_dropping(self, tmp_path):
         path = write(tmp_path, "x,c\n?,a\n?,b\n")
         with pytest.raises(DataError):
+            load_mixed_csv(path, ColumnSchema.parse("num,cat"))
+
+    def test_non_utf8_byte_is_data_error(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"x,c\n1,a\n2,\xff\n")
+        with pytest.raises(DataError, match="line 3: not UTF-8"):
+            load_mixed_csv(path, ColumnSchema.parse("num,cat"))
+
+    def test_oversized_field_is_data_error(self, tmp_path):
+        path = write(tmp_path, "x,c\n1,a\n2," + "b" * 200_000 + "\n")
+        with pytest.raises(DataError, match="line 3: field larger"):
             load_mixed_csv(path, ColumnSchema.parse("num,cat"))
 
     def test_unreadable_file(self, tmp_path):
@@ -226,6 +244,23 @@ class TestLoadRoundTrip:
 
 
 class TestMixedDataset:
+    @pytest.mark.parametrize("bad", [0.5, 1.7, np.nan, np.inf])
+    def test_non_integer_codes_rejected(self, bad):
+        codes = np.array([[0.0], [bad], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warning first
+            with pytest.raises(DataError, match="must be integers"):
+                MixedDataset(np.empty((3, 0)), codes, (2,))
+
+    def test_fractional_codes_not_truncated(self):
+        with pytest.raises(DataError, match="must be integers"):
+            MixedDataset(np.empty((3, 0)), np.array([[0.5], [1.7], [0.0]]), (2,))
+
+    def test_integral_float_codes_accepted(self):
+        ds = MixedDataset(np.empty((3, 0)), np.array([[0.0], [1.0], [0.0]]), (2,))
+        assert ds.categorical.dtype == np.int64
+        assert ds.categorical[:, 0].tolist() == [0, 1, 0]
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_numeric_rejected(self, value):
         numeric = np.array([[0.0, 1.0], [2.0, value], [4.0, 5.0]])
@@ -294,6 +329,13 @@ class TestOneHot:
         ds = MixedDataset(np.empty((3, 0)), np.zeros((3, 1), dtype=int), (1,))
         with pytest.raises(ConfigError):
             one_hot(ds, 1)
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, -np.inf])
+    def test_non_integer_codes_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="must be integers"):
+                OneHotMatrix(np.array([0.0, bad, 1.0]), 2)
 
     def test_total_column_sums(self):
         ds, _ = generate_synthetic(SyntheticParams(n=37, k=3, q=4,

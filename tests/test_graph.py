@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from specmix import (ConfigError, DataError, MixedDataset, OneHotMatrix,
                      StackedEncoder, assemble_augmented, assignment_energy,
                      assignment_matrix, base_similarity,
                      build_bipartite_reduction, delta_counts, one_hot)
-from specmix.graph import BaseWeights
+from specmix.graph import _BLOCK_BYTES, BaseWeights
+
+# The largest n whose similarity build is a single row block.
+ONE_BLOCK_N = math.isqrt(_BLOCK_BYTES // 8)
 
 
 def random_mixed(rng, n, r, q, max_card=4):
@@ -70,6 +74,32 @@ class TestBaseSimilarity:
         ds = MixedDataset(np.empty((3, 0)), np.zeros((3, 1), dtype=int), (1,))
         with pytest.raises(ConfigError):
             base_similarity(ds)
+
+    @pytest.mark.parametrize("n", [1, ONE_BLOCK_N - 1, ONE_BLOCK_N,
+                                   ONE_BLOCK_N + 1, 777])
+    def test_row_blocks_match_pairwise_definition(self, n):
+        rng = np.random.default_rng(n)
+        ds = random_mixed(rng, n, 3, 0)
+        weights = base_similarity(ds)
+        w = weights.matrix
+        x = ds.numeric
+        expected = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+        assert np.abs(w - expected).max() <= 1e-12
+        assert np.array_equal(w, w.T)
+        assert np.array_equal(np.diag(w), np.ones(n))
+        assert np.array_equal(weights.degrees, w.sum(axis=1))
+
+    def test_build_holds_one_n_by_n_buffer(self):
+        n = 2000
+        ds = random_mixed(np.random.default_rng(3), n, 4, 0)
+        tracemalloc.start()
+        try:
+            weights = base_similarity(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert weights.n == n
+        assert peak <= 1.1 * n * n * 8
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
     def test_weights_outside_unit_interval_rejected(self, bad):

@@ -72,6 +72,25 @@ class TestKMeans:
         assert len(set(labels.tolist())) == 2
         assert inertia == pytest.approx(0.0, abs=1e-12)
 
+    def test_golden_labels_and_inertia(self):
+        # Quarter-grid points keep the distance arithmetic exact; the pinned
+        # values guard the draws and the rounding of every restart.
+        rng = np.random.default_rng(20261018)
+        means = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 1.0],
+                          [0.0, 3.0, -1.0], [2.5, 2.5, 2.5]])
+        points = np.round(4.0 * (np.repeat(means, 15, axis=0)
+                                  + 0.8 * rng.standard_normal((60, 3)))) / 4.0
+        repeated = np.vstack([points[:20]] * 3)[rng.permutation(60)]
+        cfg = KMeansConfig(restarts=3, seed=9)
+        labels, _, inertia = kmeans(points, 4, cfg)
+        assert "".join(map(str, labels)) == (
+            "233333333323333000000020300030111111111111111022222022200222")
+        assert inertia.hex() == "0x1.f6f679e79e7a0p+6"
+        labels, _, inertia = kmeans(repeated, 4, cfg)  # the weighted path
+        assert "".join(map(str, labels)) == (
+            "022220121022211112311123222300201222222332222221302123302230")
+        assert inertia.hex() == "0x1.2b6cccccccccdp+6"
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
         points = rng.standard_normal((30, 4))

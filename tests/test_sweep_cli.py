@@ -177,6 +177,16 @@ class TestSweep:
         with pytest.raises(DataError):
             run_sweep(other, out)
 
+    @pytest.mark.parametrize("body", [b"\xff\n", b"x" * 200_000 + b"\n"],
+                             ids=["non-utf8", "oversized-field"])
+    def test_unreadable_results_file_is_data_error(self, tmp_path, body):
+        grid = ExperimentGrid.from_text(SMALL_GRID)
+        out = tmp_path / "results.csv"
+        out.write_bytes(",".join(RESULT_COLUMNS).encode() + b"\n" + body)
+        from specmix import DataError
+        with pytest.raises(DataError, match="results.csv"):
+            run_sweep(grid, out)
+
     def test_internal_error_recorded_with_traceback(self, tmp_path,
                                                     monkeypatch, capsys):
         def broken(ds, cfg):
@@ -314,6 +324,13 @@ class TestClusterCommand:
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "data"
 
+    def test_non_utf8_csv_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"x,c\n1,a\n3,\xff\n2,b\n")
+        code = main(["cluster", str(data), "--schema", "num,cat", "--k", "2"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "data"
+
     def test_missing_schema_is_usage_error(self, tmp_path, capsys):
         data = self.make_dataset(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -417,6 +434,12 @@ class TestEvalCommand:
         b.write_text("0\n1\n1\n")
         assert main(["eval", "--pred", str(a), "--truth", str(b)]) == 3
 
+    def test_non_utf8_label_file_is_data_error(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        a.write_bytes(b"0\n1\n\xff\n")
+        assert main(["eval", "--pred", str(a), "--truth", str(a)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "data"
+
     def test_sweep_command(self, tmp_path):
         grid_path = tmp_path / "grid.txt"
         grid_path.write_text("n = 20\nK = 2\nQ = 1\nlambda = 1\n"
@@ -425,6 +448,14 @@ class TestEvalCommand:
         assert main(["sweep", "--grid", str(grid_path),
                      "--output", str(out)]) == 0
         assert len(read_rows(out)) == 1
+
+    def test_sweep_command_non_utf8_grid(self, tmp_path, capsys):
+        grid_path = tmp_path / "grid.txt"
+        grid_path.write_bytes(b"n = 20\n# \xff\n")
+        code = main(["sweep", "--grid", str(grid_path),
+                     "--output", str(tmp_path / "results.csv")])
+        assert code == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
 
     def test_sweep_command_malformed_grid(self, tmp_path, capsys):
         grid_path = tmp_path / "grid.txt"
