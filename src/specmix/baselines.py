@@ -29,51 +29,59 @@ class PrototypeSet:
     gamma_mix: float
 
 
-def _hamming(categorical: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    return (categorical[:, None, :] != modes[None, :, :]).sum(axis=2).astype(np.float64)
-
-
-def _column_modes(categorical, members, cards) -> np.ndarray:
-    out = np.empty(categorical.shape[1], dtype=np.int64)
-    for col in range(categorical.shape[1]):
-        counts = np.bincount(categorical[members, col], minlength=cards[col])
-        out[col] = int(np.argmax(counts))  # ties to the lowest category index
-    return out
+def _column_modes(categorical, labels, k, cards) -> np.ndarray:
+    """The (k, Q) per-cluster majority codes, ties to the lowest code."""
+    modes = np.empty((k, categorical.shape[1]), dtype=np.int64)
+    for col, card in enumerate(cards):
+        counts = np.bincount(labels * card + categorical[:, col], minlength=k * card)
+        modes[:, col] = counts.reshape(k, card).argmax(axis=1)
+    return modes
 
 
 def _alternate(numeric, categorical, cards, k, rng, max_iters, gamma_mix):
     """One restart of the alternating minimization shared by both baselines.
     ``numeric`` is None for the purely categorical case."""
-    n = categorical.shape[0]
+    n, q = categorical.shape
     init = rng.choice(n, size=k, replace=False)
     centers = numeric[init].copy() if numeric is not None else None
     modes = categorical[init].copy()
+    p2 = np.einsum("ij,ij->i", numeric, numeric) if numeric is not None else None
+    # Hamming distance = Q - matches; the match counts come from one product
+    # of one-hot matrices, small integers that float64 holds exactly
+    offsets = np.concatenate([[0], np.cumsum(cards)[:-1]])
+    onehot = np.zeros((n, int(np.sum(cards))))
+    onehot[np.arange(n)[:, None], categorical + offsets] = 1.0
 
     def assignment_cost():
-        cost = np.zeros((n, k))
-        if numeric is not None:
-            cost += _sq_dists(numeric, centers)
+        cost = (_sq_dists(numeric, centers, p2) if numeric is not None
+                else np.zeros((n, k)))
         if gamma_mix != 0.0:
-            cost += gamma_mix * _hamming(categorical, modes)
+            mode_hot = np.zeros((k, onehot.shape[1]))
+            mode_hot[np.arange(k)[:, None], modes + offsets] = 1.0
+            cost += gamma_mix * (q - onehot @ mode_hot.T)
         return cost
 
+    # The cost matrix computed for an iteration's assignment also gives the
+    # previous iteration's objective. When the labels repeat, the prototypes
+    # do too, so that iteration's own matrix gives its objective.
     labels = np.full(n, -1, dtype=np.int64)
     objective = np.inf
     history = []
+    cost = assignment_cost()
     for _ in range(max_iters):
-        cost = assignment_cost()
         new_labels = np.argmin(cost, axis=1).astype(np.int64)
         counts = np.bincount(new_labels, minlength=k)
         if (counts == 0).any():
             new_labels, counts = _repair_empty(new_labels, counts, cost)
         converged = np.array_equal(new_labels, labels)
         labels = new_labels
-        for c in range(k):
-            members = labels == c
+        if not converged:
             if numeric is not None:
-                centers[c] = numeric[members].mean(axis=0)
-            modes[c] = _column_modes(categorical, members, cards)
-        objective = float(assignment_cost()[np.arange(n), labels].sum())
+                for c in range(k):
+                    centers[c] = numeric[labels == c].mean(axis=0)
+            modes = _column_modes(categorical, labels, k, cards)
+            cost = assignment_cost()
+        objective = float(cost[np.arange(n), labels].sum())
         history.append(objective)
         if converged:
             break

@@ -12,6 +12,7 @@ across threads for reading.
 from __future__ import annotations
 
 import csv
+import gc
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -249,6 +250,53 @@ def one_hot(ds: MixedDataset, index: int) -> OneHotMatrix:
     return OneHotMatrix(ds.categorical[:, index], ds.cardinalities[index])
 
 
+def _read_columns(path, schema: ColumnSchema):
+    """(header, lines, columns): the header, the line number of each data
+    record and the columns of the data records, after the width checks.
+
+    The records are read with the cyclic garbage collector paused: each is a
+    new tracked list, and on large files the collector's repeated full
+    passes over them cost almost as much as the rest of the load. No record
+    or column tuple forms a reference cycle, and the records are freed by
+    reference counting when this returns.
+    """
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader, None)
+                rows = list(reader)
+            except (UnicodeDecodeError, csv.Error) as exc:
+                raise csv_error(path, reader, exc) from None
+        if header is None:
+            raise DataError(f"{path} is empty")
+        if len(header) != schema.width:
+            raise SchemaError(
+                f"schema has {schema.width} roles but header has {len(header)} columns")
+
+        widths = np.fromiter(map(len, rows), np.int64, len(rows))
+        wrong = np.flatnonzero((widths != schema.width) & (widths > 0))
+        if wrong.size:
+            raise SchemaError(f"line {wrong[0] + 2}: expected {schema.width} "
+                              f"fields, got {widths[wrong[0]]}")
+        if not schema.numeric_indices and not schema.categorical_indices:
+            raise SchemaError("schema declares no feature columns")
+
+        lines = np.flatnonzero(widths) + 2
+        # a file without data records has no columns to transpose
+        columns = list(zip(*filter(None, rows))) or [()] * schema.width
+    finally:
+        if enabled:
+            gc.enable()
+    return header, lines, columns
+
+
 def load_mixed_csv(path, schema: ColumnSchema,
                    missing_values: Sequence[str] = DEFAULT_MISSING,
                    ) -> tuple[MixedDataset, Optional[np.ndarray]]:
@@ -262,34 +310,7 @@ def load_mixed_csv(path, schema: ColumnSchema,
     unused category levels never receive a code.
     """
     missing = set(missing_values) | {""}
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, None)
-            rows = list(reader)
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise csv_error(path, reader, exc) from None
-    if header is None:
-        raise DataError(f"{path} is empty")
-    if len(header) != schema.width:
-        raise SchemaError(
-            f"schema has {schema.width} roles but header has {len(header)} columns")
-
-    widths = np.fromiter(map(len, rows), np.int64, len(rows))
-    wrong = np.flatnonzero((widths != schema.width) & (widths > 0))
-    if wrong.size:
-        raise SchemaError(f"line {wrong[0] + 2}: expected {schema.width} "
-                          f"fields, got {widths[wrong[0]]}")
-    if not schema.numeric_indices and not schema.categorical_indices:
-        raise SchemaError("schema declares no feature columns")
-
-    lines = np.flatnonzero(widths) + 2
-    # a file without data records has no columns to transpose
-    columns = list(zip(*filter(None, rows))) or [()] * schema.width
+    header, lines, columns = _read_columns(path, schema)
     used = [i for i, r in enumerate(schema.roles) if r != ROLE_IGNORE]
     keep = np.ones(lines.size, dtype=bool)
     for col in used:

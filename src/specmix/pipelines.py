@@ -95,10 +95,13 @@ class ClusteringResult:
     max_residual: float = 0.0
 
     def to_json(self) -> str:
+        """The result as ``json.dumps(doc, indent=2, sort_keys=True)`` would
+        write it. The labels, one per line, are joined in one pass instead of
+        through the encoder's pure-Python indenting path."""
         doc = {
             "version": RESULT_FORMAT_VERSION,
             "method": self.method,
-            "labels": self.labels.tolist(),
+            "labels": [],
             "eigenvalues": self.eigenvalues.tolist(),
             "embedding_rows_used": self.embedding_rows_used,
             "timings": {k: float(v) for k, v in self.timings.items()},
@@ -106,23 +109,62 @@ class ClusteringResult:
             "seed": self.seed,
             "max_residual": float(self.max_residual),
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        labels = ("[\n    " + ",\n    ".join(map(str, self.labels.tolist())) + "\n  ]"
+                  if self.labels.size else "[]")
+        # JSON escapes newlines inside strings, so only a top-level key can
+        # start a line with exactly two spaces and a quote
+        return text.replace('\n  "labels": []', '\n  "labels": ' + labels, 1)
 
     @classmethod
     def from_json(cls, text: str) -> "ClusteringResult":
-        doc = json.loads(text)
-        if doc.get("version") != RESULT_FORMAT_VERSION:
-            raise DataError(f"unsupported result version {doc.get('version')!r}")
+        """Read what ``to_json`` wrote. Text that is not JSON, and a missing
+        field or one of the wrong type, raise a DataError naming it."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"result is not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise DataError("result JSON is not an object")
+        version = _field(doc, "version", int, "an integer")
+        if version != RESULT_FORMAT_VERSION:
+            raise DataError(f"unsupported result version {version!r}")
+        doc.setdefault("max_residual", 0.0)
         return cls(
-            labels=np.asarray(doc["labels"], dtype=np.int64),
-            eigenvalues=np.asarray(doc["eigenvalues"], dtype=np.float64),
-            embedding_rows_used=int(doc["embedding_rows_used"]),
-            timings=doc["timings"],
-            config=doc["config"],
-            seed=int(doc["seed"]),
-            method=doc["method"],
-            max_residual=float(doc.get("max_residual", 0.0)),
+            labels=_array_field(doc, "labels", "iu", np.int64, "integers"),
+            eigenvalues=_array_field(doc, "eigenvalues", "iuf", np.float64, "numbers"),
+            embedding_rows_used=_field(doc, "embedding_rows_used", int, "an integer"),
+            timings=_field(doc, "timings", dict, "an object"),
+            config=_field(doc, "config", dict, "an object"),
+            seed=_field(doc, "seed", int, "an integer"),
+            method=_field(doc, "method", str, "a string"),
+            max_residual=float(_field(doc, "max_residual", (int, float), "a number")),
         )
+
+
+def _field(doc: dict, name: str, types, what: str):
+    """``doc[name]``, which must be an instance of ``types`` (bools are not
+    numbers here)."""
+    if name not in doc:
+        raise DataError(f"result has no {name!r} field")
+    value = doc[name]
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise DataError(f"result field {name!r} is not {what}")
+    return value
+
+
+def _array_field(doc: dict, name: str, kinds: str, dtype, what: str) -> np.ndarray:
+    """``doc[name]``, a list of numbers whose numpy dtype kind is in
+    ``kinds``, as a ``dtype`` vector."""
+    values = _field(doc, name, list, f"a list of {what}")
+    try:
+        values = np.asarray(values)
+    except ValueError:  # ragged nesting
+        values = None
+    if (values is None or values.ndim != 1
+            or (values.size and values.dtype.kind not in kinds)):
+        raise DataError(f"result field {name!r} is not a list of {what}")
+    return values.astype(dtype, copy=False)
 
 
 def build_stacked(ds: MixedDataset, lambdas) -> StackedEncoder:

@@ -116,3 +116,36 @@ class TestKPrototypes:
         labels = kprototypes(ds, 2, seed=11)
         assert labels.shape == (30,)
         assert len(set(labels.tolist())) >= 1
+
+
+def winning_objective(numeric, categorical, cards, k, seed, gamma_mix):
+    """The lowest objective over the ten restarts the baselines run."""
+    return min(_alternate(numeric, categorical, cards, k,
+                          np.random.default_rng([seed, r]), 100, gamma_mix)[3]
+               for r in range(10))
+
+
+def test_golden_kmodes():
+    # recorded before the assignment cost became one matrix per iteration;
+    # any change to the arithmetic or tie-breaking moves these bits
+    cats = np.random.default_rng(2024).integers(0, 3, (40, 4))
+    labels = kmodes(cats, 3, seed=5)
+    assert "".join(map(str, labels)) == "0000221012020102111001210121201200000112"
+    objective = winning_objective(None, cats, cats.max(axis=0) + 1, 3, 5, 1.0)
+    assert objective.hex() == "0x1.c800000000000p+5"
+
+
+@pytest.mark.parametrize("gamma_mix, expected, objective", [
+    (None, "010001011010111110200122000021012102221210211", "0x1.eb9362ffff982p+5"),
+    (0.0, "010001012010111110200122000021012102221210211", "0x1.66a6abba840b9p+5"),
+    (1.0, "222222221022212210000200000002221101111110112", "0x1.629dbeac7856dp+6"),
+])
+def test_golden_kprototypes(gamma_mix, expected, objective):
+    ds, _ = generate_synthetic(SyntheticParams(n=45, k=3, q=2, sigma=0.8,
+                                               p=0.3, seed=6))
+    labels, protos = kprototypes(ds, 3, gamma_mix=gamma_mix, seed=7,
+                                 return_prototypes=True)
+    assert "".join(map(str, labels)) == expected
+    best = winning_objective(ds.numeric, ds.categorical,
+                             np.asarray(ds.cardinalities), 3, 7, protos.gamma_mix)
+    assert best.hex() == objective

@@ -1,3 +1,4 @@
+import gc
 import re
 import warnings
 
@@ -122,6 +123,28 @@ class TestLoad:
         path = write(tmp_path, "x,c\n1,a\n2," + "b" * 200_000 + "\n")
         with pytest.raises(DataError, match="line 3: field larger"):
             load_mixed_csv(path, ColumnSchema.parse("num,cat"))
+
+    @pytest.mark.parametrize("data, error", [
+        (b"x,c\n1,a\n2,b\n", None),
+        (b"x,c\n1,a\n2,\xff\n", DataError),
+        (b"x,c\n1,a\n2,b,3\n", SchemaError),
+    ])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_garbage_collector_state_restored(self, tmp_path, data, error, enabled):
+        # the loader pauses the collector while it reads the records
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if error is None:
+                load_mixed_csv(path, ColumnSchema.parse("num,cat"))
+            else:
+                with pytest.raises(error):
+                    load_mixed_csv(path, ColumnSchema.parse("num,cat"))
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(DataError):

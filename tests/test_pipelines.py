@@ -1,12 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specmix import (ClusteringResult, ConfigError, DataError, MixedDataset,
                      SpecMixConfig, SpectralGapError, SyntheticParams,
-                     build_bipartite_reduction, build_stacked,
-                     generate_synthetic, label_agreement, numeric_spectral,
-                     onlycat, purity, specmix, transfer_cut)
+                     base_similarity, build_bipartite_reduction, build_stacked,
+                     generalized_smallest_eigs, generate_synthetic,
+                     label_agreement, numeric_spectral, onlycat, purity,
+                     specmix, transfer_cut)
+from specmix.pipelines import specmix_graph
+from specmix.sweep import METHODS
 
 
 def categorical_dataset(rng, n, cards):
@@ -333,6 +340,41 @@ class TestResultSerialization:
         with pytest.raises(DataError):
             ClusteringResult.from_json('{"version": 99}')
 
+    @pytest.mark.parametrize("name, value", [
+        ("labels", None), ("eigenvalues", None), ("embedding_rows_used", None),
+        ("timings", None), ("config", None), ("seed", None), ("method", None),
+        ("labels", [0.5, 1]), ("labels", [True, False]), ("labels", [[0], [1]]),
+        ("labels", [[0], [1, 2]]), ("labels", "01"), ("eigenvalues", ["0.1"]),
+        ("embedding_rows_used", 4.0), ("seed", "7"), ("method", 3),
+        ("timings", []), ("config", []), ("max_residual", "0"),
+        ("version", None), ("version", True),
+    ])
+    def test_malformed_field_is_data_error(self, name, value):
+        doc = json.loads(ClusteringResult(
+            labels=np.array([0, 1]), eigenvalues=np.array([0.0, 0.5]),
+            embedding_rows_used=2, timings={}, config={}, seed=0,
+            method="onlycat").to_json())
+        if value is None:
+            del doc[name]
+        else:
+            doc[name] = value
+        with pytest.raises(DataError, match=repr(name)):
+            ClusteringResult.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["", '{"version": 1, "labels": [0,', "[1]"])
+    def test_malformed_json_is_data_error(self, text):
+        with pytest.raises(DataError, match="result"):
+            ClusteringResult.from_json(text)
+
+    def test_empty_labels_round_trip(self):
+        result = ClusteringResult(
+            labels=np.array([], dtype=np.int64), eigenvalues=np.array([]),
+            embedding_rows_used=0, timings={}, config={}, seed=0,
+            method="specmix")
+        text = result.to_json()
+        assert '"labels": [],' in text
+        assert ClusteringResult.from_json(text).to_json() == text
+
     def test_to_json_bytes_pinned(self):
         result = ClusteringResult(
             labels=np.array([1, 0, 2, 0], dtype=np.int64),
@@ -347,3 +389,77 @@ class TestResultSerialization:
             '  "labels": [\n    1,\n    0,\n    2,\n    0\n  ],\n'
             '  "max_residual": 3e-12,\n  "method": "specmix",\n  "seed": 7,\n'
             '  "timings": {\n    "total": 0.25\n  },\n  "version": 1\n}')
+
+
+@st.composite
+def mixed_problems(draw):
+    """A small synthetic mixed dataset and the cluster count it was drawn
+    with."""
+    k = draw(st.integers(2, 4))
+    params = SyntheticParams(n=draw(st.integers(6 * k, 60)), k=k,
+                             q=draw(st.integers(1, 3)),
+                             sigma=draw(st.sampled_from([0.3, 0.7, 1.5])),
+                             p=draw(st.sampled_from([0.0, 0.25])),
+                             seed=draw(st.integers(0, 1000)))
+    return generate_synthetic(params)[0], k
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(mixed_problems(), st.integers(0, 1000))
+def test_zero_lambdas_reduce_to_numeric_spectral(problem, seed):
+    ds, k = problem
+    cfg = SpecMixConfig(k=k, lambdas=0.0, seed=seed)
+    a, b = specmix(ds, cfg), numeric_spectral(ds, cfg)
+    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(mixed_problems(), st.sampled_from([0.0, 0.5, 5.0, 50.0]),
+       st.booleans(), st.integers(0, 1000))
+def test_pipeline_eigenvectors_are_d_orthonormal(problem, lam, augmented, seed):
+    ds, k = problem
+    graph = (specmix_graph(ds, SpecMixConfig(k=k, lambdas=lam)) if augmented
+             else base_similarity(ds))
+    pairs = generalized_smallest_eigs(graph, graph.degrees, k, seed=seed)
+    v = pairs.vectors
+    assert np.abs(v.T @ (graph.degrees[:, None] * v) - np.eye(k)).max() <= 1e-10
+
+
+@st.composite
+def results(draw, method):
+    n = draw(st.sampled_from([0, 1]) | st.integers(2, 3000))
+    labels = np.random.default_rng(draw(st.integers(0, 1000))).integers(
+        0, draw(st.integers(1, 20)), n)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return ClusteringResult(
+        labels=labels,
+        eigenvalues=np.array(draw(st.lists(finite, max_size=6)), dtype=np.float64),
+        embedding_rows_used=draw(st.integers(0, 10**6)),
+        timings=draw(st.dictionaries(st.sampled_from(["graph", "eigen", "total"]),
+                                     finite)),
+        # a nested "labels" key and strings with newlines must stay as dumped
+        config=draw(st.dictionaries(
+            st.sampled_from(["k", "labels", "lambdas", "seed"]),
+            st.one_of(st.integers(), st.text(max_size=6),
+                      st.lists(st.integers(), max_size=3)))),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        method=method,
+        max_residual=draw(finite))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_to_json_matches_json_dumps(method, data):
+    result = data.draw(results(method))
+    doc = {
+        "version": 1, "method": result.method,
+        "labels": [int(v) for v in result.labels],
+        "eigenvalues": [float(v) for v in result.eigenvalues],
+        "embedding_rows_used": result.embedding_rows_used,
+        "timings": {k: float(v) for k, v in result.timings.items()},
+        "config": result.config, "seed": result.seed,
+        "max_residual": float(result.max_residual),
+    }
+    assert result.to_json() == json.dumps(doc, indent=2, sort_keys=True)

@@ -440,6 +440,18 @@ class TestEvalCommand:
         assert main(["eval", "--pred", str(a), "--truth", str(a)]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "data"
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"version": 1, "labels": [0,', "not valid JSON"),
+        ('{"version": 1, "labels": [0, 1]}', "'eigenvalues'"),
+    ])
+    def test_malformed_result_is_data_error(self, tmp_path, capsys, text, field):
+        # both used to escape as tracebacks (JSONDecodeError, KeyError)
+        a = tmp_path / "a.json"
+        a.write_text(text)
+        assert main(["eval", "--pred", str(a), "--truth", str(a)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data" and field in err["message"]
+
     def test_sweep_command(self, tmp_path):
         grid_path = tmp_path / "grid.txt"
         grid_path.write_text("n = 20\nK = 2\nQ = 1\nlambda = 1\n"
