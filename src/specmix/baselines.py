@@ -46,19 +46,17 @@ def _alternate(numeric, categorical, cards, k, rng, max_iters, gamma_mix):
     centers = numeric[init].copy() if numeric is not None else None
     modes = categorical[init].copy()
     p2 = np.einsum("ij,ij->i", numeric, numeric) if numeric is not None else None
-    # Hamming distance = Q - matches; the match counts come from one product
-    # of one-hot matrices, small integers that float64 holds exactly
-    offsets = np.concatenate([[0], np.cumsum(cards)[:-1]])
-    onehot = np.zeros((n, int(np.sum(cards))))
-    onehot[np.arange(n)[:, None], categorical + offsets] = 1.0
 
     def assignment_cost():
         cost = (_sq_dists(numeric, centers, p2) if numeric is not None
                 else np.zeros((n, k)))
         if gamma_mix != 0.0:
-            mode_hot = np.zeros((k, onehot.shape[1]))
-            mode_hot[np.arange(k)[:, None], modes + offsets] = 1.0
-            cost += gamma_mix * (q - onehot @ mode_hot.T)
+            # Hamming distance = Q - matches, counted one column at a time so
+            # memory stays O(nk) whatever the cardinalities
+            matches = np.zeros((n, k))
+            for col in range(q):
+                matches += categorical[:, col, None] == modes[None, :, col]
+            cost += gamma_mix * (q - matches)
         return cost
 
     # The cost matrix computed for an iteration's assignment also gives the

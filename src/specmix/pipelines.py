@@ -131,7 +131,7 @@ class ClusteringResult:
             raise DataError(f"unsupported result version {version!r}")
         doc.setdefault("max_residual", 0.0)
         return cls(
-            labels=_array_field(doc, "labels", "iu", np.int64, "integers"),
+            labels=_array_field(doc, "labels", "i", np.int64, "integers"),
             eigenvalues=_array_field(doc, "eigenvalues", "iuf", np.float64, "numbers"),
             embedding_rows_used=_field(doc, "embedding_rows_used", int, "an integer"),
             timings=_field(doc, "timings", dict, "an object"),

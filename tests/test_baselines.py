@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,24 @@ def test_golden_kprototypes(gamma_mix, expected, objective):
     best = winning_objective(ds.numeric, ds.categorical,
                              np.asarray(ds.cardinalities), 3, 7, protos.gamma_mix)
     assert best.hex() == objective
+
+
+@pytest.mark.parametrize("numeric_columns", [0, 2])
+def test_high_cardinality_column_stays_small(numeric_columns):
+    # a column with as many levels as rows: the Hamming term must not build
+    # an n x sum(cards) matrix (32 MB here), only O(nk) buffers
+    n = 2000
+    rng = np.random.default_rng(8)
+    cats = np.column_stack([rng.permutation(n), rng.integers(0, 3, n)])
+    ds = MixedDataset(rng.normal(size=(n, numeric_columns)), cats, (n, 3))
+    tracemalloc.start()
+    try:
+        if numeric_columns:
+            labels = kprototypes(ds, 4, seed=0)
+        else:
+            labels = kmodes(cats, 4, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(set(labels.tolist())) == 4
+    assert peak <= n * n // 4

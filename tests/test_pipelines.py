@@ -347,7 +347,8 @@ class TestResultSerialization:
         ("labels", [[0], [1, 2]]), ("labels", "01"), ("eigenvalues", ["0.1"]),
         ("embedding_rows_used", 4.0), ("seed", "7"), ("method", 3),
         ("timings", []), ("config", []), ("max_residual", "0"),
-        ("version", None), ("version", True),
+        ("version", None), ("version", True), ("labels", [2 ** 63]),
+        ("labels", [-2 ** 63 - 1]),
     ])
     def test_malformed_field_is_data_error(self, name, value):
         doc = json.loads(ClusteringResult(
