@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import MixedDataset, as_codes
+from .dataset import MixedDataset, as_codes, as_int
 from .errors import ConfigError, DataError
 from .kmeans import _repair_empty, _sq_dists
 
@@ -66,7 +66,7 @@ def _alternate(numeric, categorical, cards, k, rng, max_iters, gamma_mix):
     objective = np.inf
     history = []
     cost = assignment_cost()
-    for _ in range(max_iters):
+    for _ in range(as_int(max_iters, "max_iters", 1)):
         new_labels = np.argmin(cost, axis=1).astype(np.int64)
         counts = np.bincount(new_labels, minlength=k)
         if (counts == 0).any():
@@ -101,12 +101,12 @@ def kmodes(categorical, k: int, seed: int = 0, max_iters: int = 100,
     if (categorical < 0).any():
         raise DataError(message)
     n = categorical.shape[0]
-    if n < k:
+    if n < as_int(k, "cluster count k", 1):
         raise ConfigError(f"need at least k={k} rows, got {n}")
     cards = categorical.max(axis=0) + 1
 
     best = None
-    for r in range(restarts):
+    for r in range(as_int(restarts, "restarts", 1)):
         rng = np.random.default_rng([seed, r])
         labels, _, _, objective, _ = _alternate(
             None, categorical, cards, k, rng, max_iters, gamma_mix=1.0)
@@ -126,7 +126,7 @@ def kprototypes(ds: MixedDataset, k: int, gamma_mix: Optional[float] = None,
     """
     if ds.num_numeric < 1 or ds.num_categorical < 1:
         raise ConfigError("kprototypes needs both numeric and categorical features")
-    if ds.n < k:
+    if ds.n < as_int(k, "cluster count k", 1):
         raise ConfigError(f"need at least k={k} rows, got {ds.n}")
     if gamma_mix is None:
         gamma_mix = 0.5 * float(np.mean(np.var(ds.numeric, axis=0)))
@@ -135,7 +135,7 @@ def kprototypes(ds: MixedDataset, k: int, gamma_mix: Optional[float] = None,
     cards = np.asarray(ds.cardinalities, dtype=np.int64)
 
     best = None
-    for r in range(restarts):
+    for r in range(as_int(restarts, "restarts", 1)):
         rng = np.random.default_rng([seed, r])
         labels, centers, modes, objective, _ = _alternate(
             ds.numeric, ds.categorical, cards, k, rng, max_iters, gamma_mix)

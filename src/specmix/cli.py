@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -99,10 +100,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_schema(args) -> ColumnSchema:
-    if getattr(args, "schema", None):
+def _load_schema(args) -> Optional[ColumnSchema]:
+    """The schema given as text or as a file, or None when neither is."""
+    if args.schema is not None:
         return ColumnSchema.parse(args.schema)
-    return ColumnSchema.from_file(args.schema_file)
+    if args.schema_file is not None:
+        return ColumnSchema.from_file(args.schema_file)
+    return None
 
 
 def _write_rows(path, rows) -> None:
@@ -173,11 +177,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _read_labels(path, schema_text=None, schema_file=None) -> np.ndarray:
+def _read_labels(path, schema: Optional[ColumnSchema] = None) -> np.ndarray:
     path = Path(path)
-    if schema_text or schema_file:
-        schema = (ColumnSchema.parse(schema_text) if schema_text
-                  else ColumnSchema.from_file(schema_file))
+    if schema is not None:
         _, labels = load_mixed_csv(path, schema)
         if labels is None:
             raise DataError(f"{path}: schema declares no label column")
@@ -200,7 +202,7 @@ def _read_labels(path, schema_text=None, schema_file=None) -> np.ndarray:
 
 def _cmd_eval(args) -> int:
     pred = _read_labels(args.pred)
-    truth = _read_labels(args.truth, args.schema, args.schema_file)
+    truth = _read_labels(args.truth, _load_schema(args))
     if pred.size != truth.size:
         raise DataError(
             f"prediction has {pred.size} labels, truth has {truth.size}")

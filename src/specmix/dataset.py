@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -76,17 +77,45 @@ def csv_error(path, reader, exc: Exception) -> DataError:
     return DataError(f"{path}, line {reader.line_num}: {exc}")
 
 
-def as_codes(values, message: str) -> np.ndarray:
-    """``values`` as int64 codes. Fractional and non-finite values raise a
-    DataError with ``message``, where a bare cast would truncate them."""
+def as_codes(values, message: str, error: type[SpecmixError] = DataError) -> np.ndarray:
+    """``values`` as int64 codes. Fractional and non-finite values raise
+    ``error`` with ``message``, where a bare cast would truncate them."""
     values = np.asarray(values)
     if values.dtype.kind in "biu":  # nothing to truncate; int64 is not copied
         return values.astype(np.int64, copy=False)
     with np.errstate(invalid="ignore"):  # nan and inf fail the comparison
         codes = values.astype(np.int64)
     if not np.array_equal(codes, values):
-        raise DataError(message)
+        raise error(message)
     return codes
+
+
+def check_codes(values, limit, what: str,
+                error: type[SpecmixError] = DataError) -> np.ndarray:
+    """``values`` as int64 codes in [0, limit), ``limit`` being one bound or
+    one per column. Other values raise ``error`` naming ``what``."""
+    codes = as_codes(values, f"{what} must be integers", error)
+    # one column at a time: numpy reduces a narrow matrix along axis 0 slowly
+    columns = codes.T if np.ndim(limit) else codes.reshape(1, -1)
+    for l, (column, bound) in enumerate(zip(columns, np.ravel(limit))):
+        if column.min(initial=0) < 0 or column.max(initial=-1) >= bound:
+            where = f" in column {l}" if np.ndim(limit) else ""
+            raise error(f"{what}{where} must lie in [0, {bound})")
+    return codes
+
+
+def as_int(value, what: str, low: int,
+           error: type[SpecmixError] = ConfigError) -> int:
+    """``value`` as an int of at least ``low``. A value ``operator.index``
+    refuses (a float, even a whole one) or a smaller one raises ``error``
+    naming ``what``; numpy integers pass."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+    if value < low:
+        raise error(f"{what} must be >= {low}, got {value}")
+    return value
 
 
 def _check_seed(seed: int) -> int:
@@ -166,14 +195,17 @@ class MixedDataset:
 
     def __post_init__(self):
         num = np.asarray(self.numeric, dtype=np.float64)
-        cat = as_codes(self.categorical, "categorical codes must be integers")
+        cat = np.asarray(self.categorical)
         if num.ndim != 2 or cat.ndim != 2:
             raise DataError("numeric and categorical parts must be 2-D")
         if num.shape[0] != cat.shape[0]:
             raise DataError("numeric and categorical parts disagree on row count")
+        cards = tuple(as_int(t, "cardinality", 1, DataError) for t in self.cardinalities)
+        if len(cards) != cat.shape[1]:
+            raise DataError("cardinalities length does not match categorical columns")
         object.__setattr__(self, "numeric", num)
-        object.__setattr__(self, "categorical", cat)
-        object.__setattr__(self, "cardinalities", tuple(int(t) for t in self.cardinalities))
+        object.__setattr__(self, "categorical", check_codes(cat, cards, "categorical codes"))
+        object.__setattr__(self, "cardinalities", cards)
         if self.n < 1:
             raise DataError("dataset has no rows")
         if self.num_numeric + self.num_categorical < 1:
@@ -182,14 +214,6 @@ class MixedDataset:
         if nonfinite.size:
             raise DataError(
                 f"numeric column {int(nonfinite[0])} has non-finite values")
-        if len(self.cardinalities) != self.num_categorical:
-            raise DataError("cardinalities length does not match categorical columns")
-        for l, t in enumerate(self.cardinalities):
-            if t < 1:
-                raise DataError(f"categorical column {l} has cardinality {t}")
-            col = cat[:, l]
-            if col.min(initial=0) < 0 or col.max(initial=0) >= t:
-                raise DataError(f"categorical column {l} has codes outside [0, {t})")
 
     @property
     def n(self) -> int:
@@ -220,12 +244,12 @@ class OneHotMatrix:
     cardinality: int
 
     def __post_init__(self):
-        codes = as_codes(self.codes, "one-hot codes must be integers")
-        object.__setattr__(self, "codes", codes)
-        if codes.ndim != 1:
+        if np.ndim(self.codes) != 1:
             raise DataError("one-hot codes must be a vector")
-        if codes.size and (codes.min() < 0 or codes.max() >= self.cardinality):
-            raise DataError("one-hot codes outside declared cardinality")
+        object.__setattr__(self, "cardinality",
+                           as_int(self.cardinality, "cardinality", 1, DataError))
+        object.__setattr__(self, "codes",
+                           check_codes(self.codes, self.cardinality, "one-hot codes"))
 
     @property
     def n(self) -> int:
@@ -244,9 +268,7 @@ class OneHotMatrix:
 
 def one_hot(ds: MixedDataset, index: int) -> OneHotMatrix:
     """One-hot view of categorical variable ``index`` (0-based)."""
-    if not 0 <= index < ds.num_categorical:
-        raise ConfigError(
-            f"categorical index {index} out of range [0, {ds.num_categorical})")
+    index = check_codes(index, ds.num_categorical, "categorical index", ConfigError)
     return OneHotMatrix(ds.categorical[:, index], ds.cardinalities[index])
 
 
@@ -386,12 +408,9 @@ class SyntheticParams:
     corruption: str = "others"
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ConfigError("synthetic generator requires k >= 2")
-        if self.n < self.k:
+        if as_int(self.n, "n", 1) < as_int(self.k, "cluster count k", 2):
             raise ConfigError("synthetic generator requires n >= k")
-        if self.q < 0:
-            raise ConfigError("q must be nonnegative")
+        as_int(self.q, "q", 0)
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError("p must lie in [0, 1]")
         if not 0.0 <= self.sigma < np.inf:

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .dataset import MixedDataset, OneHotMatrix
+from .dataset import MixedDataset, OneHotMatrix, as_int, check_codes
 from .eigen import _as_operator
 from .errors import ConfigError, DataError
 
@@ -115,30 +115,33 @@ def base_similarity(ds: MixedDataset) -> BaseWeights:
 
 @dataclass(frozen=True)
 class StackedEncoder:
-    """The n x t matrix H = unit @ diag(weights): ``unit`` is the sparse
-    one-hot matrix of all categorical variables side by side (one unit entry
-    per row and variable), and ``weights`` holds each column's lambda.
+    """The n x t matrix H = unit @ diag(weights) of the n x Q ``codes``:
+    ``unit`` is the sparse one-hot matrix of all Q variables side by side (one
+    unit entry per row and variable), and ``weights`` holds each column's lambda.
 
     Every row sums to the total edge weight (``lam_total``); column j of
     variable l sums to lambda_l times that category's count.
     """
 
-    encoders: tuple[OneHotMatrix, ...]
+    codes: np.ndarray
+    cardinalities: tuple[int, ...]
     lambdas: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.encoders:
+        cards = tuple(as_int(t, "cardinality", 1, DataError) for t in self.cardinalities)
+        object.__setattr__(self, "cardinalities", cards)
+        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
+        if not cards:
             raise ConfigError("stacked encoder needs at least one variable")
-        if len(self.encoders) != len(self.lambdas):
+        if len(self.lambdas) != len(cards):
             raise ConfigError("one lambda per categorical variable is required")
         if not all(0.0 < lam < np.inf for lam in self.lambdas):
             raise ConfigError("edge weights lambda must be positive and finite")
-        if len({enc.n for enc in self.encoders}) > 1:
-            raise DataError("encoders disagree on row count")
-        cards = [enc.cardinality for enc in self.encoders]
+        if np.shape(self.codes)[1:] != (len(cards),):
+            raise DataError(f"category codes must be an n x {len(cards)} matrix")
+        object.__setattr__(self, "codes", check_codes(self.codes, cards, "category codes"))
         # Columns ascend within each row, so products sum in variable order.
-        cols = np.column_stack([enc.codes for enc in self.encoders])
-        cols += np.cumsum([0] + cards[:-1])
+        cols = self.codes + np.cumsum((0,) + cards[:-1])
         unit = sparse.csr_array(
             (np.ones(cols.size), cols.ravel(), np.arange(0, cols.size + 1, len(cards))),
             shape=(cols.shape[0], sum(cards)))
@@ -224,15 +227,14 @@ class AugmentedGraph:
         return np.block([[self.base.matrix, h], [h.T, np.eye(self.t)]])
 
 
-def assemble_augmented(base: BaseWeights, encoders, lambdas) -> AugmentedGraph:
+def assemble_augmented(base: BaseWeights, stacked: StackedEncoder) -> AugmentedGraph:
     """Assemble the augmented graph and cache its degree vector.
 
     Data node i has degree (row sum of the base weights) + sum_l lambda_l;
     extra node (l, j) has degree lambda_l * (count of category j) + 1.
     """
-    stacked = StackedEncoder(tuple(encoders), tuple(float(v) for v in lambdas))
     if stacked.n != base.n:
-        raise DataError(f"encoders have {stacked.n} rows, base graph has {base.n}")
+        raise DataError(f"stacked encoder has {stacked.n} rows, base graph has {base.n}")
     degrees = np.concatenate([base.degrees + stacked.lam_total,
                               stacked.column_sums + 1.0])
     return AugmentedGraph(base, stacked, degrees)
@@ -254,12 +256,10 @@ class AssignmentMatrix:
 
 def assignment_matrix(labels, degrees, k: int) -> AssignmentMatrix:
     """Build the assignment matrix of a hard partition against ``degrees``."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = check_codes(labels, k, "labels", ConfigError)
     degrees = np.asarray(degrees, dtype=np.float64)
     if labels.shape != degrees.shape:
         raise ConfigError("labels and degrees must have equal length")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ConfigError(f"labels must lie in [0, {k})")
     volumes = np.bincount(labels, weights=degrees, minlength=k)
     if (volumes <= 0.0).any():
         empty = int(np.flatnonzero(volumes <= 0.0)[0])
@@ -287,15 +287,11 @@ def assignment_energy(assign: AssignmentMatrix, graph) -> float:
 def delta_counts(data_labels, extra_labels, encoder: OneHotMatrix, k: int) -> np.ndarray:
     """K x K matrix counting datapoints of cluster a whose category node
     (for this variable) was assigned to cluster b."""
-    data_labels = np.asarray(data_labels, dtype=np.int64)
-    extra_labels = np.asarray(extra_labels, dtype=np.int64)
+    data_labels = check_codes(data_labels, k, "labels", ConfigError)
+    extra_labels = check_codes(extra_labels, k, "labels", ConfigError)
     if data_labels.size != encoder.n:
         raise ConfigError("data labels length does not match encoder rows")
     if extra_labels.size != encoder.cardinality:
         raise ConfigError("extra labels length does not match category count")
-    for arr in (data_labels, extra_labels):
-        if arr.size and (arr.min() < 0 or arr.max() >= k):
-            raise ConfigError(f"labels must lie in [0, {k})")
-    counts = np.zeros((k, k), dtype=np.int64)
-    np.add.at(counts, (data_labels, extra_labels[encoder.codes]), 1)
-    return counts
+    pairs = data_labels * k + extra_labels[encoder.codes]
+    return np.bincount(pairs, minlength=k * k).reshape(k, k)

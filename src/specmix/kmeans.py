@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import as_int
 from .errors import ConfigError, DataError
 
 
@@ -31,10 +32,8 @@ class KMeansConfig:
     normalize_rows: bool = False
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ConfigError("restarts must be >= 1")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
+        object.__setattr__(self, "restarts", as_int(self.restarts, "restarts", 1))
+        object.__setattr__(self, "max_iters", as_int(self.max_iters, "max_iters", 1))
         if not self.tol > 0.0:  # NaN fails too
             raise ConfigError("tol must be positive")
 
@@ -157,6 +156,7 @@ def kmeans(points, k: int, cfg: KMeansConfig | None = None):
     distinct rows than k.
     """
     cfg = cfg or KMeansConfig()
+    k = as_int(k, "cluster count k", 1)
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ConfigError("points must be a 2-D array")

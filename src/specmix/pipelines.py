@@ -24,7 +24,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .dataset import MixedDataset, one_hot, _check_seed
+from .dataset import MixedDataset, _check_seed, as_int
 from .eigen import EigenPairs, _fix_signs, generalized_smallest_eigs
 from .errors import ConfigError, DataError, SpectralGapError
 from .graph import (AugmentedGraph, BaseWeights, StackedEncoder,
@@ -52,8 +52,7 @@ class SpecMixConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ConfigError("cluster count k must be >= 2")
+        object.__setattr__(self, "k", as_int(self.k, "cluster count k", 2))
         _check_seed(self.seed)
 
     def resolve_lambdas(self, q: int) -> np.ndarray:
@@ -168,8 +167,7 @@ def _array_field(doc: dict, name: str, kinds: str, dtype, what: str) -> np.ndarr
 
 
 def build_stacked(ds: MixedDataset, lambdas) -> StackedEncoder:
-    encoders = tuple(one_hot(ds, l) for l in range(ds.num_categorical))
-    return StackedEncoder(encoders, tuple(float(v) for v in lambdas))
+    return StackedEncoder(ds.categorical, ds.cardinalities, lambdas)
 
 
 def build_bipartite_reduction(stacked: StackedEncoder):
@@ -288,8 +286,8 @@ def specmix_graph(ds: MixedDataset,
     weights = base_similarity(ds)
     if active.size == 0:
         return weights
-    encoders = [one_hot(ds, int(l)) for l in active]
-    return assemble_augmented(weights, encoders, lams[active])
+    return assemble_augmented(weights, StackedEncoder(
+        ds.categorical[:, active], np.take(ds.cardinalities, active), lams[active]))
 
 
 def specmix(ds: MixedDataset, cfg: SpecMixConfig) -> ClusteringResult:

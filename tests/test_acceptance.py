@@ -51,7 +51,8 @@ def random_instance(rng):
     ds = sm.MixedDataset(rng.standard_normal((n, r)), cats, tuple(cards))
     lams = rng.uniform(1e-6, 10.0, q)
     encoders = [sm.one_hot(ds, l) for l in range(q)]
-    graph = sm.assemble_augmented(sm.base_similarity(ds), encoders, lams)
+    graph = sm.assemble_augmented(sm.base_similarity(ds),
+                                  sm.StackedEncoder(ds.categorical, ds.cardinalities, lams))
     labels = random_partition(rng, graph.dim, k)
     return ds, graph, encoders, lams, labels, k
 

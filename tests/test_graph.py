@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmix import (ConfigError, DataError, MixedDataset, OneHotMatrix,
+from specmix import (ConfigError, DataError, MixedDataset,
                      StackedEncoder, assemble_augmented, assignment_energy,
                      assignment_matrix, base_similarity,
                      build_bipartite_reduction, delta_counts, one_hot)
@@ -29,7 +29,8 @@ def random_augmented(rng, n=12, r=2, q=2):
     weights = base_similarity(ds)
     encoders = [one_hot(ds, l) for l in range(q)]
     lams = rng.uniform(0.1, 10.0, q)
-    return assemble_augmented(weights, encoders, lams), ds, encoders, lams
+    stacked = StackedEncoder(ds.categorical, ds.cardinalities, lams)
+    return assemble_augmented(weights, stacked), ds, encoders, lams
 
 
 def nonempty_partition(rng, size, k):
@@ -115,7 +116,7 @@ class TestAssemble:
         w = 0.25
         base = BaseWeights(np.array([[1.0, w], [w, 1.0]]))
         ds = MixedDataset(np.empty((2, 0)), np.array([[0], [1]]), (2,))
-        graph = assemble_augmented(base, [one_hot(ds, 0)], [1.0])
+        graph = assemble_augmented(base, StackedEncoder(ds.categorical, ds.cardinalities, [1.0]))
         expected = np.array([
             [1, w, 1, 0],
             [w, 1, 0, 1],
@@ -151,20 +152,58 @@ class TestAssemble:
         rng = np.random.default_rng(4)
         ds = random_mixed(rng, 8, 1, 1)
         with pytest.raises(ConfigError):
-            assemble_augmented(base_similarity(ds), [one_hot(ds, 0)], [0.0])
+            assemble_augmented(base_similarity(ds),
+                               StackedEncoder(ds.categorical, ds.cardinalities, [0.0]))
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_lambda_rejected(self, lam):
         ds = random_mixed(np.random.default_rng(4), 8, 1, 1)
         with pytest.raises(ConfigError, match="finite"):
-            assemble_augmented(base_similarity(ds), [one_hot(ds, 0)], [lam])
+            assemble_augmented(base_similarity(ds),
+                               StackedEncoder(ds.categorical, ds.cardinalities, [lam]))
 
     def test_row_count_mismatch(self):
         rng = np.random.default_rng(5)
         ds = random_mixed(rng, 8, 1, 1)
         other = random_mixed(rng, 9, 1, 1)
         with pytest.raises(DataError):
-            assemble_augmented(base_similarity(ds), [one_hot(other, 0)], [1.0])
+            assemble_augmented(base_similarity(ds),
+                               StackedEncoder(other.categorical, other.cardinalities, [1.0]))
+
+
+class TestStackedEncoderChecks:
+    CODES = np.array([[0, 1], [1, 0], [2, 0]])
+
+    def test_accepts_code_matrix(self):
+        stacked = StackedEncoder(self.CODES, (3, 2), [1.0, 2.0])
+        assert stacked.cardinalities == (3, 2) and stacked.lambdas == (1.0, 2.0)
+        assert stacked.codes.dtype == np.int64 and not hasattr(stacked, "encoders")
+        assert stacked.dense().tolist() == [[1, 0, 0, 0, 2], [0, 1, 0, 2, 0],
+                                            [0, 0, 1, 2, 0]]
+
+    @pytest.mark.parametrize("codes", [CODES[:, :1], CODES[:, 0], CODES[:, :, None]])
+    def test_wrong_column_count_rejected(self, codes):
+        with pytest.raises(DataError, match="n x 2"):
+            StackedEncoder(codes, (3, 2), [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_out_of_range_code_rejected(self, bad):
+        codes = self.CODES.copy()
+        codes[1, 1] = bad
+        with pytest.raises(DataError, match=r"column 1 must lie in \[0, 2\)"):
+            StackedEncoder(codes, (3, 2), [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan])
+    def test_fractional_code_rejected(self, bad):
+        codes = self.CODES.astype(float)
+        codes[2, 0] = bad
+        with pytest.raises(DataError, match="must be integers"):
+            StackedEncoder(codes, (3, 2), [1.0, 1.0])
+
+    @pytest.mark.parametrize("cards", [(3,), (3, 2, 1), ()])
+    def test_variable_count_checked(self, cards):
+        with pytest.raises(ConfigError):
+            StackedEncoder(self.CODES, cards, [1.0, 1.0])
 
 
 class TestAssignment:
@@ -190,6 +229,16 @@ class TestAssignment:
     def test_empty_cluster_rejected(self):
         with pytest.raises(ConfigError):
             assignment_matrix([0, 0, 0], np.ones(3), 2)
+
+    def test_fractional_labels_not_truncated(self):
+        # these used to be truncated to the labels [0, 1, 0]
+        with pytest.raises(ConfigError, match="must be integers"):
+            assignment_matrix([0.5, 1.7, 0.2], np.ones(3), 2)
+
+    @pytest.mark.parametrize("labels", [[0, 2, 1], [-1, 0, 1]])
+    def test_out_of_range_labels_rejected(self, labels):
+        with pytest.raises(ConfigError, match=r"must lie in \[0, 2\)"):
+            assignment_matrix(labels, np.ones(3), 2)
 
 
 class TestEnergy:
@@ -257,6 +306,15 @@ class TestDeltaCounts:
         assert np.array_equal(counts, np.diag(np.diag(counts)))
         assert counts.trace() == ds.n
 
+    @pytest.mark.parametrize("data, extra", [([0.9, 1.2, 0.4], [0, 1]),
+                                             ([0, 1, 0], [0.3, 1.9]),
+                                             ([0.9, 1.2, 0.4], [0.3, 1.9])])
+    def test_fractional_labels_not_truncated(self, data, extra):
+        # these used to be counted as the truncated labels
+        ds = MixedDataset(np.empty((3, 0)), np.array([[0], [0], [1]]), (2,))
+        with pytest.raises(ConfigError, match="must be integers"):
+            delta_counts(data, extra, one_hot(ds, 0), 2)
+
     def test_total_is_n(self):
         rng = np.random.default_rng(12)
         ds = random_mixed(rng, 25, 1, 1)
@@ -321,10 +379,10 @@ def per_variable_products(stacked, u, x):
     """H @ u and H.T @ x for vectors, one variable at a time: a gather and a
     scatter-add on each variable's codes."""
     hu, htx, start = np.zeros(stacked.n), [], 0
-    for enc, lam in zip(stacked.encoders, stacked.lambdas):
-        stop = start + enc.cardinality
-        hu += lam * u[start:stop][enc.codes]
-        htx.append(lam * np.bincount(enc.codes, weights=x, minlength=enc.cardinality))
+    for codes, card, lam in zip(stacked.codes.T, stacked.cardinalities, stacked.lambdas):
+        stop = start + card
+        hu += lam * u[start:stop][codes]
+        htx.append(lam * np.bincount(codes, weights=x, minlength=card))
         start = stop
     return hu, np.concatenate(htx)
 
@@ -343,16 +401,15 @@ def stacked_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cards = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
     n = draw(st.integers(max(cards), 40))
-    encoders = tuple(
-        OneHotMatrix(rng.permutation(np.concatenate(
-            [np.arange(c), rng.integers(0, c, n - c)])), c) for c in cards)
+    codes = np.column_stack([rng.permutation(np.concatenate(
+        [np.arange(c), rng.integers(0, c, n - c)])) for c in cards])
     equal = draw(st.booleans())
     if equal:
         lams = (draw(st.sampled_from([0.5, 1.0, 3.0, 10.0, 50.0])),) * len(cards)
     else:
         lams = tuple(draw(st.floats(1e-3, 1e3)) for _ in cards)
     m = draw(st.integers(1, 5))
-    return (StackedEncoder(encoders, lams), equal,
+    return (StackedEncoder(codes, cards, lams), equal,
             rng.standard_normal((sum(cards), m)), rng.standard_normal((n, m)))
 
 
@@ -376,8 +433,7 @@ def test_block_products(problem):
 
     numeric = np.random.default_rng(stacked.n).standard_normal((stacked.n, 2))
     graph = assemble_augmented(base_similarity(MixedDataset(
-        numeric, np.empty((stacked.n, 0), dtype=int), ())),
-        stacked.encoders, stacked.lambdas)
+        numeric, np.empty((stacked.n, 0), dtype=int), ())), stacked)
     block = np.vstack([x, u])
     columns = np.column_stack([graph.matvec(block[:, j]) for j in range(u.shape[1])])
     assert within(graph.matvec(block), columns, np.abs(graph.dense()) @ np.abs(block))

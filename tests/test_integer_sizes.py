@@ -1,0 +1,79 @@
+"""Counts, sizes and cardinalities must be integers in range. Most cases
+below used to escape as a raw Python or numpy error (or, for a fractional
+cardinality, to be silently truncated) instead of a stable error code; the
+rest pin checks that were already in place."""
+
+import json
+
+import numpy as np
+import pytest
+
+from specmix import (ConfigError, DataError, KMeansConfig, MixedDataset,
+                     OneHotMatrix, SpecMixConfig, SyntheticParams,
+                     generate_synthetic, kmeans, kmodes, kprototypes)
+
+
+def mixed():
+    return generate_synthetic(SyntheticParams(n=12, k=2, q=2, sigma=0.3, p=0.0,
+                                              seed=1))[0]
+
+
+POINTS = np.random.default_rng(0).standard_normal((10, 2))
+CODES = np.array([[0, 1], [1, 0], [0, 0], [1, 1]])
+
+CONFIG_CASES = {
+    "kmeans k=0": lambda: kmeans(POINTS, 0),
+    "kmeans k=1.5": lambda: kmeans(POINTS, 1.5),
+    "kmodes k=0": lambda: kmodes(CODES, 0),
+    "kmodes restarts=0": lambda: kmodes(CODES, 2, restarts=0),
+    "kmodes max_iters=0": lambda: kmodes(CODES, 2, max_iters=0),
+    "kprototypes k=0": lambda: kprototypes(mixed(), 0),
+    "kprototypes restarts=1.5": lambda: kprototypes(mixed(), 2, restarts=1.5),
+    "SpecMixConfig k=2.5": lambda: SpecMixConfig(k=2.5),
+    "SpecMixConfig k=2.0": lambda: SpecMixConfig(k=2.0),
+    "KMeansConfig restarts=1.5": lambda: KMeansConfig(restarts=1.5),
+    "KMeansConfig max_iters=0": lambda: KMeansConfig(max_iters=0),
+    "SyntheticParams n=10.5": lambda: SyntheticParams(n=10.5, k=2, q=1,
+                                                      sigma=0.1, p=0.0),
+    "SyntheticParams k=2.5": lambda: SyntheticParams(n=10, k=2.5, q=1,
+                                                     sigma=0.1, p=0.0),
+    "SyntheticParams q=-1": lambda: SyntheticParams(n=10, k=2, q=-1,
+                                                    sigma=0.1, p=0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+def test_bad_size_is_config_error(case):
+    with pytest.raises(ConfigError):
+        CONFIG_CASES[case]()
+
+
+DATA_CASES = {
+    "MixedDataset cardinality 2.7": lambda: MixedDataset(
+        np.empty((3, 0)), np.array([[0], [1], [0]]), (2.7,)),
+    "MixedDataset cardinality 0": lambda: MixedDataset(
+        np.empty((3, 0)), np.array([[0], [1], [0]]), (0,)),
+    "OneHotMatrix cardinality 2.5": lambda: OneHotMatrix(np.array([0, 1]), 2.5),
+    "OneHotMatrix cardinality -1": lambda: OneHotMatrix(np.array([], int), -1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATA_CASES))
+def test_bad_cardinality_is_data_error(case):
+    with pytest.raises(DataError, match="cardinality"):
+        DATA_CASES[case]()
+
+
+def test_numpy_integers_accepted():
+    two, three = np.int64(2), np.int32(3)
+    cfg = SpecMixConfig(k=two, kmeans=KMeansConfig(restarts=three, max_iters=two))
+    # stored as ints, so the result JSON can echo them
+    assert json.dumps(cfg.echo()) and type(cfg.k) is int
+    assert type(cfg.kmeans.restarts) is int and type(cfg.kmeans.max_iters) is int
+    SyntheticParams(n=np.int64(10), k=two, q=np.uint8(1), sigma=0.1, p=0.0)
+    labels, _, _ = kmeans(POINTS, two, KMeansConfig(restarts=1))
+    assert labels.shape == (10,)
+    assert kmodes(CODES, two, restarts=three).shape == (4,)
+    ds = MixedDataset(np.empty((3, 0)), np.array([[0], [1], [0]]), (np.int64(2),))
+    assert ds.cardinalities == (2,) and type(ds.cardinalities[0]) is int
+    assert OneHotMatrix(np.array([0, 1]), np.int32(2)).cardinality == 2

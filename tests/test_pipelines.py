@@ -427,6 +427,27 @@ def test_pipeline_eigenvectors_are_d_orthonormal(problem, lam, augmented, seed):
     assert np.abs(v.T @ (graph.degrees[:, None] * v) - np.eye(k)).max() <= 1e-10
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(mixed_problems(), st.sampled_from([0.5, 5.0, 50.0]), st.integers(0, 1000))
+def test_row_permutation_equivariance(problem, lam, seed):
+    """Permuting the datapoints permutes ``transfer_cut``'s embedding rows
+    bitwise and leaves its eigenvalues bitwise equal; ``specmix``'s
+    eigenvalues agree to rounding. Labels are not compared: the K-means
+    draws depend on the row order."""
+    ds, k = problem
+    perm = np.random.default_rng(seed).permutation(ds.n)
+    shuffled = MixedDataset(ds.numeric[perm], ds.categorical[perm], ds.cardinalities)
+    lams = [lam] * ds.num_categorical
+    pairs, embedding = transfer_cut(build_stacked(ds, lams), k)
+    pairs_p, embedding_p = transfer_cut(build_stacked(shuffled, lams), k)
+    assert np.array_equal(pairs_p.values, pairs.values)
+    assert np.array_equal(embedding_p, embedding[perm])
+
+    cfg = SpecMixConfig(k=k, lambdas=lam, seed=seed)
+    values = specmix(ds, cfg).eigenvalues
+    assert np.abs(specmix(shuffled, cfg).eigenvalues - values).max() <= 1e-12
+
+
 @st.composite
 def results(draw, method):
     n = draw(st.sampled_from([0, 1]) | st.integers(2, 3000))

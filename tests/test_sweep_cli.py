@@ -419,6 +419,29 @@ class TestEvalCommand:
         assert "label_agreement=1" in out
         assert "imbalance_ratio=1" in out
 
+    @pytest.mark.parametrize("schema_text, code", [("num,num,cat,cat,label", 0),
+                                                   ("num,num,cat,cat,cat", 3)])
+    def test_eval_truth_with_schema_file(self, tmp_path, capsys, schema_text, code):
+        data = tmp_path / "data.csv"
+        main(["synth", "--n", "20", "--k", "2", "--q", "2", "--output", str(data)])
+        schema = tmp_path / "schema.txt"
+        schema.write_text(schema_text + "\n")
+        pred = tmp_path / "pred.txt"
+        pred.write_text("\n".join(["0"] * 10 + ["1"] * 10) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--pred", str(pred), "--truth", str(data),
+                     "--schema-file", str(schema)]) == code
+        if code == 0:
+            assert "purity_weighted=1" in capsys.readouterr().out
+        else:  # the schema declares no label column
+            assert "no label column" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_eval_empty_schema_text_is_schema_error(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        a.write_text("0\n1\n")
+        assert main(["eval", "--pred", str(a), "--truth", str(a), "--schema", ""]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "schema"
+
     def test_eval_plain_label_files(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
