@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import MixedDataset, as_codes, as_int
+from .dataset import MixedDataset, _check_seed, as_codes, as_int
 from .errors import ConfigError, DataError
 from .kmeans import _repair_empty, _sq_dists
 
@@ -103,6 +103,7 @@ def kmodes(categorical, k: int, seed: int = 0, max_iters: int = 100,
     n = categorical.shape[0]
     if n < as_int(k, "cluster count k", 1):
         raise ConfigError(f"need at least k={k} rows, got {n}")
+    seed = _check_seed(seed)
     cards = categorical.max(axis=0) + 1
 
     best = None
@@ -128,6 +129,7 @@ def kprototypes(ds: MixedDataset, k: int, gamma_mix: Optional[float] = None,
         raise ConfigError("kprototypes needs both numeric and categorical features")
     if ds.n < as_int(k, "cluster count k", 1):
         raise ConfigError(f"need at least k={k} rows, got {ds.n}")
+    seed = _check_seed(seed)
     if gamma_mix is None:
         gamma_mix = 0.5 * float(np.mean(np.var(ds.numeric, axis=0)))
     if not 0.0 <= gamma_mix < np.inf:

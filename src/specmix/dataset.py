@@ -118,9 +118,11 @@ def as_int(value, what: str, low: int,
     return value
 
 
-def _check_seed(seed: int) -> int:
-    seed = int(seed)
-    if not 0 <= seed <= MAX_SEED:
+def _check_seed(seed) -> int:
+    """``seed`` as an int in [0, MAX_SEED]; anything else, a whole float
+    too, raises ConfigError."""
+    seed = as_int(seed, "seed", 0)
+    if seed > MAX_SEED:
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return seed
 
@@ -417,7 +419,7 @@ class SyntheticParams:
             raise ConfigError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.corruption not in ("others", "uniform"):
             raise ConfigError("corruption must be 'others' or 'uniform'")
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 def generate_synthetic(params: SyntheticParams) -> tuple[MixedDataset, np.ndarray]:

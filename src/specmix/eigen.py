@@ -1,15 +1,18 @@
 """Symmetric and generalized eigensolvers for the spectral relaxation.
 
-Every solve runs Lanczos with full reorthogonalization on a matrix-vector
-product, whatever the size of the problem and whether it comes as a matrix
-or as an operator. One Krylov sequence sees a single copy of a repeated
-eigenvalue (disconnected or nearly disconnected graphs repeat mu = 0), so a
-second run in the complement of the pairs found checks for missing copies.
-``method="dense"`` runs a full LAPACK decomposition instead; it is kept as
-the oracle that tests compare the Lanczos path against. The generalized
-problem L v = mu D v is reduced to the symmetric problem on
-D^{-1/2} L D^{-1/2} and mapped back, so returned generalized eigenvectors
-are D-orthonormal.
+Every solve runs block Lanczos with full reorthogonalization on a
+matrix-vector product, whatever the size of the problem and whether it comes
+as a matrix or as an operator. One Krylov sequence sees a single copy of a
+repeated eigenvalue (disconnected or nearly disconnected graphs repeat
+mu = 0). A random start block of k columns, one per pair wanted, has a
+full-rank component in every eigenspace, so its Krylov space holds every
+copy the k smallest pairs need (Golub & Underwood, 1977), and no second run
+has to look for missing copies. Each step is one product with a block of k
+columns. ``method="dense"`` runs a full LAPACK decomposition
+instead; it is kept as the oracle that tests compare the Lanczos path
+against. The generalized problem L v = mu D v is reduced to the symmetric
+problem on D^{-1/2} L D^{-1/2} and mapped back, so returned generalized
+eigenvectors are D-orthonormal.
 
 Returned vectors follow a sign convention (largest-magnitude entry positive)
 that makes repeated solves bitwise comparable outside of degenerate
@@ -22,33 +25,49 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eig_banded
 
 from .errors import ConfigError, ConvergenceError
 
 _RESIDUAL_TOL = 1e-8
 _SYM_TOL = 1e-10
 _LANCZOS_TOL = 1e-10  # Ritz residual estimate, relative to the spectrum's scale
-_CHECK_EVERY = 10  # Lanczos steps between convergence checks
+_CHECK_EVERY = 10  # fewest new basis columns between convergence checks
+_KEEP = 0.7  # a Gram-Schmidt pass that keeps less of the norm is repeated
+_MAX_PASSES = 4
 
 
 @dataclass(frozen=True)
 class EigenPairs:
     """Eigenvalues in ascending order, matching eigenvectors as columns,
-    and the per-pair residual norms reported by the solver."""
+    the per-pair residual norms reported by the solver, and ``products``:
+    the number of operator columns the solve applied, residual checks
+    included."""
 
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
+    products: int
 
 
 class SymmetricOperator:
     """Matrix-free symmetric linear map: a matvec callable, which takes a
-    vector or a block of column vectors, plus the dimension."""
+    block of column vectors (a dim x m array), plus the dimension."""
 
     def __init__(self, matvec: Callable[[np.ndarray], np.ndarray], dim: int):
         self.matvec = matvec
         self.dim = dim
+
+
+class _Counted:
+    """A matvec that counts the operator columns it applies."""
+
+    def __init__(self, matvec):
+        self.matvec, self.columns = matvec, 0
+
+    def __call__(self, x):
+        self.columns += 1 if x.ndim == 1 else x.shape[1]
+        return self.matvec(x)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -96,99 +115,126 @@ def _smallest(matvec, dim: int, k: int, method: str, seed: int, dense):
 
 def _residual_norms(product, vectors, values) -> np.ndarray:
     """The k residual norms of a solve from one block ``product``."""
-    return np.linalg.norm(product - vectors * values, axis=0)
+    residuals = np.linalg.norm(product - vectors * values, axis=0)
+    if not np.isfinite(residuals).all():  # NaN would pass every bound
+        raise ConfigError("operator product has non-finite entries")
+    return residuals
 
 
 def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
-    """K algebraically smallest eigenpairs via Lanczos with locking.
+    """K algebraically smallest eigenpairs via block Lanczos with full
+    reorthogonalization, from a random start block of k columns.
 
-    One Krylov sequence holds only one copy of a repeated eigenvalue, so the
-    k pairs of the first run are checked by a second run in their orthogonal
-    complement. A pair found there below the k-th value is a missing copy: it
-    replaces the k-th pair, and the check repeats.
+    Block j of the basis, Q_j, satisfies A Q_j = Q_{j-1} B_{j-1}^T + Q_j A_j
+    + Q_{j+1} B_j, so the basis carries a block tridiagonal T, kept in band
+    form. A Ritz pair (theta, V s) of T has the residual norm ||B_j s_j||,
+    s_j being the rows of s on the last block. Once those estimates are small
+    for the k smallest pairs, one block product checks the residuals
+    exactly. A basis that fills the space gives exact pairs.
     """
     rng = np.random.default_rng(seed)
-    values, vectors = _lanczos_run(matvec, dim, k, rng, np.empty((dim, 0)))
-    while k < dim:
-        missing = _lanczos_run(matvec, dim, 1, rng, vectors, floor=values[-1])
-        if missing is None:
-            break
-        at = int(np.searchsorted(values, missing[0][0]))
-        values = np.insert(values[:-1], at, missing[0][0])
-        vectors = np.insert(vectors[:, :-1], at, missing[1][:, 0], axis=1)
-    return values, vectors
-
-
-def _lanczos_run(matvec, dim: int, k: int, rng, lock: np.ndarray,
-                 floor: float | None = None):
-    """K smallest Ritz pairs of one Lanczos iteration, with full
-    reorthogonalization, in the orthogonal complement of the orthonormal
-    columns of ``lock``.
-
-    With a ``floor`` (and k = 1) the run looks for a pair below it, and
-    returns None once its smallest Ritz pair has converged at or above the
-    floor. A breakdown (beta near zero) means the basis spans an invariant
-    subspace: its Ritz values are exact, and the iteration goes on from a
-    random vector orthogonal to it. Once the basis fills the complement the
-    result is exact.
-    """
-    off = lock.shape[1]  # the locked columns lead the basis
-    basis = np.empty((dim, min(dim, off + max(4 * k, 128))))
-    basis[:, :off] = lock
-    alphas, betas = np.empty(dim - off), np.empty(dim - off)
-
-    def orthogonalize(x, m):  # against the lock and the first m Lanczos vectors
-        for _ in range(2):  # full reorthogonalization, twice for safety
-            x -= basis[:, :off + m] @ (basis[:, :off + m].T @ x)
-        return x
-
-    def expand(q, m):  # the product's component past q, with alpha_m
-        r = matvec(q)
-        alphas[m] = q @ r
-        if not np.isfinite(alphas[m]):  # q @ r is non-finite whenever r is
+    band = np.zeros((min(k, dim - 1) + 1, dim))  # T[i, j] at band[i - j, j], i >= j
+    basis = np.empty((dim, min(dim, max(4 * k, 128))), order="F")
+    width, _ = _orthonormalize(basis, 0, rng.standard_normal((dim, k)), rng,
+                               _LANCZOS_TOL)
+    start, prev, checked = 0, None, 0  # prev is B_{j-1}
+    while True:
+        end = start + width
+        q = basis[:, start:end]
+        aq = matvec(q)
+        if not np.isfinite(aq).all():
             raise ConfigError("operator product has non-finite entries")
-        return r - alphas[m] * q
+        a = q.T @ aq
+        a = 0.5 * (a + a.T)
+        for d in range(width):
+            band[d, start:end - d] = np.diagonal(a, -d)
+        if end == dim:
+            break
+        r = aq - q @ a
+        if prev is not None:
+            r -= basis[:, start - prev.shape[1]:start] @ prev.T
+        scale = _gershgorin(band[:, :end])
+        if end + width > basis.shape[1]:
+            grown = np.empty((dim, min(dim, 2 * (end + width))), order="F")
+            grown[:, :end] = basis[:, :end]
+            basis = grown
+        new_width, b = _orthonormalize(basis, end, r, rng, _LANCZOS_TOL * scale)
+        rows, cols = np.triu_indices(new_width, 0, width)  # b is upper trapezoidal
+        band[width + rows - cols, start + cols] = b[rows, cols]
 
-    q = orthogonalize(rng.standard_normal(dim), 0)
-    q /= np.linalg.norm(q)
-    basis[:, off] = q
-    r = expand(q, 0)
-
-    m = 1
-    while off + m < dim:
-        r = orthogonalize(r, m)
-        beta = float(np.linalg.norm(r))
-        breakdown = beta <= _LANCZOS_TOL * max(1.0, float(np.abs(alphas[:m]).max()))
-
-        if m >= k and (m % _CHECK_EVERY == 0 or breakdown):
-            theta, s = eigh_tridiagonal(alphas[:m], betas[:m - 1], select="i",
-                                        select_range=(0, k - 1))
-            top = eigh_tridiagonal(alphas[:m], betas[:m - 1], eigvals_only=True,
-                                   select="i", select_range=(m - 1, m - 1))
-            scale = max(1.0, abs(float(theta[0])), abs(float(top[0])))
-            if np.all(beta * np.abs(s[m - 1, :k]) <= _LANCZOS_TOL * scale):
-                if floor is not None and theta[0] >= floor - _LANCZOS_TOL * scale:
-                    return None
-                vectors = basis[:, off:off + m] @ s[:, :k]
-                residuals = _residual_norms(matvec(vectors), vectors, theta[:k])
+        # each check costs O(end^3) in eig_banded: space them out as the basis grows
+        if end - checked >= max(_CHECK_EVERY, end // 8):
+            checked = end
+            theta, s = eig_banded(band[:, :end], lower=True, select="i",
+                                  select_range=(0, k - 1))
+            if (np.linalg.norm(b @ s[start:end], axis=0) <= _LANCZOS_TOL * scale).all():
+                vectors = basis[:, :end] @ s
+                residuals = _residual_norms(matvec(vectors), vectors, theta)
                 if (residuals <= _RESIDUAL_TOL * scale).all():
-                    return theta[:k], vectors
-        if off + m == basis.shape[1]:
-            grown = min(dim, 2 * (off + m))
-            basis = np.concatenate([basis, np.empty((dim, grown - off - m))], axis=1)
+                    return theta, vectors
+        start, width, prev = end, new_width, b
 
-        if breakdown:  # go on from a fresh direction, decoupled from the basis
-            r, beta = orthogonalize(rng.standard_normal(dim), m), 0.0
-        basis[:, off + m] = r / (beta or np.linalg.norm(r))
-        betas[m - 1] = beta
-        q = basis[:, off + m]
-        r = expand(q, m) - beta * basis[:, off + m - 1]
-        m += 1
+    theta, s = eig_banded(band, lower=True, select="i", select_range=(0, k - 1))
+    return theta, basis @ s
 
-    theta, s = eigh_tridiagonal(alphas[:m], betas[:m - 1])
-    if floor is not None and theta[0] >= floor - _LANCZOS_TOL * max(1.0, abs(float(theta[0]))):
-        return None
-    return theta[:k], basis[:, off:off + m] @ s[:, :k]
+
+def _orthonormalize(basis, m: int, block, rng, drop: float):
+    """Orthonormalize the columns of ``block`` against the first m columns of
+    ``basis`` and against each other, writing the p new columns from m on.
+
+    Returns p and the p x w upper trapezoidal R with block = Q R + (its part
+    in the first m columns), Q being the new columns. A column whose
+    remainder is at most ``drop`` adds no direction. While the basis has room
+    it gets a random direction with a zero coefficient instead, so the block
+    keeps its width; once the basis fills the space the block narrows.
+    """
+    dim, width = block.shape
+    r = np.zeros((width, width))
+    p = 0
+    for c in range(width):
+        x = block[:, c].copy()
+        coeffs, norm = _gram_schmidt(basis[:, :m + p], x)
+        r[:p, c] = coeffs[m:]
+        if norm > drop:
+            r[p, c] = norm
+        elif m + p < dim:
+            x = rng.standard_normal(dim)
+            _, norm = _gram_schmidt(basis[:, :m + p], x)
+        else:
+            continue
+        basis[:, m + p] = x / norm
+        p += 1
+    return p, r[:p]
+
+
+def _gram_schmidt(basis, x):
+    """Remove from ``x``, in place, its components along the orthonormal
+    columns of ``basis``. Returns the coefficients removed and the norm left.
+
+    A pass repeats while it removes more than 30% of the norm (Daniel,
+    Gragg, Kaufman & Stewart, 1976): two fixed passes lose orthogonality when
+    most of ``x`` cancels.
+    """
+    coeffs = np.zeros(basis.shape[1])
+    norm = np.linalg.norm(x)
+    for _ in range(_MAX_PASSES):
+        c = basis.T @ x
+        x -= basis @ c
+        coeffs += c
+        norm, before = np.linalg.norm(x), norm
+        if norm >= _KEEP * before:
+            break
+    return coeffs, norm
+
+
+def _gershgorin(band) -> float:
+    """max(1, largest absolute row sum) of the symmetric matrix whose lower
+    band form is ``band``: a bound on its spectrum's scale."""
+    ab = np.abs(band)
+    sums = ab.sum(axis=0)
+    for d in range(1, ab.shape[0]):
+        sums[d:] += ab[d, :-d]
+    return max(1.0, float(sums.max()))
 
 
 def symmetric_smallest_eigs(a, k: int, method: str = "lanczos",
@@ -201,9 +247,11 @@ def symmetric_smallest_eigs(a, k: int, method: str = "lanczos",
     matvec, dim, dense = _as_operator(a)
     if not 1 <= k <= dim:
         raise ConfigError(f"k must lie in [1, {dim}], got {k}")
+    matvec = _Counted(matvec)
     values, vectors = _smallest(matvec, dim, k, method, seed, dense)
     vectors = _fix_signs(vectors)
-    return EigenPairs(values, vectors, _residual_norms(matvec(vectors), vectors, values))
+    residuals = _residual_norms(matvec(vectors), vectors, values)
+    return EigenPairs(values, vectors, residuals, matvec.columns)
 
 
 def generalized_smallest_eigs(weights, degrees, k: int, method: str = "lanczos",
@@ -222,6 +270,7 @@ def generalized_smallest_eigs(weights, degrees, k: int, method: str = "lanczos",
     if bad.size:
         raise ConfigError(f"node {int(bad[0])} has nonpositive or non-finite degree")
     w_matvec, dim, w_dense = _as_operator(weights)
+    w_matvec = _Counted(w_matvec)
     if degrees.shape != (dim,):
         raise ConfigError("degree vector length does not match graph dimension")
     if not 1 <= k <= dim:
@@ -229,9 +278,8 @@ def generalized_smallest_eigs(weights, degrees, k: int, method: str = "lanczos",
 
     dinv_sqrt = 1.0 / np.sqrt(degrees)
 
-    def lsym_matvec(x):  # a vector, or a block in the residual check
-        d = dinv_sqrt if x.ndim == 1 else dinv_sqrt[:, None]
-        return x - d * w_matvec(d * x)
+    def lsym_matvec(x):  # a block of column vectors
+        return x - dinv_sqrt[:, None] * w_matvec(dinv_sqrt[:, None] * x)
 
     def lsym_dense():
         lsym = np.eye(dim) - w_dense() * np.outer(dinv_sqrt, dinv_sqrt)
@@ -247,4 +295,4 @@ def generalized_smallest_eigs(weights, degrees, k: int, method: str = "lanczos",
         worst = float(residuals.max())
         raise ConvergenceError(
             f"generalized eigensolve residual {worst:.3g} exceeds tolerance")
-    return EigenPairs(values, vectors, residuals)
+    return EigenPairs(values, vectors, residuals, w_matvec.columns)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import as_int
+from .dataset import _check_seed, as_int
 from .errors import ConfigError, DataError
 
 
@@ -34,6 +34,7 @@ class KMeansConfig:
     def __post_init__(self):
         object.__setattr__(self, "restarts", as_int(self.restarts, "restarts", 1))
         object.__setattr__(self, "max_iters", as_int(self.max_iters, "max_iters", 1))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         if not self.tol > 0.0:  # NaN fails too
             raise ConfigError("tol must be positive")
 

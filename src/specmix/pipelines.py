@@ -53,7 +53,7 @@ class SpecMixConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "k", as_int(self.k, "cluster count k", 2))
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
     def resolve_lambdas(self, q: int) -> np.ndarray:
         if np.isscalar(self.lambdas):
@@ -232,7 +232,9 @@ def transfer_cut(stacked: StackedEncoder, k: int) -> tuple[EigenPairs, np.ndarra
         v = vectors[:, i]
         wv = np.concatenate([stacked.apply(v[n:]), stacked.apply_transpose(v[:n])])
         residuals[i] = np.linalg.norm(d_all * v - wv - mus[i] * (d_all * v))
-    return EigenPairs(mus, vectors, residuals), embedding
+    # the reduced problem is solved densely: the residual loop's k columns
+    # are the only products with the full graph
+    return EigenPairs(mus, vectors, residuals, k), embedding
 
 
 def _cluster(ds: MixedDataset, cfg: SpecMixConfig, method: str,

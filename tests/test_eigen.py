@@ -186,6 +186,14 @@ class TestRepeatedEigenvalues:
         indicators = (labels[:, None] == np.arange(4)).astype(float)
         assert subspace_sine(indicators, pairs.vectors) <= 1e-8
 
+    def test_repeated_values_past_the_start_block(self):
+        # k=6 needs all five copies of 1 and one of 2: the basis fills the
+        # 15-dimensional space after three blocks, and the last block
+        # narrows to what is left of it
+        pairs = symmetric_smallest_eigs(np.diag(np.repeat([1.0, 2.0, 3.0], 5)), 6)
+        assert np.abs(pairs.values - [1, 1, 1, 1, 1, 2]).max() <= 1e-8
+        assert np.abs(pairs.vectors.T @ pairs.vectors - np.eye(6)).max() <= 1e-8
+
     def test_symmetric_block_copies(self):
         rng = np.random.default_rng(2)
         a = random_symmetric(rng, 30)
@@ -194,6 +202,36 @@ class TestRepeatedEigenvalues:
         dense = symmetric_smallest_eigs(b, 7, method="dense")
         assert np.abs(pairs.values - dense.values).max() <= 1e-8
         assert np.abs(pairs.vectors.T @ pairs.vectors - np.eye(7)).max() <= 1e-8
+
+
+class TestProducts:
+    @staticmethod
+    def counting(a, columns):
+        def matvec(x):
+            columns.append(1 if x.ndim == 1 else x.shape[1])
+            return a @ x
+        return SymmetricOperator(matvec, a.shape[0])
+
+    @pytest.mark.parametrize("k", [1, 4, 60])
+    def test_symmetric_counts_every_column(self, k):
+        a = random_symmetric(np.random.default_rng(10), 60)
+        columns = []
+        pairs = symmetric_smallest_eigs(self.counting(a, columns), k)
+        assert pairs.products == sum(columns) >= 2 * k
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_generalized_counts_every_column(self, k):
+        w = random_graph_weights(np.random.default_rng(11), 50)
+        d = w.sum(axis=1)
+        columns = []
+        pairs = generalized_smallest_eigs(self.counting(w, columns), d, k)
+        assert pairs.products == sum(columns) >= 2 * k
+
+    def test_dense_oracle_applies_only_the_residual_check(self):
+        w = random_graph_weights(np.random.default_rng(12), 20)
+        d = w.sum(axis=1)
+        assert generalized_smallest_eigs(w, d, 3, method="dense").products == 3
+        assert symmetric_smallest_eigs(w, 2, method="dense").products == 2
 
 
 class TestNonFiniteInput:
@@ -246,6 +284,33 @@ class TestNonFiniteInput:
         with pytest.raises(ConfigError, match="non-finite"):
             symmetric_smallest_eigs(SymmetricOperator(matvec, 40), 3)
 
+    # the last product is the returned residual check; a NaN there used to
+    # come back as a NaN residual, which passes every bound
+    @pytest.mark.parametrize("generalized", [False, True])
+    def test_last_product_non_finite(self, generalized):
+        w = random_graph_weights(np.random.default_rng(4), 30)
+        calls = []
+
+        def matvec(x):
+            calls.append(1)
+            y = w @ x
+            if len(calls) == last:
+                y[0] = np.nan
+            return y
+
+        def solve():
+            calls.clear()
+            op = SymmetricOperator(matvec, 30)
+            if generalized:
+                return generalized_smallest_eigs(op, w.sum(axis=1), 3)
+            return symmetric_smallest_eigs(op, 3)
+
+        last = 0
+        solve()
+        last = len(calls)
+        with pytest.raises(ConfigError, match="non-finite"):
+            solve()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_generalized_operator(self, bad):
         op = SymmetricOperator(lambda x: bad * x, 5)
@@ -266,18 +331,20 @@ def connected_block(rng, size, density):
 
 @st.composite
 def weighted_graphs(draw):
-    """One to four random connected components of 3-40 nodes, optionally
-    plus an exact copy of the first one, joined by no edges or by edges too
-    weak to matter (1e-18); also draws k and a node permutation."""
+    """One to four random connected components of 3-40 nodes, plus up to
+    three exact copies of the first one (so up to four copies in all), joined
+    by no edges, by edges too weak to matter (1e-18) or by weak ones (1e-12,
+    1e-9) that split repeated eigenvalues into clusters; also draws k and a
+    node permutation."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.integers(3, 40), min_size=1, max_size=4))
     density = draw(st.floats(0.0, 1.0))
     blocks = [connected_block(rng, size, density) for size in sizes]
-    if draw(st.booleans()):
-        blocks.append(blocks[0])
+    blocks += [blocks[0]] * draw(st.integers(0, 3))
     w = block_diag(*blocks)
     labels = np.repeat(np.arange(len(blocks)), [b.shape[0] for b in blocks])
-    w[labels[:, None] != labels[None, :]] = draw(st.sampled_from([0.0, 1e-18]))
+    w[labels[:, None] != labels[None, :]] = draw(
+        st.sampled_from([0.0, 1e-18, 1e-12, 1e-9]))
     k = draw(st.integers(1, w.shape[0]))
     return w, k, rng.permutation(w.shape[0])
 
@@ -294,3 +361,23 @@ def test_default_solver_matches_dense_oracle(graph):
     assert np.abs(gram - np.eye(k)).max() <= 1e-8
     permuted = generalized_smallest_eigs(w[np.ix_(perm, perm)], d[perm], k)
     assert np.abs(permuted.values - pairs.values).max() <= 1e-8
+
+
+@st.composite
+def symmetric_copies(draw):
+    """Block-diagonal copies (1 to 4) of one random symmetric matrix of 2-30
+    rows, so every eigenvalue repeats once per copy; also draws k."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = random_symmetric(rng, draw(st.integers(2, 30)))
+    b = block_diag(*[a] * draw(st.integers(1, 4)))
+    return b, draw(st.integers(1, b.shape[0]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(symmetric_copies())
+def test_symmetric_copies_match_dense_oracle(problem):
+    b, k = problem
+    pairs = symmetric_smallest_eigs(b, k)
+    oracle = symmetric_smallest_eigs(b, k, method="dense")
+    assert np.abs(pairs.values - oracle.values).max() <= 1e-8
+    assert np.abs(pairs.vectors.T @ pairs.vectors - np.eye(k)).max() <= 1e-8

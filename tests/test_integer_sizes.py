@@ -10,7 +10,7 @@ import pytest
 
 from specmix import (ConfigError, DataError, KMeansConfig, MixedDataset,
                      OneHotMatrix, SpecMixConfig, SyntheticParams,
-                     generate_synthetic, kmeans, kmodes, kprototypes)
+                     generate_synthetic, kmeans, kmodes, kprototypes, specmix)
 
 
 def mixed():
@@ -39,6 +39,16 @@ CONFIG_CASES = {
                                                      sigma=0.1, p=0.0),
     "SyntheticParams q=-1": lambda: SyntheticParams(n=10, k=2, q=-1,
                                                     sigma=0.1, p=0.0),
+    # seeds: 2.5 used to reach SeedSequence (raw TypeError), -1 a raw
+    # ValueError; a whole float is refused like any other float
+    "SpecMixConfig seed=2.5": lambda: SpecMixConfig(k=2, seed=2.5),
+    "SpecMixConfig seed=2.0": lambda: SpecMixConfig(k=2, seed=2.0),
+    "KMeansConfig seed=-1": lambda: KMeansConfig(seed=-1),
+    "kmodes seed=-1": lambda: kmodes(CODES, 2, seed=-1),
+    "kmodes seed=2.5": lambda: kmodes(CODES, 2, seed=2.5),
+    "kprototypes seed=2.5": lambda: kprototypes(mixed(), 2, seed=2.5),
+    "SyntheticParams seed=2**64": lambda: SyntheticParams(
+        n=10, k=2, q=1, sigma=0.1, p=0.0, seed=2**64),
 }
 
 
@@ -77,3 +87,13 @@ def test_numpy_integers_accepted():
     ds = MixedDataset(np.empty((3, 0)), np.array([[0], [1], [0]]), (np.int64(2),))
     assert ds.cardinalities == (2,) and type(ds.cardinalities[0]) is int
     assert OneHotMatrix(np.array([0, 1]), np.int32(2)).cardinality == 2
+
+
+def test_numpy_seed_stored_as_int():
+    # a numpy seed used to pass the check unchanged, and to_json then raised
+    # "uint64 is not JSON serializable"
+    seed = np.uint64(3)
+    cfg = SpecMixConfig(k=2, seed=seed, kmeans=KMeansConfig(seed=seed))
+    assert type(cfg.seed) is int and type(cfg.kmeans.seed) is int
+    assert type(SyntheticParams(n=10, k=2, q=1, sigma=0.1, p=0.0, seed=seed).seed) is int
+    assert json.loads(specmix(mixed(), cfg).to_json())["seed"] == 3
