@@ -129,8 +129,11 @@ def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
     + Q_{j+1} B_j, so the basis carries a block tridiagonal T, kept in band
     form. A Ritz pair (theta, V s) of T has the residual norm ||B_j s_j||,
     s_j being the rows of s on the last block. Once those estimates are small
-    for the k smallest pairs, one block product checks the residuals
-    exactly. A basis that fills the space gives exact pairs.
+    against a Gershgorin bound of T for the k smallest pairs, one block
+    product checks the residuals exactly, against the largest product column
+    norm seen: a lower bound on ||A|| that, unlike the Gershgorin bound, does
+    not grow with the block width. A basis that fills the space gives exact
+    pairs.
     """
     rng = np.random.default_rng(seed)
     band = np.zeros((min(k, dim - 1) + 1, dim))  # T[i, j] at band[i - j, j], i >= j
@@ -138,12 +141,14 @@ def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
     width, _ = _orthonormalize(basis, 0, rng.standard_normal((dim, k)), rng,
                                _LANCZOS_TOL)
     start, prev, checked = 0, None, 0  # prev is B_{j-1}
+    a_norm = 1.0  # max(1, largest ||A q|| over basis columns q) <= max(1, ||A||)
     while True:
         end = start + width
         q = basis[:, start:end]
         aq = matvec(q)
         if not np.isfinite(aq).all():
             raise ConfigError("operator product has non-finite entries")
+        a_norm = max(a_norm, float(np.linalg.norm(aq, axis=0).max()))
         a = q.T @ aq
         a = 0.5 * (a + a.T)
         for d in range(width):
@@ -170,7 +175,7 @@ def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
             if (np.linalg.norm(b @ s[start:end], axis=0) <= _LANCZOS_TOL * scale).all():
                 vectors = basis[:, :end] @ s
                 residuals = _residual_norms(matvec(vectors), vectors, theta)
-                if (residuals <= _RESIDUAL_TOL * scale).all():
+                if (residuals <= _RESIDUAL_TOL * a_norm).all():
                     return theta, vectors
         start, width, prev = end, new_width, b
 

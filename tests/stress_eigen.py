@@ -4,59 +4,43 @@ Runs ``generalized_smallest_eigs`` and its ``method="dense"`` oracle on 3000
 graphs from the ``weighted_graphs`` strategy of ``test_eigen.py``: random
 components with up to four exact copies of one of them, joined by no edges
 or by edges of weight 1e-18, 1e-12 or 1e-9, so many eigenvalues repeat or
-nearly repeat. A graph counts as wrong when an eigenvalue differs from the
-oracle's by more than 1e-8, when the eigenvectors are not D-orthonormal
-within 1e-8, or when the solve raises. The draws are derandomized, so every
-run sees the same graphs. pytest does not collect this file (its name does
-not start with ``test_``); run it on its own, from the repository root:
+nearly repeat. A graph counts as wrong when ``oracle_mismatch`` of
+``test_eigen.py`` reports a difference (an eigenvalue off by more than 1e-8,
+or eigenvectors not D-orthonormal within 1e-8) or when the solve raises.
+The draws are derandomized, so every run sees the same graphs. pytest does
+not collect this file (its name does not start with ``test_``); run it on
+its own, from the repository root:
 
-    PYTHONPATH=src python tests/stress_eigen.py [--examples 3000]
+    PYTHONPATH=src python tests/stress_eigen.py
 
 It prints the counts and exits nonzero when any graph is wrong.
 """
 
-import argparse
 import sys
 import time
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 
 from specmix import generalized_smallest_eigs
-from test_eigen import weighted_graphs
+from test_eigen import oracle_mismatch, weighted_graphs
 
-TOL = 1e-8
-
-
-def check(w, k) -> str | None:
-    """What is wrong with the default solve of ``w`` at k, or None."""
-    d = w.sum(axis=1)
-    try:
-        pairs = generalized_smallest_eigs(w, d, k)
-    except Exception as exc:  # a stable error code or a raw one: both wrong
-        return f"raised {type(exc).__name__}: {exc}"
-    oracle = generalized_smallest_eigs(w, d, k, method="dense")
-    gap = float(np.abs(pairs.values - oracle.values).max())
-    gram = pairs.vectors.T @ (d[:, None] * pairs.vectors)
-    loss = float(np.abs(gram - np.eye(k)).max())
-    if gap > TOL or loss > TOL:
-        return f"eigenvalue error {gap:.3g}, D-orthonormality error {loss:.3g}"
-    return None
+EXAMPLES = 3000
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--examples", type=int, default=3000)
-    args = parser.parse_args(argv)
+def main() -> int:
     seen, wrong = [], []
 
-    @settings(max_examples=args.examples, deadline=None, derandomize=True,
+    @settings(max_examples=EXAMPLES, deadline=None, derandomize=True,
               database=None, suppress_health_check=list(HealthCheck))
     @given(weighted_graphs())
     def run(graph):
         w, k, _ = graph
+        d = w.sum(axis=1)
         seen.append(1)
-        problem = check(w, k)
+        try:
+            problem = oracle_mismatch(generalized_smallest_eigs(w, d, k), w, d, k)
+        except Exception as exc:  # a stable error code or a raw one: both wrong
+            problem = f"raised {type(exc).__name__}: {exc}"
         if problem is not None:
             wrong.append(f"n={w.shape[0]} k={k}: {problem}")
 
