@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import MixedDataset, _check_seed, as_codes, as_int
 from .errors import ConfigError, DataError
-from .kmeans import _repair_empty, _sq_dists
+from .kmeans import _assign, _sq_dists, best_of_restarts
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,16 @@ def _column_modes(categorical, labels, k, cards) -> np.ndarray:
     return modes
 
 
-def _alternate(numeric, categorical, cards, k, rng, max_iters, gamma_mix):
+def _alternate(numeric, categorical, cards, k, rng, max_iters, gamma_mix, p2=None):
     """One restart of the alternating minimization shared by both baselines.
-    ``numeric`` is None for the purely categorical case."""
+    ``numeric`` is None for the purely categorical case; ``p2`` holds its
+    squared row norms when the caller has them."""
     n, q = categorical.shape
     init = rng.choice(n, size=k, replace=False)
     centers = numeric[init].copy() if numeric is not None else None
     modes = categorical[init].copy()
-    p2 = np.einsum("ij,ij->i", numeric, numeric) if numeric is not None else None
+    if numeric is not None and p2 is None:
+        p2 = np.einsum("ij,ij->i", numeric, numeric)
 
     def assignment_cost():
         cost = (_sq_dists(numeric, centers, p2) if numeric is not None
@@ -67,10 +69,7 @@ def _alternate(numeric, categorical, cards, k, rng, max_iters, gamma_mix):
     history = []
     cost = assignment_cost()
     for _ in range(as_int(max_iters, "max_iters", 1)):
-        new_labels = np.argmin(cost, axis=1).astype(np.int64)
-        counts = np.bincount(new_labels, minlength=k)
-        if (counts == 0).any():
-            new_labels, counts = _repair_empty(new_labels, counts, cost)
+        new_labels = _assign(cost, k)
         converged = np.array_equal(new_labels, labels)
         labels = new_labels
         if not converged:
@@ -106,14 +105,8 @@ def kmodes(categorical, k: int, seed: int = 0, max_iters: int = 100,
     seed = _check_seed(seed)
     cards = categorical.max(axis=0) + 1
 
-    best = None
-    for r in range(as_int(restarts, "restarts", 1)):
-        rng = np.random.default_rng([seed, r])
-        labels, _, _, objective, _ = _alternate(
-            None, categorical, cards, k, rng, max_iters, gamma_mix=1.0)
-        if best is None or objective < best[1]:
-            best = (labels, objective)
-    return best[0]
+    return best_of_restarts(as_int(restarts, "restarts", 1), seed, lambda rng: _alternate(
+        None, categorical, cards, k, rng, max_iters, gamma_mix=1.0))[0]
 
 
 def kprototypes(ds: MixedDataset, k: int, gamma_mix: Optional[float] = None,
@@ -135,15 +128,10 @@ def kprototypes(ds: MixedDataset, k: int, gamma_mix: Optional[float] = None,
     if not 0.0 <= gamma_mix < np.inf:
         raise ConfigError(f"gamma_mix must be finite and nonnegative, got {gamma_mix}")
     cards = np.asarray(ds.cardinalities, dtype=np.int64)
-
-    best = None
-    for r in range(as_int(restarts, "restarts", 1)):
-        rng = np.random.default_rng([seed, r])
-        labels, centers, modes, objective, _ = _alternate(
-            ds.numeric, ds.categorical, cards, k, rng, max_iters, gamma_mix)
-        if best is None or objective < best[3]:
-            best = (labels, centers, modes, objective)
-    labels, centers, modes, _ = best
+    p2 = np.einsum("ij,ij->i", ds.numeric, ds.numeric)  # once for all restarts
+    labels, centers, modes, _, _ = best_of_restarts(
+        as_int(restarts, "restarts", 1), seed, lambda rng: _alternate(
+            ds.numeric, ds.categorical, cards, k, rng, max_iters, gamma_mix, p2))
     if return_prototypes:
         return labels, PrototypeSet(centers, modes, float(gamma_mix))
     return labels

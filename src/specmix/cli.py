@@ -12,7 +12,7 @@ code; exit codes: 0 success, 2 usage/schema, 3 data, 4 configuration,
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -28,7 +28,7 @@ from .kmeans import KMeansConfig
 from .metrics import imbalance_ratio, label_agreement, purity
 from .pipelines import ClusteringResult, SpecMixConfig, specmix_graph
 from .sweep import (METHODS, ExperimentGrid, fmt, parse_values, run_method,
-                    run_sweep)
+                    run_sweep, write_rows)
 
 _EXIT_CODES = {
     SchemaError: 2,
@@ -109,20 +109,15 @@ def _load_schema(args) -> Optional[ColumnSchema]:
     return None
 
 
-def _write_rows(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle, lineterminator="\n").writerows(rows)
-
-
 def _dump_graph(ds, cfg, path) -> None:
     graph = specmix_graph(ds, cfg)
     if graph.dim > DUMP_NODE_LIMIT:
         raise ConfigError(f"refusing to dump a graph with {graph.dim} > "
                           f"{DUMP_NODE_LIMIT} nodes")
     path = Path(path)
-    _write_rows(path, ([fmt(v) for v in row] for row in graph.dense()))
-    _write_rows(path.with_name(path.stem + ".degrees.csv"),
-                ([fmt(v)] for v in graph.degrees))
+    write_rows(path, ([fmt(v) for v in row] for row in graph.dense()))
+    write_rows(path.with_name(path.stem + ".degrees.csv"),
+               ([fmt(v)] for v in graph.degrees))
 
 
 def _cmd_cluster(args) -> int:
@@ -158,14 +153,9 @@ def _cmd_synth(args) -> int:
     ds, labels = generate_synthetic(params)
     header = ([f"num{j}" for j in range(ds.num_numeric)]
               + [f"cat{j}" for j in range(ds.num_categorical)] + ["label"])
-    with open(args.output, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [fmt(v) for v in ds.numeric[i]]
-            row += [str(int(v)) for v in ds.categorical[i]]
-            row.append(str(int(labels[i])))
-            writer.writerow(row)
+    rows = ([fmt(v) for v in ds.numeric[i]] + [str(int(v)) for v in ds.categorical[i]]
+            + [str(int(labels[i]))] for i in range(ds.n))
+    write_rows(args.output, itertools.chain([header], rows))
     return 0
 
 

@@ -20,10 +20,9 @@ import numpy as np
 from scipy import sparse
 
 from .dataset import MixedDataset, OneHotMatrix, as_int, check_codes
-from .eigen import _as_operator
+from .eigen import _SYM_TOL, _as_operator
 from .errors import ConfigError, DataError
 
-_SYM_TOL = 1e-10
 # Bytes per row block of the similarity build: small enough to stay in cache.
 _BLOCK_BYTES = 1 << 20
 

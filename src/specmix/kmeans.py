@@ -1,4 +1,5 @@
-"""Lloyd's K-means over the rows of a spectral embedding.
+"""Lloyd's K-means over the rows of a spectral embedding, and the
+assignment step and restart loop that K-modes and K-prototypes share.
 
 k-means++ seeding, a configurable number of independent restarts (the
 lowest-inertia run wins, ties going to the earliest restart), and
@@ -9,8 +10,8 @@ Embeddings repeat rows: an ``onlycat`` row depends only on its datapoint's
 category tuple. Each distinct row is clustered once, weighted by its
 multiplicity, and the labels are scattered back to the datapoints. The
 objective is unchanged; only the random draws differ. When every row is
-distinct the rows are clustered as given, with the same draws and results as
-an unweighted run.
+distinct, the distinct rows are the points in order with unit weights, so
+the draws and results are those of an unweighted run.
 """
 
 from __future__ import annotations
@@ -39,28 +40,23 @@ class KMeansConfig:
             raise ConfigError("tol must be positive")
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray, p2=None) -> np.ndarray:
+def _sq_dists(points: np.ndarray, centers: np.ndarray, p2) -> np.ndarray:
     """Squared distances of every point to every center; ``p2`` holds the
-    squared row norms of ``points`` when the caller has them."""
-    if p2 is None:
-        p2 = np.einsum("ij,ij->i", points, points)
+    squared row norms of ``points``."""
     c2 = np.einsum("ij,ij->i", centers, centers)
     d2 = p2[:, None] + c2[None, :] - 2.0 * (points @ centers.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def _plus_plus_init(points: np.ndarray, k: int, rng, weights=None,
-                    inverse=None, p2=None) -> np.ndarray:
+def _plus_plus_init(points: np.ndarray, k: int, rng, w, inverse, p2) -> np.ndarray:
     """Greedy k-means++: each new center is the best of a few
     squared-distance-sampled candidates.
 
-    Row i stands for ``weights[i]`` datapoints (default 1), and ``inverse``
-    maps each datapoint to its row (default: the identity), so the draws
-    are over datapoints. ``p2`` is passed on to ``_sq_dists``."""
+    Row i stands for ``w[i]`` datapoints, and ``inverse`` maps each
+    datapoint to its row, so the draws are over datapoints. ``p2`` is
+    passed on to ``_sq_dists``."""
     m = points.shape[0]
-    w = np.ones(m) if weights is None else weights
-    inverse = np.arange(m) if inverse is None else inverse
     trials = 2 + int(np.log(k))
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[inverse[rng.integers(inverse.size)]]
@@ -83,38 +79,42 @@ def _plus_plus_init(points: np.ndarray, k: int, rng, weights=None,
     return centers
 
 
-def _repair_empty(labels, counts, d2):
-    """Move the worst-fit point of a multi-member cluster into each empty one.
-    Ties break toward the lowest point index."""
+def _assign(cost, k) -> np.ndarray:
+    """Each row's lowest-cost cluster, then the worst-fit row of a
+    multi-member cluster moved into each empty one. Ties break toward the
+    lowest index."""
+    labels = np.argmin(cost, axis=1).astype(np.int64)
+    counts = np.bincount(labels, minlength=k)
     for c in np.flatnonzero(counts == 0):
-        own = d2[np.arange(labels.size), labels]
+        own = cost[np.arange(labels.size), labels]
         movable = counts[labels] > 1
         own = np.where(movable, own, -np.inf)
         p = int(np.argmax(own))
         counts[labels[p]] -= 1
         labels[p] = c
         counts[c] = 1
-    return labels, counts
+    return labels
 
 
-def _lloyd(points, k, centers, max_iters, tol, weights=None, p2=None):
-    """Lloyd iterations on rows that stand for ``weights`` datapoints each
-    (default 1). Empty clusters are repaired by moving a row, so all k
-    labels stay used while there are at least k rows. ``p2`` is passed on
-    to ``_sq_dists``."""
+def best_of_restarts(restarts: int, seed: int, run):
+    """The lowest-objective result of ``run(rng)`` over ``restarts`` calls,
+    ties to the earliest. A result ends with its objective and history, as
+    ``_lloyd``'s does; call r draws from a generator seeded with (seed, r)."""
+    results = (run(np.random.default_rng([seed, r])) for r in range(restarts))
+    return min(results, key=lambda result: result[-2])
+
+
+def _lloyd(points, k, centers, max_iters, tol, w, p2):
+    """Lloyd iterations on rows that stand for ``w`` datapoints each. Empty
+    clusters are repaired, so all k labels stay used while there are at
+    least k rows. ``p2`` is passed on to ``_sq_dists``."""
     n = points.shape[0]
-    w = np.ones(n) if weights is None else weights
     sqrt_w = np.sqrt(w)[:, None]
     labels = np.full(n, -1, dtype=np.int64)
     inertia = np.inf
     history = []
     for _ in range(max_iters):
-        d2 = _sq_dists(points, centers, p2)
-        new_labels = np.argmin(d2, axis=1).astype(np.int64)
-        counts = np.bincount(new_labels, minlength=k)
-        if (counts == 0).any():
-            new_labels, counts = _repair_empty(new_labels, counts, d2)
-        del d2
+        new_labels = _assign(_sq_dists(points, centers, p2), k)
         converged = np.array_equal(new_labels, labels)
         labels = new_labels
         mass = np.bincount(labels, weights=w, minlength=k)
@@ -153,8 +153,8 @@ def kmeans(points, k: int, cfg: KMeansConfig | None = None):
     Returns (labels, centers, inertia) for the best of ``cfg.restarts``
     k-means++-seeded runs. All k labels are used whenever the row count
     allows it. Deterministic given ``cfg.seed``. Each distinct row is
-    clustered once, weighted by its multiplicity, unless there are fewer
-    distinct rows than k.
+    clustered once, weighted by its multiplicity; with fewer distinct rows
+    than k, every row is clustered with unit weight.
     """
     cfg = cfg or KMeansConfig()
     k = as_int(k, "cluster count k", 1)
@@ -169,19 +169,14 @@ def kmeans(points, k: int, cfg: KMeansConfig | None = None):
         norms = np.linalg.norm(points, axis=1, keepdims=True)
         points = np.where(norms > 0.0, points / np.where(norms > 0.0, norms, 1.0), 0.0)
 
-    rows, weights, inverse = points, None, None
-    distinct = _distinct_rows(points)
-    if k <= distinct[0].shape[0] < points.shape[0]:
-        rows, weights, inverse = distinct
-
+    rows, weights, inverse = _distinct_rows(points)
+    if rows.shape[0] < k:  # too few to fill k clusters: keep every row
+        rows, weights, inverse = points, np.ones(len(points)), np.arange(len(points))
     p2 = np.einsum("ij,ij->i", rows, rows)  # once for all restarts
-    best = None
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, r])
-        centers0 = _plus_plus_init(rows, k, rng, weights, inverse, p2)
-        labels, centers, inertia, _ = _lloyd(rows, k, centers0, cfg.max_iters,
-                                             cfg.tol, weights, p2)
-        if best is None or inertia < best[2]:
-            best = (labels, centers, inertia)
-    labels, centers, inertia = best
-    return (labels if inverse is None else labels[inverse]), centers, inertia
+
+    def restart(rng):
+        centers = _plus_plus_init(rows, k, rng, weights, inverse, p2)
+        return _lloyd(rows, k, centers, cfg.max_iters, cfg.tol, weights, p2)
+
+    labels, centers, inertia, _ = best_of_restarts(cfg.restarts, cfg.seed, restart)
+    return labels[inverse], centers, inertia

@@ -36,8 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .baselines import kmodes, kprototypes
-from .dataset import (MixedDataset, SyntheticParams, csv_error,
-                      generate_synthetic, read_text)
+from .dataset import (MixedDataset, SyntheticParams, _check_seed, as_int,
+                      csv_error, generate_synthetic, read_text)
 from .errors import ConfigError, DataError, SpecmixError
 from .kmeans import KMeansConfig
 from .metrics import purity
@@ -146,8 +146,15 @@ class ExperimentGrid:
                      "p_values", "lambda_values", "methods"):
             if not getattr(self, name):
                 raise ConfigError(f"grid axis {name} is empty")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
+        # the lower bounds of SyntheticParams
+        for name, what, low in (("n_values", "n", 1),
+                                ("k_values", "cluster count k", 2),
+                                ("q_values", "q", 0)):
+            values = tuple(as_int(v, what, low) for v in getattr(self, name))
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "repetitions",
+                           as_int(self.repetitions, "repetitions", 1))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r} (choose from {METHODS})")
@@ -244,12 +251,16 @@ def _read_csv(path, expected_columns) -> dict[tuple[str, ...], dict]:
             for row in _read_ordered(path, expected_columns)}
 
 
-def _write_csv(path, columns, rows) -> None:
+def write_rows(path, rows) -> None:
+    """Write ``rows``, each a sequence of cells, as a UTF-8 CSV with '\n'
+    line ends: the settings of every CSV that specmix writes."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row.get(col, "") for col in columns])
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+
+
+def _write_csv(path, columns, rows) -> None:
+    write_rows(path, itertools.chain(
+        [columns], ([row.get(col, "") for col in columns] for row in rows)))
 
 
 def sidecar_paths(results_path) -> dict[str, Path]:

@@ -153,6 +153,39 @@ def test_golden_kprototypes(gamma_mix, expected, objective):
     assert best.hex() == objective
 
 
+# two blocks of identical rows: every restart splits them and reaches the same
+# objective, and the restarts differ only in the order of the labels
+TWO_BLOCKS = MixedDataset(np.repeat([[0.0, 0.0], [10.0, 10.0]], 6, axis=0),
+                          np.array([[0, 1, 2]] * 6 + [[3, 0, 1]] * 6), (4, 2, 3))
+
+
+@pytest.mark.parametrize("numeric, gamma_mix", [(False, 1.0), (True, 0.5)])
+def test_two_blocks_every_restart_ties(numeric, gamma_mix):
+    ds = TWO_BLOCKS
+    objectives = {_alternate(ds.numeric if numeric else None, ds.categorical,
+                             np.asarray(ds.cardinalities), 2,
+                             np.random.default_rng([seed, r]), 100, gamma_mix)[3]
+                  for seed in range(3) for r in range(10)}
+    assert objectives == {0.0}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kmodes_equal_restarts_keep_the_earliest(seed):
+    cats = TWO_BLOCKS.categorical
+    first = kmodes(cats, 2, seed=seed, restarts=1)
+    for restarts in (2, 5, 10):
+        assert np.array_equal(kmodes(cats, 2, seed=seed, restarts=restarts), first)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kprototypes_equal_restarts_keep_the_earliest(seed):
+    first = kprototypes(TWO_BLOCKS, 2, gamma_mix=0.5, seed=seed, restarts=1)
+    for restarts in (2, 5, 10):
+        labels = kprototypes(TWO_BLOCKS, 2, gamma_mix=0.5, seed=seed,
+                             restarts=restarts)
+        assert np.array_equal(labels, first)
+
+
 @pytest.mark.parametrize("numeric_columns", [0, 2])
 def test_high_cardinality_column_stays_small(numeric_columns):
     # a column with as many levels as rows: the Hamming term must not build

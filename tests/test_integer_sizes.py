@@ -8,14 +8,19 @@ import json
 import numpy as np
 import pytest
 
-from specmix import (ConfigError, DataError, KMeansConfig, MixedDataset,
-                     OneHotMatrix, SpecMixConfig, SyntheticParams,
+from specmix import (ConfigError, DataError, ExperimentGrid, KMeansConfig,
+                     MixedDataset, OneHotMatrix, SpecMixConfig, SyntheticParams,
                      generate_synthetic, kmeans, kmodes, kprototypes, specmix)
 
 
 def mixed():
     return generate_synthetic(SyntheticParams(n=12, k=2, q=2, sigma=0.3, p=0.0,
                                               seed=1))[0]
+
+
+def grid(**changes):
+    return ExperimentGrid(**{"n_values": (60,), "k_values": (2,),
+                             "q_values": (1,), **changes})
 
 
 POINTS = np.random.default_rng(0).standard_normal((10, 2))
@@ -49,6 +54,16 @@ CONFIG_CASES = {
     "kprototypes seed=2.5": lambda: kprototypes(mixed(), 2, seed=2.5),
     "SyntheticParams seed=2**64": lambda: SyntheticParams(
         n=10, k=2, q=1, sigma=0.1, p=0.0, seed=2**64),
+    # the grid used to accept all of these: seed=2.5 wrote the rows of
+    # seed=2, repetitions=1.5 raised a raw TypeError in run_sweep, and a
+    # fractional n or Q recorded every row as an internal error
+    "ExperimentGrid seed=2.5": lambda: grid(seed=2.5),
+    "ExperimentGrid seed=-1": lambda: grid(seed=-1),
+    "ExperimentGrid seed=2**70": lambda: grid(seed=2**70),
+    "ExperimentGrid repetitions=1.5": lambda: grid(repetitions=1.5),
+    "ExperimentGrid n=60.5": lambda: grid(n_values=(60.5,)),
+    "ExperimentGrid q=1.5": lambda: grid(q_values=(1.5,)),
+    "ExperimentGrid k=2.0": lambda: grid(k_values=(2.0,)),
 }
 
 

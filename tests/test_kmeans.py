@@ -53,8 +53,10 @@ class TestKMeans:
     def test_inertia_non_increasing_within_run(self):
         rng = np.random.default_rng(2)
         points = rng.standard_normal((40, 3))
-        centers = _plus_plus_init(points, 4, rng)
-        _, _, _, history = _lloyd(points, 4, centers, 300, 1e-9)
+        unit, identity = np.ones(40), np.arange(40)
+        p2 = np.einsum("ij,ij->i", points, points)
+        centers = _plus_plus_init(points, 4, rng, unit, identity, p2)
+        _, _, _, history = _lloyd(points, 4, centers, 300, 1e-9, unit, p2)
         diffs = np.diff(history)
         assert (diffs <= 1e-12).all()
 
@@ -90,6 +92,20 @@ class TestKMeans:
         assert "".join(map(str, labels)) == (
             "022220121022211112311123222300201222222332222221302123302230")
         assert inertia.hex() == "0x1.2b6cccccccccdp+6"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equal_restarts_keep_the_earliest(self, seed):
+        # every restart splits the two blobs and reaches the same inertia;
+        # the restarts differ only in which blob gets label 0
+        rng = np.random.default_rng(7)
+        points = np.vstack([0.01 * rng.standard_normal((6, 2)),
+                            10.0 + 0.01 * rng.standard_normal((6, 2))])
+        first, _, first_inertia = kmeans(points, 2, KMeansConfig(restarts=1, seed=seed))
+        for restarts in (2, 5, 10):
+            labels, _, inertia = kmeans(points, 2,
+                                        KMeansConfig(restarts=restarts, seed=seed))
+            assert inertia == first_inertia
+            assert np.array_equal(labels, first)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
