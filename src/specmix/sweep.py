@@ -7,11 +7,11 @@ row gets an independent seed derived by hashing the base seed with the row
 coordinates, so rows are reproducible in isolation and sweeps can resume:
 rows already present in the output are not recomputed.
 
-The results CSV and its aggregation contain only deterministic quantities
-and are byte-identical across runs; wall-clock stage timings go to sidecar
-files (``<name>.timings.csv`` and ``<name>.agg_timings.csv``) keyed by the
-same row coordinates. All CSVs are UTF-8, comma-delimited, with a header
-row, '.' decimal separator and 9-significant-digit floats.
+The sweep is one table, a row per row key, written as two column views:
+the deterministic results CSV and ``<name>.timings.csv`` (the rows with
+wall-clock timings). ``<name>.agg.csv`` and ``<name>.agg_timings.csv``
+aggregate the rows just written. All CSVs are UTF-8, comma-delimited, with
+a header row, '.' decimal separator and 9-significant-digit floats.
 
 Rows may execute in a process pool (``workers`` argument or the
 SPECMIX_WORKERS environment variable); the output is ordered canonically
@@ -158,6 +158,11 @@ class ExperimentGrid:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r} (choose from {METHODS})")
+        # values that format alike (sigma = 1, 1.0) would name a row twice
+        for key, after in itertools.pairwise(sorted(self.row_keys())):
+            if key == after:
+                raise ConfigError(f"grid names the row {dict(zip(COORDS, key))} "
+                                  "twice: an axis repeats a value")
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentGrid":
@@ -170,6 +175,8 @@ class ExperimentGrid:
             if "=" not in line:
                 raise ConfigError(f"grid line {line_no}: expected 'key = values'")
             key, _, rhs = line.partition("=")
+            if key.strip().lower() in values:
+                raise ConfigError(f"grid line {line_no}: repeated key {key.strip()!r}")
             values[key.strip().lower()] = rhs
 
         def parse(key, convert, default):
@@ -222,9 +229,9 @@ class ExperimentGrid:
 
 
 def _compute_row(args: tuple[RowKey, int]) -> tuple[RowKey, dict]:
+    """The table row of ``key``; it has ``seconds_*`` cells if it succeeded."""
     key, seed = args
-    out = {"seed": str(seed), "purity_weighted": "", "purity_macro": "",
-           "error": "", "timings": None}
+    row = dict(zip(RESULT_COLUMNS, (*key, str(seed), "", "", "")))
     try:
         k = int(key.k)
         ds, truth = generate_synthetic(SyntheticParams(
@@ -233,22 +240,33 @@ def _compute_row(args: tuple[RowKey, int]) -> tuple[RowKey, dict]:
         cfg = SpecMixConfig(k=k, lambdas=float(key.lam), kmeans=KMeansConfig(),
                             seed=seed)
         result = run_method(key.method, ds, cfg)
-        out["purity_weighted"] = fmt(purity(result.labels, truth, "weighted"))
-        out["purity_macro"] = fmt(purity(result.labels, truth, "macro"))
-        out["timings"] = {f"seconds_{stage}": fmt(result.timings.get(stage, 0.0))
-                          for stage in STAGES}
+        row["purity_weighted"] = fmt(purity(result.labels, truth, "weighted"))
+        row["purity_macro"] = fmt(purity(result.labels, truth, "macro"))
+        row.update((f"seconds_{stage}", fmt(result.timings.get(stage, 0.0)))
+                   for stage in STAGES)
     except SpecmixError as exc:
-        out["error"] = exc.code
+        row["error"] = exc.code
     except Exception:  # record the row and keep the sweep going
         print(f"sweep row {','.join(key)} failed:", file=sys.stderr)
         traceback.print_exc()
-        out["error"] = "internal"
-    return key, out
+        row["error"] = "internal"
+    return key, row
 
 
-def _read_csv(path, expected_columns) -> dict[tuple[str, ...], dict]:
-    return {tuple(row[col] for col in COORDS): row
-            for row in _read_ordered(path, expected_columns)}
+def _read_table(path, columns) -> dict[tuple[str, ...], dict]:
+    """The rows of a ``columns`` CSV by coordinates; none if it is missing."""
+    if not Path(path).exists():
+        return {}
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        try:
+            fieldnames = tuple(reader.fieldnames or ())
+            rows = list(reader)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise csv_error(path, reader, exc) from None
+    if fieldnames != columns:
+        raise DataError(f"{path} has unexpected columns")
+    return {tuple(row[col] for col in COORDS): row for row in rows}
 
 
 def write_rows(path, rows) -> None:
@@ -280,103 +298,58 @@ def run_sweep(grid: ExperimentGrid, results_path, workers: int | None = None) ->
     are trusted and skipped, which makes interrupted sweeps resumable and
     completed reruns no-ops.
     """
-    if workers is None:
-        workers = int(os.environ.get("SPECMIX_WORKERS", "1"))
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
+    if workers is None:  # a value that is not a whole number fails as_int
+        workers = os.environ.get("SPECMIX_WORKERS", "1")
+        workers = int(workers) if workers.strip().isdecimal() else workers
+    workers = as_int(workers, "workers", 1)
 
     keys = grid.row_keys()
-    existing = _read_csv(results_path, RESULT_COLUMNS)
-    foreign = set(existing) - set(keys)
+    table = _read_table(results_path, RESULT_COLUMNS)
+    foreign = set(table) - set(keys)
     if foreign:
         raise DataError(
             f"{results_path} contains {len(foreign)} rows not generated by "
             "this grid; refusing to resume")
     paths = sidecar_paths(results_path)
-    existing_timings = _read_csv(paths["timings"], TIMING_COLUMNS)
+    # kept rows keep their timings; a sidecar row without its result is stale
+    for key, timing in _read_table(paths["timings"], TIMING_COLUMNS).items():
+        if key in table:
+            table[key].update(timing)
 
-    todo = [key for key in keys if key not in existing]
+    todo = [key for key in keys if key not in table]
     tasks = [(key, derive_seed(grid.seed, *key)) for key in todo]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(_compute_row, tasks))
+            table.update(pool.map(_compute_row, tasks))
     else:
-        computed = [_compute_row(task) for task in tasks]
+        table.update(_compute_row(task) for task in tasks)
 
-    fresh = dict(computed)
-    result_rows = []
-    timing_rows = []
-    for key in keys:
-        if key in existing:
-            result_rows.append(existing[key])
-            if key in existing_timings:
-                timing_rows.append(existing_timings[key])
-            continue
-        coord = dict(zip(COORDS, key))
-        out = fresh[key]
-        result_rows.append({**coord, **out})
-        if out["timings"] is not None:
-            timing_rows.append({**coord, **out["timings"]})
-
-    _write_csv(results_path, RESULT_COLUMNS, result_rows)
-    _write_csv(paths["timings"], TIMING_COLUMNS, timing_rows)
-    aggregate_results(results_path, paths["aggregated"])
-    aggregate_timings(paths["timings"], paths["agg_timings"])
+    rows = [table[key] for key in keys]
+    timed = [row for row in rows if "seconds_total" in row]
+    _write_csv(results_path, RESULT_COLUMNS, rows)
+    _write_csv(paths["timings"], TIMING_COLUMNS, timed)
+    _aggregate(rows, paths["aggregated"], AGG_COLUMNS, _mean_purities)
+    _aggregate(timed, paths["agg_timings"], AGG_TIMING_COLUMNS, lambda group: {
+        f"median_{stage}": fmt(statistics.median(
+            float(row[f"seconds_{stage}"]) for row in group)) for stage in STAGES})
     return {"rows": len(keys), "computed": len(todo),
             "skipped": len(keys) - len(todo)}
 
 
-def _group_rows(rows: list[dict]) -> dict[tuple[str, ...], list[dict]]:
+def _aggregate(rows, out_path, columns, summarize) -> None:
+    """Write one row per cell of ``rows``, in order of first appearance: its
+    coordinates, its repetition count and the cells of ``summarize(group)``."""
     groups: dict[tuple[str, ...], list[dict]] = {}
     for row in rows:
         groups.setdefault(tuple(row[col] for col in CELL), []).append(row)
-    return groups
+    _write_csv(out_path, columns, (
+        {**dict(zip(CELL, cell)), "repetitions": str(len(group)),
+         **summarize(group)} for cell, group in groups.items()))
 
 
-def _read_ordered(path, columns) -> list[dict]:
-    """The rows of a CSV written with ``columns``; none if it is missing."""
-    if not Path(path).exists():
-        return []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        try:
-            fieldnames = tuple(reader.fieldnames or ())
-            rows = list(reader)
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise csv_error(path, reader, exc) from None
-    if fieldnames != columns:
-        raise DataError(f"{path} has unexpected columns")
-    return rows
-
-
-def aggregate_results(results_path, out_path) -> None:
-    """Per-cell means of the purity columns, recomputed from disk so the
-    aggregate is a pure function of the results CSV."""
-    rows = _read_ordered(results_path, RESULT_COLUMNS)
-    out = []
-    for cell, group in _group_rows(rows).items():
-        ok = [row for row in group if not row["error"]]
-        record = dict(zip(CELL, cell))
-        record["repetitions"] = str(len(group))
-        record["errors"] = str(len(group) - len(ok))
-        for col in ("purity_weighted", "purity_macro"):
-            if ok:
-                record[col] = fmt(statistics.fmean(float(row[col]) for row in ok))
-            else:
-                record[col] = ""
-        out.append(record)
-    _write_csv(out_path, AGG_COLUMNS, out)
-
-
-def aggregate_timings(timings_path, out_path) -> None:
-    """Per-cell medians of the wall-clock stage timings."""
-    rows = _read_ordered(timings_path, TIMING_COLUMNS)
-    out = []
-    for cell, group in _group_rows(rows).items():
-        record = dict(zip(CELL, cell))
-        record["repetitions"] = str(len(group))
-        for stage in STAGES:
-            med = statistics.median(float(row[f"seconds_{stage}"]) for row in group)
-            record[f"median_{stage}"] = fmt(med)
-        out.append(record)
-    _write_csv(out_path, AGG_TIMING_COLUMNS, out)
+def _mean_purities(group: list[dict]) -> dict:
+    """The error count and, over the rows without one, the mean purities."""
+    ok = [row for row in group if not row["error"]]
+    return {"errors": str(len(group) - len(ok)), **{
+        col: fmt(statistics.fmean(float(row[col]) for row in ok)) if ok else ""
+        for col in ("purity_weighted", "purity_macro")}}

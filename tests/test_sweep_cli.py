@@ -9,8 +9,8 @@ from specmix import (ClusteringResult, ConfigError, ExperimentGrid,
                      KMeansConfig, SpecMixConfig, SyntheticParams,
                      generate_synthetic, run_sweep)
 from specmix.cli import _build_parser, main
-from specmix.sweep import (METHODS, RESULT_COLUMNS, derive_seed, run_method,
-                           sidecar_paths)
+from specmix.sweep import (COORDS, METHODS, RESULT_COLUMNS, derive_seed,
+                           run_method, sidecar_paths)
 
 SMALL_GRID = """\
 # tiny smoke grid
@@ -71,12 +71,30 @@ class TestGrid:
         ("n = 10\nK = 2\nreps =\n", ("'reps'",)),
         ("n = 10\nK = 2\nreps = 2, 3\n", ("'reps'", "one value")),
         ("n = 10\nK = 2\nseed = 1, 2\n", ("'seed'", "one value")),
+        # a repeated key used to keep its last line: sigma = (1, 2), K = 3
+        ("n = 10\nK = 2\nsigma = 0.5\nsigma = 1, 2\n", ("line 4", "'sigma'")),
+        ("n = 10\nK = 2\nk = 3\n", ("line 3", "'k'")),
     ])
     def test_malformed_values_are_config_errors(self, text, names):
         with pytest.raises(ConfigError) as exc:
             ExperimentGrid.from_text(text)
         for name in names:
             assert name in str(exc.value)
+
+    @pytest.mark.parametrize("line", ["sigma = 1, 1.0",
+                                      "methods = specmix, specmix",
+                                      "lambda = 50, 50.0"])
+    def test_values_naming_one_row_twice_are_config_errors(self, line):
+        # each row used to be computed and written twice, and counted as
+        # two repetitions in the aggregate
+        with pytest.raises(ConfigError, match="twice"):
+            ExperimentGrid.from_text(f"n = 10\nK = 2\n{line}\n")
+
+    def test_unused_axis_may_repeat_a_value(self):
+        # lambda is not an axis of onlycat, so its rows stay distinct
+        grid = ExperimentGrid.from_text(
+            "n = 10\nK = 2\nlambda = 50, 50.0\nmethods = onlycat\n")
+        assert len(grid.row_keys()) == 1
 
     def test_seed_derivation_stable(self):
         a = derive_seed(7, "36", "2", "0.5")
@@ -114,6 +132,39 @@ class TestSweep:
         # a completed sweep re-runs as a no-op
         summary = run_sweep(grid, out_a)
         assert summary["computed"] == 0
+
+    def test_resume_keeps_timings_of_kept_rows_only(self, tmp_path):
+        grid = ExperimentGrid(n_values=(20,), k_values=(2,), q_values=(0, 1),
+                              sigma_values=(0.5,), p_values=(0.0,),
+                              methods=("kmodes", "numeric-spectral"),
+                              repetitions=2, seed=3)
+        out = tmp_path / "results.csv"
+        timings = sidecar_paths(out)["timings"]
+        run_sweep(grid, out)
+        lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+        before = {tuple(row[col] for col in COORDS): row
+                  for row in read_rows(timings)}
+        # a stale timing row for a deleted error row must not come back
+        stale = [row for row in read_rows(out)[::2] if row["error"]]
+        assert stale
+        with open(timings, "a", encoding="utf-8") as handle:
+            for row in stale:
+                handle.write(",".join([row[col] for col in COORDS]
+                                      + ["1"] * 4) + "\n")
+        out.write_text("".join(lines[:1] + lines[2::2]), encoding="utf-8")
+        kept = {tuple(row[col] for col in COORDS) for row in read_rows(out)}
+
+        run_sweep(grid, out)
+        results = read_rows(out)
+        ok = [tuple(row[col] for col in COORDS) for row in results
+              if not row["error"]]
+        assert len(ok) < len(results)
+        after = read_rows(timings)
+        assert [tuple(row[col] for col in COORDS) for row in after] == ok
+        for row in after:
+            key = tuple(row[col] for col in COORDS)
+            if key in kept:
+                assert row == before[key]
 
     def test_row_shape_and_timings_sidecar(self, tmp_path):
         grid = ExperimentGrid.from_text(SMALL_GRID)
@@ -161,6 +212,18 @@ class TestSweep:
         assert serial.read_bytes() == pooled.read_bytes()
         assert (sidecar_paths(serial)["aggregated"].read_bytes()
                 == sidecar_paths(pooled)["aggregated"].read_bytes())
+
+    @pytest.mark.parametrize("workers, env", [("2", None), (0, None),
+                                              (None, "two"), (None, "0")])
+    def test_bad_workers_is_config_error(self, tmp_path, monkeypatch,
+                                         workers, env):
+        # used to raise a raw TypeError ("2") or ValueError ("two")
+        if env is not None:
+            monkeypatch.setenv("SPECMIX_WORKERS", env)
+        grid = ExperimentGrid(n_values=(20,), k_values=(2,), q_values=(1,),
+                              methods=("onlycat",))
+        with pytest.raises(ConfigError, match="workers"):
+            run_sweep(grid, tmp_path / "results.csv", workers=workers)
 
     def test_foreign_rows_rejected(self, tmp_path):
         grid = ExperimentGrid(n_values=(20,), k_values=(2,), q_values=(1,),
@@ -491,6 +554,17 @@ class TestEvalCommand:
                      "--output", str(tmp_path / "results.csv")])
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_sweep_command_bad_workers_env(self, tmp_path, capsys,
+                                           monkeypatch):
+        grid_path = tmp_path / "grid.txt"
+        grid_path.write_text("n = 20\nK = 2\nQ = 1\nmethods = onlycat\n")
+        monkeypatch.setenv("SPECMIX_WORKERS", "two")
+        code = main(["sweep", "--grid", str(grid_path),
+                     "--output", str(tmp_path / "results.csv")])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "'two'" in err["message"]
 
     def test_sweep_command_malformed_grid(self, tmp_path, capsys):
         grid_path = tmp_path / "grid.txt"
