@@ -26,7 +26,8 @@ from .errors import (ConfigError, ConvergenceError, DataError, SchemaError,
                      SpecmixError, SpectralGapError)
 from .kmeans import KMeansConfig
 from .metrics import imbalance_ratio, label_agreement, purity
-from .pipelines import ClusteringResult, SpecMixConfig, specmix_graph
+from .pipelines import (ClusteringResult, SpecMixConfig, specmix_graph,
+                        specmix_graph_dim)
 from .sweep import (METHODS, ExperimentGrid, fmt, parse_values, run_method,
                     run_sweep, write_rows)
 
@@ -110,10 +111,11 @@ def _load_schema(args) -> Optional[ColumnSchema]:
 
 
 def _dump_graph(ds, cfg, path) -> None:
-    graph = specmix_graph(ds, cfg)
-    if graph.dim > DUMP_NODE_LIMIT:
-        raise ConfigError(f"refusing to dump a graph with {graph.dim} > "
+    dim = specmix_graph_dim(ds, cfg)  # refuse before the n x n build
+    if dim > DUMP_NODE_LIMIT:
+        raise ConfigError(f"refusing to dump a graph with {dim} > "
                           f"{DUMP_NODE_LIMIT} nodes")
+    graph = specmix_graph(ds, cfg)
     path = Path(path)
     write_rows(path, ([fmt(v) for v in row] for row in graph.dense()))
     write_rows(path.with_name(path.stem + ".degrees.csv"),

@@ -285,13 +285,28 @@ def specmix_graph(ds: MixedDataset,
     """The graph ``specmix`` clusters: the numeric similarity graph augmented
     with every categorical variable whose lambda is positive, or the bare
     similarity graph when every lambda is zero."""
-    lams = cfg.resolve_lambdas(ds.num_categorical)
-    active = np.flatnonzero(lams > 0.0)
+    active, lams = _augmenting(ds, cfg)
     weights = base_similarity(ds)
     if active.size == 0:
         return weights
     return assemble_augmented(weights, StackedEncoder(
-        ds.categorical[:, active], np.take(ds.cardinalities, active), lams[active]))
+        ds.categorical[:, active], np.take(ds.cardinalities, active), lams))
+
+
+def _augmenting(ds: MixedDataset,
+                cfg: SpecMixConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The indices and lambdas of the categorical variables whose lambda is
+    positive: those that ``specmix_graph`` adds as extra nodes."""
+    lams = cfg.resolve_lambdas(ds.num_categorical)
+    active = np.flatnonzero(lams > 0.0)
+    return active, lams[active]
+
+
+def specmix_graph_dim(ds: MixedDataset, cfg: SpecMixConfig) -> int:
+    """The node count of ``specmix_graph(ds, cfg)``, found without building
+    the graph: n plus the categories of the augmenting variables."""
+    active, _ = _augmenting(ds, cfg)
+    return ds.n + int(np.take(ds.cardinalities, active).sum())
 
 
 def specmix(ds: MixedDataset, cfg: SpecMixConfig) -> ClusteringResult:

@@ -5,9 +5,13 @@ A grid config enumerates axes over (n, K, Q, sigma, p, lambda), a method
 list, a repetition count and a base seed. Every (cell, repetition, method)
 row gets an independent seed derived by hashing the base seed with the row
 coordinates, so rows are reproducible in isolation and sweeps can resume:
-rows already present in the output are not recomputed.
+rows already present in the output are not recomputed. A resume refuses,
+before it computes or writes anything, a kept row whose coordinates or seed
+cell this grid does not derive, and a row with a missing, extra or
+non-finite number cell.
 
-The sweep is one table, a row per row key, written as two column views:
+The sweep is one table, a row per row key (the tuple of its ``COORDS``
+cells, the strings the row is written with), written as two column views:
 the deterministic results CSV and ``<name>.timings.csv`` (the rows with
 wall-clock timings). ``<name>.agg.csv`` and ``<name>.agg_timings.csv``
 aggregate the rows just written. All CSVs are UTF-8, comma-delimited, with
@@ -23,6 +27,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import itertools
+import math
 import os
 import statistics
 import sys
@@ -31,7 +36,6 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +52,8 @@ METHODS = ("specmix", "onlycat", "kmodes", "kprototypes", "numeric-spectral")
 
 # specmix consumes the lambda axis; the others get one row per cell with a
 # fixed placeholder (onlycat's labels are invariant in lambda).
-_FIXED_LAMBDA = {"onlycat": 1.0, "kmodes": 0.0, "kprototypes": 0.0,
-                 "numeric-spectral": 0.0}
+_FIXED_LAMBDA = {"onlycat": (1.0,), "kmodes": (0.0,), "kprototypes": (0.0,),
+                 "numeric-spectral": (0.0,)}
 
 # CSV names of the row coordinates; a cell is a row without its repetition.
 COORDS = ("n", "K", "Q", "sigma", "p", "lambda", "method", "rep")
@@ -111,20 +115,6 @@ def run_method(method: str, ds: MixedDataset,
         labels=np.asarray(labels, dtype=np.int64), eigenvalues=np.empty(0),
         embedding_rows_used=0, timings={"total": time.perf_counter() - start},
         config=cfg.echo(), seed=cfg.seed, method=method)
-
-
-class RowKey(NamedTuple):
-    """Coordinates of one sweep row, in canonical string form, in the order
-    of ``COORDS``."""
-
-    n: str
-    k: str
-    q: str
-    sigma: str
-    p: str
-    lam: str
-    method: str
-    rep: str
 
 
 @dataclass(frozen=True)
@@ -210,36 +200,28 @@ class ExperimentGrid:
     def from_file(cls, path) -> "ExperimentGrid":
         return cls.from_text(read_text(path, ConfigError))
 
-    def method_lambdas(self, method: str) -> tuple[float, ...]:
-        if method in _FIXED_LAMBDA:
-            return (_FIXED_LAMBDA[method],)
-        return self.lambda_values
-
-    def row_keys(self) -> list[RowKey]:
-        """All row coordinates in canonical emission order."""
-        keys = []
-        for n, k, q, sigma, p, method in itertools.product(
-                self.n_values, self.k_values, self.q_values,
-                self.sigma_values, self.p_values, self.methods):
-            for lam in self.method_lambdas(method):
-                for rep in range(self.repetitions):
-                    keys.append(RowKey(fmt(n), fmt(k), fmt(q), fmt(sigma),
-                                       fmt(p), fmt(lam), method, fmt(rep)))
-        return keys
+    def row_keys(self) -> list[tuple[str, ...]]:
+        """The ``COORDS`` cells of every row, in canonical emission order."""
+        return [(*map(fmt, (n, k, q, sigma, p, lam)), method, fmt(rep))
+                for n, k, q, sigma, p, method in itertools.product(
+                    self.n_values, self.k_values, self.q_values,
+                    self.sigma_values, self.p_values, self.methods)
+                for lam in _FIXED_LAMBDA.get(method, self.lambda_values)
+                for rep in range(self.repetitions)]
 
 
-def _compute_row(args: tuple[RowKey, int]) -> tuple[RowKey, dict]:
-    """The table row of ``key``; it has ``seconds_*`` cells if it succeeded."""
+def _compute_row(args: tuple[tuple, str]) -> tuple[tuple, dict]:
+    """The table row of the ``COORDS`` cells ``key`` and the ``seed`` cell;
+    it has ``seconds_*`` cells if it succeeded."""
     key, seed = args
-    row = dict(zip(RESULT_COLUMNS, (*key, str(seed), "", "", "")))
+    row = dict(zip(RESULT_COLUMNS, (*key, seed, "", "", "")))
     try:
-        k = int(key.k)
+        n, k, q, seed = (int(row[col]) for col in ("n", "K", "Q", "seed"))
+        sigma, p, lam = (float(row[col]) for col in ("sigma", "p", "lambda"))
         ds, truth = generate_synthetic(SyntheticParams(
-            n=int(key.n), k=k, q=int(key.q), sigma=float(key.sigma),
-            p=float(key.p), seed=seed))
-        cfg = SpecMixConfig(k=k, lambdas=float(key.lam), kmeans=KMeansConfig(),
-                            seed=seed)
-        result = run_method(key.method, ds, cfg)
+            n=n, k=k, q=q, sigma=sigma, p=p, seed=seed))
+        cfg = SpecMixConfig(k=k, lambdas=lam, kmeans=KMeansConfig(), seed=seed)
+        result = run_method(row["method"], ds, cfg)
         row["purity_weighted"] = fmt(purity(result.labels, truth, "weighted"))
         row["purity_macro"] = fmt(purity(result.labels, truth, "macro"))
         row.update((f"seconds_{stage}", fmt(result.timings.get(stage, 0.0)))
@@ -254,19 +236,40 @@ def _compute_row(args: tuple[RowKey, int]) -> tuple[RowKey, dict]:
 
 
 def _read_table(path, columns) -> dict[tuple[str, ...], dict]:
-    """The rows of a ``columns`` CSV by coordinates; none if it is missing."""
+    """The rows of a ``columns`` CSV by coordinates; none if it is missing.
+    A row that lacks a cell or has one too many, or a number cell that the
+    aggregates read that is not finite, is a DataError naming its line."""
     if not Path(path).exists():
         return {}
+    table = {}
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.reader(handle)
         try:
-            fieldnames = tuple(reader.fieldnames or ())
-            rows = list(reader)
+            if tuple(next(reader, ())) != columns:
+                raise DataError(f"{path} has unexpected columns")
+            for cells in filter(None, reader):  # blank lines hold no row
+                where = f"{path}, line {reader.line_num}"
+                if len(cells) != len(columns):
+                    raise DataError(f"{where}: {len(cells)} cells, expected "
+                                    f"{len(columns)}")
+                row = dict(zip(columns, cells))
+                for col in columns:  # an error row has no purities
+                    number = col.startswith("seconds_") or (
+                        col.startswith("purity_") and not row["error"])
+                    if number and not _is_finite(row[col]):
+                        raise DataError(f"{where}, column {col}: {row[col]!r} "
+                                        "is not a finite number")
+                table[tuple(cells[:len(COORDS)])] = row
         except (UnicodeDecodeError, csv.Error) as exc:
             raise csv_error(path, reader, exc) from None
-    if fieldnames != columns:
-        raise DataError(f"{path} has unexpected columns")
-    return {tuple(row[col] for col in COORDS): row for row in rows}
+    return table
+
+
+def _is_finite(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
 
 
 def write_rows(path, rows) -> None:
@@ -294,8 +297,8 @@ def sidecar_paths(results_path) -> dict[str, Path]:
 def run_sweep(grid: ExperimentGrid, results_path, workers: int | None = None) -> dict:
     """Run every missing row of the grid and (re)write all output files.
 
-    Returns a summary dict with row counts. Existing rows in the results CSV
-    are trusted and skipped, which makes interrupted sweeps resumable and
+    Returns a summary dict with row counts. Rows already in the results CSV
+    are checked and skipped, which makes interrupted sweeps resumable and
     completed reruns no-ops.
     """
     if workers is None:  # a value that is not a whole number fails as_int
@@ -304,12 +307,14 @@ def run_sweep(grid: ExperimentGrid, results_path, workers: int | None = None) ->
     workers = as_int(workers, "workers", 1)
 
     keys = grid.row_keys()
+    seeds = {key: str(derive_seed(grid.seed, *key)) for key in keys}
     table = _read_table(results_path, RESULT_COLUMNS)
-    foreign = set(table) - set(keys)
+    foreign = [key for key, row in table.items()
+               if row["seed"] != seeds.get(key)]
     if foreign:
         raise DataError(
             f"{results_path} contains {len(foreign)} rows not generated by "
-            "this grid; refusing to resume")
+            "this grid and its base seed; refusing to resume")
     paths = sidecar_paths(results_path)
     # kept rows keep their timings; a sidecar row without its result is stale
     for key, timing in _read_table(paths["timings"], TIMING_COLUMNS).items():
@@ -317,7 +322,7 @@ def run_sweep(grid: ExperimentGrid, results_path, workers: int | None = None) ->
             table[key].update(timing)
 
     todo = [key for key in keys if key not in table]
-    tasks = [(key, derive_seed(grid.seed, *key)) for key in todo]
+    tasks = [(key, seeds[key]) for key in todo]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             table.update(pool.map(_compute_row, tasks))

@@ -60,6 +60,20 @@ class TestKMeans:
         diffs = np.diff(history)
         assert (diffs <= 1e-12).all()
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: the first stop test of _lloyd compares with an "
+        "infinite inertia, so every restart stops after one assignment"))
+    def test_lloyd_iterates_past_the_first_assignment(self):
+        # the input of test_inertia_non_increasing_within_run, whose
+        # one-entry history makes that test hold whatever _lloyd does
+        rng = np.random.default_rng(2)
+        points = rng.standard_normal((40, 3))
+        unit, identity = np.ones(40), np.arange(40)
+        p2 = np.einsum("ij,ij->i", points, points)
+        centers = _plus_plus_init(points, 4, rng, unit, identity, p2)
+        _, _, _, history = _lloyd(points, 4, centers, 300, 1e-9, unit, p2)
+        assert len(history) > 1
+
     def test_all_clusters_used(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

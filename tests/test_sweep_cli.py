@@ -5,12 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from specmix import (ClusteringResult, ConfigError, ExperimentGrid,
-                     KMeansConfig, SpecMixConfig, SyntheticParams,
-                     generate_synthetic, run_sweep)
+from specmix import (ClusteringResult, ConfigError, DataError,
+                     ExperimentGrid, KMeansConfig, SpecMixConfig,
+                     SyntheticParams, generate_synthetic, run_sweep)
 from specmix.cli import _build_parser, main
 from specmix.sweep import (COORDS, METHODS, RESULT_COLUMNS, derive_seed,
-                           run_method, sidecar_paths)
+                           run_method, sidecar_paths, write_rows)
 
 SMALL_GRID = """\
 # tiny smoke grid
@@ -45,7 +45,8 @@ class TestGrid:
         keys = grid.row_keys()
         # specmix expands over both lambdas, the others get one row per cell
         assert len(keys) == (2 + 1 + 1) * 2
-        methods = [(key.method, key.lam) for key in keys]
+        methods = [(key[COORDS.index("method")], key[COORDS.index("lambda")])
+                   for key in keys]
         assert ("specmix", "0") in methods and ("specmix", "50") in methods
         assert ("onlycat", "1") in methods
         assert ("kmodes", "0") in methods
@@ -101,6 +102,18 @@ class TestGrid:
         assert a == derive_seed(7, "36", "2", "0.5")
         assert a != derive_seed(8, "36", "2", "0.5")
         assert 0 <= a < 2 ** 64
+
+
+def seeded_grid(seed):
+    return ExperimentGrid(n_values=(60,), k_values=(2,), q_values=(1,),
+                          sigma_values=(0.5,), p_values=(0.3,),
+                          methods=("onlycat", "kmodes"), repetitions=2,
+                          seed=seed)
+
+
+def output_bytes(out):
+    """The bytes of the results CSV and its three sidecars."""
+    return [path.read_bytes() for path in (out, *sidecar_paths(out).values())]
 
 
 class TestSweep:
@@ -239,6 +252,48 @@ class TestSweep:
         from specmix import DataError
         with pytest.raises(DataError):
             run_sweep(other, out)
+
+    def test_rows_of_another_base_seed_rejected(self, tmp_path):
+        # same coordinates, other seeds: keeping these rows would mix two
+        # sweeps in one output
+        out = tmp_path / "results.csv"
+        run_sweep(seeded_grid(42), out)
+        before = output_bytes(out)
+        with pytest.raises(DataError, match="base seed"):
+            run_sweep(seeded_grid(43), out)
+        assert output_bytes(out) == before
+
+    @pytest.mark.parametrize("name, edit, column", [
+        ("timings", lambda row: row.update(seconds_total="abc"),
+         "seconds_total"),
+        ("timings", lambda row: row.update(seconds_total=None), None),
+        ("results", lambda row: row.update(purity_weighted="abc"),
+         "purity_weighted"),
+        ("results", lambda row: row.update(purity_macro="nan"),
+         "purity_macro"),
+        ("results", lambda row: row.update(extra="1"), None),
+    ], ids=["timing-text", "timing-cut-off", "purity-text", "purity-nan",
+            "extra-cell"])
+    def test_malformed_kept_cell_is_data_error(self, tmp_path, name, edit,
+                                               column):
+        # refused when the file is read, before any row is computed or any
+        # file written
+        out = tmp_path / "results.csv"
+        grid = seeded_grid(42)
+        run_sweep(grid, out)
+        path = out if name == "results" else sidecar_paths(out)[name]
+        rows = read_rows(path)
+        edit(rows[1])  # line 3 of the file
+        write_rows(path, [list(rows[0]), *(
+            [cell for cell in row.values() if cell is not None]
+            for row in rows)])
+        before = output_bytes(out)
+        with pytest.raises(DataError) as exc:
+            run_sweep(grid, out)
+        message = str(exc.value)
+        assert f"{path}, line 3" in message
+        assert column is None or f"column {column}" in message
+        assert output_bytes(out) == before
 
     @pytest.mark.parametrize("body", [b"\xff\n", b"x" * 200_000 + b"\n"],
                              ids=["non-utf8", "oversized-field"])
@@ -443,6 +498,31 @@ class TestClusterCommand:
         assert "expected 3 lambda values" in capsys.readouterr().err
         assert not dump.exists()
 
+    @pytest.mark.parametrize("lam, dim", [("2", 14), ("0,2", 12)])
+    def test_dump_graph_limit_checked_before_build(self, tmp_path, capsys,
+                                                   monkeypatch, lam, dim):
+        # the node count is checked before the n x n graph is built
+        data = self.make_dataset(tmp_path, n=10)
+        dump = tmp_path / "wall.csv"
+        args = ["cluster", str(data), "--schema", "num,num,cat,cat,label",
+                "--k", "2", "--lambda", lam, "--output",
+                str(tmp_path / "r.json"), "--dump-graph", str(dump)]
+
+        def no_build(ds):
+            raise AssertionError("the graph was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("specmix.cli.DUMP_NODE_LIMIT", dim - 1)
+            patch.setattr("specmix.pipelines.base_similarity", no_build)
+            assert main(args) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and f"{dim} > {dim - 1}" in err["message"]
+        assert not dump.exists()
+        monkeypatch.setattr("specmix.cli.DUMP_NODE_LIMIT", dim)
+        assert main(args) == 0
+        assert np.loadtxt(dump, delimiter=",").shape == (dim, dim)
+        assert np.loadtxt(tmp_path / "wall.degrees.csv").shape == (dim,)
+
     def test_dump_graph_refuses_large(self, tmp_path, capsys):
         # 120 rows x 50 categorical columns with 120 distinct values each
         # pushes n + t over the dump limit while staying cheap to build
@@ -546,6 +626,30 @@ class TestEvalCommand:
         assert main(["sweep", "--grid", str(grid_path),
                      "--output", str(out)]) == 0
         assert len(read_rows(out)) == 1
+
+    @pytest.mark.parametrize("edit", ["seed = 1", "abc"])
+    def test_sweep_command_refuses_kept_rows(self, tmp_path, capsys, edit):
+        # a rerun under another base seed, or over a timing cell that is
+        # not a number, is a data error that leaves every output as it was
+        grid_path = tmp_path / "grid.txt"
+        grid_path.write_text("n = 20\nK = 2\nQ = 1\nmethods = onlycat\n"
+                             "reps = 2\n")
+        out = tmp_path / "results.csv"
+        assert main(["sweep", "--grid", str(grid_path),
+                     "--output", str(out)]) == 0
+        if edit == "abc":
+            timings = sidecar_paths(out)["timings"]
+            lines = timings.read_text(encoding="utf-8").splitlines()
+            lines[1] = lines[1].rsplit(",", 1)[0] + ",abc"
+            timings.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        else:
+            grid_path.write_text(grid_path.read_text() + edit + "\n")
+        capsys.readouterr()
+        before = output_bytes(out)
+        assert main(["sweep", "--grid", str(grid_path),
+                     "--output", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "data"
+        assert output_bytes(out) == before
 
     def test_sweep_command_non_utf8_grid(self, tmp_path, capsys):
         grid_path = tmp_path / "grid.txt"
