@@ -8,11 +8,11 @@ solve the eigenproblem on the small category side and lift, in time linear
 in the number of datapoints.
 """
 
-from .baselines import PrototypeSet, kmodes, kprototypes
+from .baselines import kmodes, kprototypes
 from .dataset import (ColumnSchema, MixedDataset, OneHotMatrix,
                       SyntheticParams, generate_synthetic, load_mixed_csv,
                       one_hot, standardize_numeric)
-from .eigen import (EigenPairs, SymmetricOperator, generalized_smallest_eigs,
+from .eigen import (EigenPairs, generalized_smallest_eigs,
                     symmetric_smallest_eigs)
 from .errors import (ConfigError, ConvergenceError, DataError, SchemaError,
                      SpecmixError, SpectralGapError)
@@ -33,14 +33,13 @@ __all__ = [
     "AssignmentMatrix", "AugmentedGraph", "BaseWeights", "ClusteringResult",
     "ColumnSchema", "ConfigError", "ContingencyTable", "ConvergenceError",
     "DataError", "EigenPairs", "ExperimentGrid", "KMeansConfig",
-    "MixedDataset", "OneHotMatrix", "PrototypeSet", "SchemaError",
-    "SpecMixConfig", "SpecmixError", "SpectralGapError", "StackedEncoder",
-    "SymmetricOperator", "SyntheticParams", "assemble_augmented",
-    "assignment_energy", "assignment_matrix", "base_similarity",
-    "build_bipartite_reduction", "build_stacked", "delta_counts",
-    "derive_seed", "generalized_smallest_eigs", "generate_synthetic",
-    "imbalance_ratio", "kmeans", "kmodes", "kprototypes", "label_agreement",
-    "load_mixed_csv", "numeric_spectral", "one_hot", "onlycat", "purity",
-    "run_sweep", "specmix", "standardize_numeric", "symmetric_smallest_eigs",
-    "transfer_cut",
+    "MixedDataset", "OneHotMatrix", "SchemaError", "SpecMixConfig",
+    "SpecmixError", "SpectralGapError", "StackedEncoder", "SyntheticParams",
+    "assemble_augmented", "assignment_energy", "assignment_matrix",
+    "base_similarity", "build_bipartite_reduction", "build_stacked",
+    "delta_counts", "derive_seed", "generalized_smallest_eigs",
+    "generate_synthetic", "imbalance_ratio", "kmeans", "kmodes",
+    "kprototypes", "label_agreement", "load_mixed_csv", "numeric_spectral",
+    "one_hot", "onlycat", "purity", "run_sweep", "specmix",
+    "standardize_numeric", "symmetric_smallest_eigs", "transfer_cut",
 ]

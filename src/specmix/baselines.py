@@ -9,7 +9,6 @@ deterministic given the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -17,16 +16,6 @@ import numpy as np
 from .dataset import MixedDataset, _check_seed, as_codes, as_int
 from .errors import ConfigError, DataError
 from .kmeans import _assign, _sq_dists, best_of_restarts
-
-
-@dataclass(frozen=True)
-class PrototypeSet:
-    """Cluster prototypes: numeric means, categorical modes, and the weight
-    of the categorical (Hamming) term in the mixed assignment cost."""
-
-    numeric_centers: np.ndarray
-    modes: np.ndarray
-    gamma_mix: float
 
 
 def _column_modes(categorical, labels, k, cards) -> np.ndarray:
@@ -110,8 +99,8 @@ def kmodes(categorical, k: int, seed: int = 0, max_iters: int = 100,
 
 
 def kprototypes(ds: MixedDataset, k: int, gamma_mix: Optional[float] = None,
-                seed: int = 0, max_iters: int = 100, restarts: int = 10,
-                return_prototypes: bool = False):
+                seed: int = 0, max_iters: int = 100,
+                restarts: int = 10) -> np.ndarray:
     """K-prototypes over a mixed dataset.
 
     Assignment cost is the squared Euclidean distance to the numeric center
@@ -129,9 +118,5 @@ def kprototypes(ds: MixedDataset, k: int, gamma_mix: Optional[float] = None,
         raise ConfigError(f"gamma_mix must be finite and nonnegative, got {gamma_mix}")
     cards = np.asarray(ds.cardinalities, dtype=np.int64)
     p2 = np.einsum("ij,ij->i", ds.numeric, ds.numeric)  # once for all restarts
-    labels, centers, modes, _, _ = best_of_restarts(
-        as_int(restarts, "restarts", 1), seed, lambda rng: _alternate(
-            ds.numeric, ds.categorical, cards, k, rng, max_iters, gamma_mix, p2))
-    if return_prototypes:
-        return labels, PrototypeSet(centers, modes, float(gamma_mix))
-    return labels
+    return best_of_restarts(as_int(restarts, "restarts", 1), seed, lambda rng: _alternate(
+        ds.numeric, ds.categorical, cards, k, rng, max_iters, gamma_mix, p2))[0]

@@ -229,17 +229,13 @@ class MixedDataset:
     def num_categorical(self) -> int:
         return self.categorical.shape[1]
 
-    @property
-    def total_categories(self) -> int:
-        return sum(self.cardinalities)
-
 
 @dataclass(frozen=True)
 class OneHotMatrix:
     """One-hot encoding of a single categorical variable.
 
-    Stored as the code vector; the dense indicator matrix and the per-category
-    counts are derived views. Every row of the dense matrix sums to 1.
+    Stored as the code vector; the dense indicator matrix is a derived view.
+    Every row of it sums to 1.
     """
 
     codes: np.ndarray
@@ -262,10 +258,6 @@ class OneHotMatrix:
         out = np.zeros((self.n, self.cardinality))
         out[np.arange(self.n), self.codes] = 1.0
         return out
-
-    @cached_property
-    def column_sums(self) -> np.ndarray:
-        return np.bincount(self.codes, minlength=self.cardinality).astype(np.int64)
 
 
 def one_hot(ds: MixedDataset, index: int) -> OneHotMatrix:

@@ -22,7 +22,6 @@ eigenspaces. Solves are pure; concurrent independent solves are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import eig_banded
@@ -50,23 +49,14 @@ class EigenPairs:
     products: int
 
 
-class SymmetricOperator:
-    """Matrix-free symmetric linear map: a matvec callable, which takes a
-    block of column vectors (a dim x m array), plus the dimension."""
-
-    def __init__(self, matvec: Callable[[np.ndarray], np.ndarray], dim: int):
-        self.matvec = matvec
-        self.dim = dim
-
-
 class _Counted:
-    """A matvec that counts the operator columns it applies."""
+    """A block matvec that counts the operator columns it applies."""
 
     def __init__(self, matvec):
         self.matvec, self.columns = matvec, 0
 
     def __call__(self, x):
-        self.columns += 1 if x.ndim == 1 else x.shape[1]
+        self.columns += x.shape[1]
         return self.matvec(x)
 
 
@@ -244,7 +234,8 @@ def _gershgorin(band) -> float:
 
 def symmetric_smallest_eigs(a, k: int, method: str = "lanczos",
                             seed: int = 0) -> EigenPairs:
-    """K algebraically smallest eigenpairs of a symmetric matrix or operator.
+    """K algebraically smallest eigenpairs of a symmetric matrix or of an
+    operator: any object with ``dim`` and a ``matvec`` taking a dim x m block.
 
     ``method`` is "lanczos" or "dense", the full-decomposition oracle for
     matrices. Eigenvectors are orthonormal.

@@ -202,7 +202,11 @@ class AugmentedGraph:
 
     base: BaseWeights
     stacked: StackedEncoder
-    degrees: np.ndarray
+
+    def __post_init__(self):
+        if self.stacked.n != self.base.n:
+            raise DataError(f"stacked encoder has {self.stacked.n} rows, "
+                            f"base graph has {self.base.n}")
 
     @property
     def n(self) -> int:
@@ -215,6 +219,13 @@ class AugmentedGraph:
     @property
     def dim(self) -> int:
         return self.n + self.t
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Data node i: its base row sum + sum_l lambda_l; extra node (l, j):
+        lambda_l * (count of category j) + 1."""
+        return np.concatenate([self.base.degrees + self.stacked.lam_total,
+                               self.stacked.column_sums + 1.0])
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Implied dense weight matrix times a vector or a block of column
@@ -232,16 +243,9 @@ class AugmentedGraph:
 
 
 def assemble_augmented(base: BaseWeights, stacked: StackedEncoder) -> AugmentedGraph:
-    """Assemble the augmented graph and cache its degree vector.
-
-    Data node i has degree (row sum of the base weights) + sum_l lambda_l;
-    extra node (l, j) has degree lambda_l * (count of category j) + 1.
-    """
-    if stacked.n != base.n:
-        raise DataError(f"stacked encoder has {stacked.n} rows, base graph has {base.n}")
-    degrees = np.concatenate([base.degrees + stacked.lam_total,
-                              stacked.column_sums + 1.0])
-    return AugmentedGraph(base, stacked, degrees)
+    """The augmented graph of ``base`` and ``stacked``; a DataError when they
+    disagree on the row count."""
+    return AugmentedGraph(base, stacked)
 
 
 @dataclass(frozen=True)
@@ -254,7 +258,6 @@ class AssignmentMatrix:
     """
 
     entries: np.ndarray
-    labels: np.ndarray
     volumes: np.ndarray
 
 
@@ -270,7 +273,7 @@ def assignment_matrix(labels, degrees, k: int) -> AssignmentMatrix:
         raise ConfigError(f"cluster {empty} is empty (zero volume)")
     entries = np.zeros((labels.size, k))
     entries[np.arange(labels.size), labels] = 1.0 / np.sqrt(volumes[labels])
-    return AssignmentMatrix(entries, labels, volumes)
+    return AssignmentMatrix(entries, volumes)
 
 
 def assignment_energy(assign: AssignmentMatrix, graph) -> float:

@@ -173,19 +173,17 @@ def build_stacked(ds: MixedDataset, lambdas) -> StackedEncoder:
 def build_bipartite_reduction(stacked: StackedEncoder):
     """Reduce the bipartite category graph to its small side.
 
-    Returns (w_small, d_small, d_rows): the t x t weight matrix
-    H.T diag(row sums)^{-1} H of the reduced graph, its degree vector, and
-    the constant data-side row-degree vector. Since every row of H sums to
-    the same total, the reduced degrees coincide with the bipartite degrees
-    of the category nodes.
+    Returns (w_small, d_small): the t x t weight matrix
+    H.T diag(row sums)^{-1} H of the reduced graph and its degree vector.
+    Every row of H sums to ``stacked.lam_total``, the degree of each data
+    node, so the reduced degrees coincide with the bipartite degrees of the
+    category nodes.
     """
     # Co-occurrence counts scaled by lambda_a lambda_b: exactly symmetric,
     # and equal to h.T @ h while every lambda^2 times a count is exact.
     unit, weights = stacked.unit, stacked.weights
     w_small = (unit.T @ unit).toarray() * np.outer(weights, weights) / stacked.lam_total
-    d_small = w_small.sum(axis=1)
-    d_rows = np.full(stacked.n, stacked.lam_total)
-    return w_small, d_small, d_rows
+    return w_small, w_small.sum(axis=1)
 
 
 def transfer_cut(stacked: StackedEncoder, k: int) -> tuple[EigenPairs, np.ndarray]:
@@ -202,7 +200,7 @@ def transfer_cut(stacked: StackedEncoder, k: int) -> tuple[EigenPairs, np.ndarra
     """
     if k > stacked.t:
         raise ConfigError(f"k={k} exceeds the {stacked.t} category nodes")
-    w_small, d_small, _ = build_bipartite_reduction(stacked)
+    w_small, d_small = build_bipartite_reduction(stacked)
     # The reduction is already dense and costs O(n t^2), more than a full
     # O(t^3) decomposition, so Lanczos would save nothing here.
     small = generalized_smallest_eigs(w_small, d_small, k, method="dense")

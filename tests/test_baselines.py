@@ -88,16 +88,6 @@ class TestKPrototypes:
                                          rng, 100, 0.5)
         assert (np.diff(history) <= 1e-9).all()
 
-    def test_prototype_set_returned(self):
-        ds, _ = generate_synthetic(SyntheticParams(n=40, k=2, q=2,
-                                                   sigma=0.5, p=0.1, seed=8))
-        labels, protos = kprototypes(ds, 2, seed=9, return_prototypes=True)
-        assert protos.numeric_centers.shape == (2, ds.num_numeric)
-        assert protos.modes.shape == (2, ds.num_categorical)
-        assert protos.gamma_mix >= 0.0
-        for c in range(2):
-            assert (protos.modes[c] < np.asarray(ds.cardinalities)).all()
-
     def test_requires_both_parts(self):
         ds = MixedDataset(np.random.default_rng(0).standard_normal((10, 2)),
                           np.empty((10, 0), dtype=int), ())
@@ -145,11 +135,12 @@ def test_golden_kmodes():
 def test_golden_kprototypes(gamma_mix, expected, objective):
     ds, _ = generate_synthetic(SyntheticParams(n=45, k=3, q=2, sigma=0.8,
                                                p=0.3, seed=6))
-    labels, protos = kprototypes(ds, 3, gamma_mix=gamma_mix, seed=7,
-                                 return_prototypes=True)
+    labels = kprototypes(ds, 3, gamma_mix=gamma_mix, seed=7)
     assert "".join(map(str, labels)) == expected
+    if gamma_mix is None:  # the default: half the mean numeric column variance
+        gamma_mix = 0.5 * float(np.mean(np.var(ds.numeric, axis=0)))
     best = winning_objective(ds.numeric, ds.categorical,
-                             np.asarray(ds.cardinalities), 3, 7, protos.gamma_mix)
+                             np.asarray(ds.cardinalities), 3, 7, gamma_mix)
     assert best.hex() == objective
 
 

@@ -336,7 +336,7 @@ class TestOneHot:
                           np.array([[0], [1], [0]]), (2,))
         enc = one_hot(ds, 0)
         assert enc.entries.tolist() == [[1, 0], [0, 1], [1, 0]]
-        assert enc.column_sums.tolist() == [2, 1]
+        assert enc.entries.sum(axis=0).tolist() == [2, 1]
 
     def test_rows_sum_to_one(self):
         from specmix import MixedDataset
@@ -363,7 +363,7 @@ class TestOneHot:
     def test_total_column_sums(self):
         ds, _ = generate_synthetic(SyntheticParams(n=37, k=3, q=4,
                                                    sigma=1.0, p=0.3, seed=9))
-        total = sum(one_hot(ds, l).column_sums.sum()
+        total = sum(one_hot(ds, l).entries.sum()
                     for l in range(ds.num_categorical))
         assert total == ds.n * ds.num_categorical
 

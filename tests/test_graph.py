@@ -438,7 +438,7 @@ def test_block_products(problem):
     columns = np.column_stack([graph.matvec(block[:, j]) for j in range(u.shape[1])])
     assert within(graph.matvec(block), columns, np.abs(graph.dense()) @ np.abs(block))
 
-    w_small, _, _ = build_bipartite_reduction(stacked)
+    w_small, _ = build_bipartite_reduction(stacked)
     reference = (h.T @ h) / stacked.lam_total
     if equal:  # lambda^2 times a count is exact for these lambdas
         assert np.array_equal(w_small, reference)

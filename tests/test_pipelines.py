@@ -62,16 +62,16 @@ class TestBipartiteReduction:
     def test_single_variable_example(self):
         ds = MixedDataset(np.empty((3, 0)), np.array([[0], [0], [1]]), (2,))
         stacked = build_stacked(ds, [1.0])
-        w_small, d_small, d_rows = build_bipartite_reduction(stacked)
+        w_small, d_small = build_bipartite_reduction(stacked)
         assert np.allclose(w_small, [[2.0, 0.0], [0.0, 1.0]])
         assert np.allclose(d_small, [2.0, 1.0])
-        assert np.allclose(d_rows, 1.0)
+        assert stacked.lam_total == 1.0
 
     def test_reduced_degrees_are_bipartite_degrees(self):
         rng = np.random.default_rng(3)
         ds = categorical_dataset(rng, 30, [4, 3])
         stacked = build_stacked(ds, [2.0, 5.0])
-        _, d_small, _ = build_bipartite_reduction(stacked)
+        _, d_small = build_bipartite_reduction(stacked)
         assert np.allclose(d_small, stacked.column_sums)
         assert d_small.sum() == pytest.approx(30 * stacked.lam_total)
 
@@ -139,7 +139,7 @@ class TestTransferCut:
         rng = np.random.default_rng(6)
         ds = categorical_dataset(rng, 60, [5, 4])
         stacked = build_stacked(ds, [1.5, 0.7])
-        w_small, d_small, _ = build_bipartite_reduction(stacked)
+        w_small, d_small = build_bipartite_reduction(stacked)
         gammas = generalized_smallest_eigs(w_small, d_small, 4).values
         mus = transfer_cut(stacked, 4)[0].values
         assert np.abs(mus * (2.0 - mus) - gammas).max() <= 1e-12
@@ -236,7 +236,7 @@ class TestSpecMix:
         result = specmix(ds, SpecMixConfig(k=3, lambdas=5.0, seed=4))
         assert result.labels.shape == (40,)
         assert set(result.labels.tolist()) <= {0, 1, 2}
-        assert result.embedding_rows_used == 40 + ds.total_categories
+        assert result.embedding_rows_used == 40 + sum(ds.cardinalities)
         assert (result.eigenvalues >= -1e-10).all()
         assert (result.eigenvalues <= 2.0 + 1e-10).all()
 
