@@ -70,8 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                           "(default: stdout)")
     cluster.add_argument("--dump-graph", metavar="PATH",
                          help="debug: dump the dense augmented weight matrix "
-                              f"and degrees to CSV (refused above "
-                              f"{DUMP_NODE_LIMIT} nodes)")
+                              "and degrees to CSV (--method specmix only; "
+                              f"refused above {DUMP_NODE_LIMIT} nodes)")
 
     synth = sub.add_parser("synth", help="write a synthetic dataset CSV")
     synth.add_argument("--n", type=int, required=True)
@@ -96,8 +96,10 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--truth", required=True,
                           help="labels file, or a dataset CSV when --schema "
                                "is given")
-    evaluate.add_argument("--schema", help="role string for --truth as a CSV")
-    evaluate.add_argument("--schema-file")
+    schema = evaluate.add_mutually_exclusive_group()
+    schema.add_argument("--schema", help="role string for --truth as a CSV")
+    schema.add_argument("--schema-file",
+                        help="file containing the role string for --truth")
     return parser
 
 
@@ -123,6 +125,9 @@ def _dump_graph(ds, cfg, path) -> None:
 
 
 def _cmd_cluster(args) -> int:
+    if args.dump_graph and args.method != "specmix":
+        raise ConfigError("--dump-graph dumps the specmix graph; it needs "
+                          "--method specmix")
     schema = _load_schema(args)
     missing = tuple(tok.strip() for tok in args.missing.split(",")) if args.missing else ()
     ds, truth = load_mixed_csv(args.dataset, schema, missing_values=missing)

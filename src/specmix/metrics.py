@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError
 
@@ -68,6 +67,10 @@ def label_agreement(a, b) -> float:
 
     Exact optimal matching over the contingency table.
     """
+    # imported here: scipy.optimize costs every process about 0.3 s and 19 MB
+    # to import, and only ``specmix eval`` calls this
+    from scipy.optimize import linear_sum_assignment
+
     table = ContingencyTable.from_labels(a, b)
     rows, cols = linear_sum_assignment(table.counts, maximize=True)
     return int(table.counts[rows, cols].sum()) / table.n

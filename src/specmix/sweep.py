@@ -13,9 +13,11 @@ non-finite number cell.
 The sweep is one table, a row per row key (the tuple of its ``COORDS``
 cells, the strings the row is written with), written as two column views:
 the deterministic results CSV and ``<name>.timings.csv`` (the rows with
-wall-clock timings). ``<name>.agg.csv`` and ``<name>.agg_timings.csv``
-aggregate the rows just written. All CSVs are UTF-8, comma-delimited, with
-a header row, '.' decimal separator and 9-significant-digit floats.
+wall-clock timings), the timings first. ``<name>.agg.csv`` and
+``<name>.agg_timings.csv`` aggregate the rows just written. Each file is
+replaced whole, so an interrupted write leaves the previous one. All CSVs
+are UTF-8, comma-delimited, with a header row, '.' decimal separator and
+9-significant-digit floats.
 
 Rows may execute in a process pool (``workers`` argument or the
 SPECMIX_WORKERS environment variable); the output is ordered canonically
@@ -274,9 +276,18 @@ def _is_finite(text: str) -> bool:
 
 def write_rows(path, rows) -> None:
     """Write ``rows``, each a sequence of cells, as a UTF-8 CSV with '\n'
-    line ends: the settings of every CSV that specmix writes."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle, lineterminator="\n").writerows(rows)
+    line ends: the settings of every CSV that specmix writes. The rows go to
+    a sibling file that replaces ``path`` once all are written, so a write
+    that fails or is interrupted leaves ``path`` as it was."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        with open(partial, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _write_csv(path, columns, rows) -> None:
@@ -331,8 +342,11 @@ def run_sweep(grid: ExperimentGrid, results_path, workers: int | None = None) ->
 
     rows = [table[key] for key in keys]
     timed = [row for row in rows if "seconds_total" in row]
-    _write_csv(results_path, RESULT_COLUMNS, rows)
+    # timings first: a resume takes a row without its result as not yet
+    # computed, but a kept result row whose timings were never written
+    # would stay without them
     _write_csv(paths["timings"], TIMING_COLUMNS, timed)
+    _write_csv(results_path, RESULT_COLUMNS, rows)
     _aggregate(rows, paths["aggregated"], AGG_COLUMNS, _mean_purities)
     _aggregate(timed, paths["agg_timings"], AGG_TIMING_COLUMNS, lambda group: {
         f"median_{stage}": fmt(statistics.median(

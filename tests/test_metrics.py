@@ -1,8 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import specmix
 from specmix import (ContingencyTable, DataError, imbalance_ratio,
                      label_agreement, purity)
+
+
+def test_import_does_not_load_scipy_optimize():
+    # only label_agreement needs it, and it costs every process about 0.3 s
+    env = dict(os.environ, PYTHONPATH=str(Path(specmix.__file__).parent.parent))
+    code = ("import sys, specmix, specmix.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestPurity:

@@ -179,6 +179,48 @@ class TestSweep:
             if key in kept:
                 assert row == before[key]
 
+    def test_failed_second_write_keeps_timings_on_resume(self, tmp_path,
+                                                           monkeypatch):
+        grid = ExperimentGrid(n_values=(60,), k_values=(2,), q_values=(1,),
+                              methods=("onlycat", "kmodes"), repetitions=2)
+        out = tmp_path / "results.csv"
+        run_sweep(grid, out)
+        lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+        out.write_text("".join(lines[:3]), encoding="utf-8")
+        calls = []
+
+        def fail_second(path, rows):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            write_rows(path, rows)
+
+        with monkeypatch.context() as patch:
+            patch.setattr("specmix.sweep.write_rows", fail_second)
+            with pytest.raises(OSError):
+                run_sweep(grid, out)
+        summary = run_sweep(grid, out)
+        assert summary == {"rows": 4, "computed": 2, "skipped": 2}
+        ok = [tuple(row[col] for col in COORDS) for row in read_rows(out)
+              if not row["error"]]
+        timed = [tuple(row[col] for col in COORDS)
+                 for row in read_rows(sidecar_paths(out)["timings"])]
+        assert len(ok) == 4 and timed == ok
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        out = tmp_path / "results.csv"
+        write_rows(out, [["a", "b"], ["1", "2"]])
+        before = out.read_bytes()
+
+        def rows():
+            yield ["a", "b"]
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            write_rows(out, rows())
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+
     def test_row_shape_and_timings_sidecar(self, tmp_path):
         grid = ExperimentGrid.from_text(SMALL_GRID)
         out = tmp_path / "results.csv"
@@ -486,6 +528,24 @@ class TestClusterCommand:
         assert dense.shape == (14, 14)  # 10 data nodes + 2x2 categories
         assert np.allclose(dense.sum(axis=1), degrees, atol=1e-6)
 
+    @pytest.mark.parametrize("method, schema", [
+        ("kmodes", "num,num,cat,cat,label"),
+        ("onlycat", "ignore,ignore,cat,cat,label")])
+    def test_dump_graph_needs_specmix(self, tmp_path, capsys, method, schema):
+        data = self.make_dataset(tmp_path, n=10)
+        dump = tmp_path / "wall.csv"
+        code = main(["cluster", str(data), "--schema", schema, "--method",
+                     method, "--k", "2", "--output", str(tmp_path / "r.json"),
+                     "--dump-graph", str(dump)])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "--method specmix" in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+        # refused before the CSV is read
+        assert main(["cluster", str(tmp_path / "missing.csv"), "--schema",
+                     schema, "--method", method, "--k", "2",
+                     "--dump-graph", str(dump)]) == 4
+
     def test_dump_graph_checks_lambdas_first(self, tmp_path, capsys):
         path = tmp_path / "three.csv"
         main(["synth", "--n", "20", "--k", "2", "--q", "3", "--sigma", "0.2",
@@ -578,6 +638,17 @@ class TestEvalCommand:
             assert "purity_weighted=1" in capsys.readouterr().out
         else:  # the schema declares no label column
             assert "no label column" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_eval_takes_one_schema_flag(self, tmp_path, capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0\n1\n")
+        schema = tmp_path / "schema.txt"
+        schema.write_text("label\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--pred", str(labels), "--truth", str(labels),
+                  "--schema", "label", "--schema-file", str(schema)])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
     def test_eval_empty_schema_text_is_schema_error(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
