@@ -27,16 +27,15 @@ def _column_modes(categorical, labels, k, cards) -> np.ndarray:
     return modes
 
 
-def _alternate(numeric, categorical, cards, k, rng, max_iters, gamma_mix, p2=None):
-    """One restart of the alternating minimization shared by both baselines.
-    ``numeric`` is None for the purely categorical case; ``p2`` holds its
-    squared row norms when the caller has them."""
+def _alternate(numeric, categorical, cards, k, rng, max_iters, gamma_mix, p2):
+    """One restart of the alternating minimization shared by both baselines:
+    (labels, objective, history). ``numeric`` is None for the purely
+    categorical case, and so is ``p2``; otherwise ``p2`` holds the squared
+    row norms of ``numeric``."""
     n, q = categorical.shape
     init = rng.choice(n, size=k, replace=False)
     centers = numeric[init].copy() if numeric is not None else None
     modes = categorical[init].copy()
-    if numeric is not None and p2 is None:
-        p2 = np.einsum("ij,ij->i", numeric, numeric)
 
     def assignment_cost():
         cost = (_sq_dists(numeric, centers, p2) if numeric is not None
@@ -71,7 +70,7 @@ def _alternate(numeric, categorical, cards, k, rng, max_iters, gamma_mix, p2=Non
         history.append(objective)
         if converged:
             break
-    return labels, centers, modes, objective, history
+    return labels, objective, history
 
 
 def kmodes(categorical, k: int, seed: int = 0, max_iters: int = 100,
@@ -95,7 +94,7 @@ def kmodes(categorical, k: int, seed: int = 0, max_iters: int = 100,
     cards = categorical.max(axis=0) + 1
 
     return best_of_restarts(as_int(restarts, "restarts", 1), seed, lambda rng: _alternate(
-        None, categorical, cards, k, rng, max_iters, gamma_mix=1.0))[0]
+        None, categorical, cards, k, rng, max_iters, 1.0, None))[0]
 
 
 def kprototypes(ds: MixedDataset, k: int, gamma_mix: Optional[float] = None,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -125,11 +126,19 @@ class StackedEncoder:
 
     Every row sums to the total edge weight (``lam_total``); column j of
     variable l sums to lambda_l times that category's count.
+
+    With ``inverse``, the rows of ``codes`` are category tuples and
+    ``inverse`` maps each of the n datapoints to its tuple, so H repeats a
+    tuple's row for each of its ``counts`` datapoints. Products then act on
+    vectors that are equal over each tuple's datapoints and hold one entry
+    per tuple: ``apply`` gives each tuple's entry of H x, and
+    ``apply_transpose`` weights each tuple's entry by its count.
     """
 
     codes: np.ndarray
     cardinalities: tuple[int, ...]
     lambdas: tuple[float, ...]
+    inverse: Optional[np.ndarray] = None
 
     def __post_init__(self):
         cards = tuple(as_int(t, "cardinality", 1, DataError) for t in self.cardinalities)
@@ -146,11 +155,22 @@ class StackedEncoder:
         object.__setattr__(self, "codes", check_codes(self.codes, cards, "category codes"))
         # Columns ascend within each row, so products sum in variable order.
         cols = self.codes + np.cumsum((0,) + cards[:-1])
-        unit = sparse.csr_array(
-            (np.ones(cols.size), cols.ravel(), np.arange(0, cols.size + 1, len(cards))),
-            shape=(cols.shape[0], sum(cards)))
+        shape = (cols.shape[0], sum(cards))
+        indptr = np.arange(0, cols.size + 1, len(cards))
+        unit = sparse.csr_array((np.ones(cols.size), cols.ravel(), indptr), shape=shape)
+        if self.inverse is None:
+            counts = np.ones(shape[0], dtype=np.int64)
+        else:
+            if np.ndim(self.inverse) != 1:
+                raise DataError("tuple inverse must be a 1-D array")
+            inverse = check_codes(self.inverse, shape[0], "tuple inverse")
+            object.__setattr__(self, "inverse", inverse)
+            counts = np.bincount(inverse, minlength=shape[0])
+            if not counts.all():
+                raise DataError(f"tuple {int(np.argmin(counts))} has no datapoints")
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "_unit_t", unit.T)  # a CSC view; .T rebuilds it per call
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "weights", np.repeat(self.lambdas, cards))
         # An unused category would be an isolated extra node (specmix) or a
         # zero-degree one (onlycat); both pipelines reject it here.
@@ -160,6 +180,12 @@ class StackedEncoder:
 
     @property
     def n(self) -> int:
+        """The datapoint count."""
+        return self.rows if self.inverse is None else self.inverse.size
+
+    @property
+    def rows(self) -> int:
+        """The row count of ``codes``: n, or the tuple count with ``inverse``."""
         return self.unit.shape[0]
 
     @property
@@ -173,21 +199,30 @@ class StackedEncoder:
 
     @cached_property
     def column_sums(self) -> np.ndarray:
-        return self.weights * np.bincount(self.unit.indices, minlength=self.t)
+        return self.weights * (self._unit_t @ self.counts)  # exact integer counts
+
+    def cooccurrence(self) -> np.ndarray:
+        """The dense t x t matrix unit.T @ unit over the n datapoints: how
+        many datapoints take both categories, exact integers."""
+        counted = sparse.diags_array(self.counts.astype(np.float64)) @ self.unit
+        return (self._unit_t @ counted).toarray()
 
     def dense(self) -> np.ndarray:
+        """H, one row per row of ``codes``."""
         return self.unit.toarray() * self.weights
 
     # Weights act on the t side, so H.T x is lambda times a sum of x_i and
     # rounds as a per-variable scatter-add. x.T puts the rows last, so the
     # weights broadcast over a vector and a block alike.
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """H @ x for a length-t vector or a t x m block."""
+        """H @ x for a length-t vector or a t x m block, one row per row of
+        ``codes``."""
         return self.unit @ (self.weights * _block(x, self.t).T).T
 
     def apply_transpose(self, x: np.ndarray) -> np.ndarray:
-        """H.T @ x for a length-n vector or an n x m block."""
-        return (self.weights * (self._unit_t @ _block(x, self.n)).T).T
+        """H.T @ x for a vector or block with one row per row of ``codes``."""
+        counted = (self.counts * _block(x, self.rows).T).T  # exact at count 1
+        return (self.weights * (self._unit_t @ counted).T).T
 
 
 @dataclass(frozen=True)
@@ -204,6 +239,8 @@ class AugmentedGraph:
     stacked: StackedEncoder
 
     def __post_init__(self):
+        if self.stacked.inverse is not None:
+            raise ConfigError("the augmented graph needs one encoder row per datapoint")
         if self.stacked.n != self.base.n:
             raise DataError(f"stacked encoder has {self.stacked.n} rows, "
                             f"base graph has {self.base.n}")

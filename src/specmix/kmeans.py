@@ -6,12 +6,17 @@ lowest-inertia run wins, ties going to the earliest restart), and
 deterministic empty-cluster repair. Restart r draws from a generator seeded
 with (seed, r), so restarts are independent and may run concurrently.
 
-Embeddings repeat rows: an ``onlycat`` row depends only on its datapoint's
-category tuple. Each distinct row is clustered once, weighted by its
-multiplicity, and the labels are scattered back to the datapoints. The
-objective is unchanged; only the random draws differ. When every row is
-distinct, the distinct rows are the points in order with unit weights, so
-the draws and results are those of an unweighted run.
+Rows may stand for several datapoints: ``onlycat`` hands over one row per
+distinct category tuple and an ``inverse`` that gives each datapoint's row.
+Equal rows are merged as well, so each distinct row is clustered once,
+weighted by the datapoints it stands for, and the labels are scattered back
+to the datapoints. The objective is unchanged. The random draws are over
+datapoints, and the distinct rows keep the order of the given rows. Given
+rows in order of their first datapoint, as ``onlycat``'s tuples are, thus
+draw and label exactly as one row per datapoint would; in another order
+only the draws differ. When every row is distinct, the distinct rows are the
+points in order with unit weights, so the draws and results are those of an
+unweighted run.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import _check_seed, as_int
+from .dataset import _check_seed, as_int, check_codes
 from .errors import ConfigError, DataError
 
 
@@ -131,47 +136,83 @@ def _lloyd(points, k, centers, max_iters, tol, w, p2):
     return labels, centers, inertia, history
 
 
-def _distinct_rows(points: np.ndarray):
-    """(rows, weights, inverse): the distinct rows of ``points`` in order of
-    first appearance, how many datapoints each stands for, and the row of
-    each datapoint. Rows are compared by their bytes, so ``points`` must be
-    finite. -0.0 and 0.0 differ in their bytes, so such rows stay apart,
-    which is correct but merges less."""
-    flat = np.ascontiguousarray(points)
-    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
-    _, first, inverse, counts = np.unique(keys, return_index=True,
-                                          return_inverse=True, return_counts=True)
-    order = np.argsort(first)  # sorted-key position of each rank
+def _first_appearance(keys: np.ndarray, size: int | None = None):
+    """(first, inverse) for the 1-D ``keys``: the index where each distinct
+    key first appears, in increasing order, and the number of each entry's
+    key in that order.
+
+    ``size``, when given, bounds nonnegative integer keys, which then need
+    no sort; absent keys sort last, behind every index."""
+    if size is None:
+        unique, keys = np.unique(keys, return_inverse=True)
+        size = unique.size
+    counts = np.bincount(keys, minlength=size)
+    first = np.full(size, keys.size)
+    np.minimum.at(first, keys, np.arange(keys.size))
+    order = np.argsort(first)  # position of each rank among the keys
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return points[first[order]], counts[order].astype(np.float64), rank[inverse]
+    present = order[:np.count_nonzero(counts)]
+    return first[present], rank[keys]
 
 
-def kmeans(points, k: int, cfg: KMeansConfig | None = None):
-    """Cluster rows of ``points`` into k groups.
+def _distinct_rows(points: np.ndarray):
+    """(rows, inverse): the distinct rows of ``points`` in order of first
+    appearance, and the distinct row of each given row. Rows are compared by
+    their bytes, so ``points`` must be finite. -0.0 and 0.0 differ in their
+    bytes, so such rows stay apart, which is correct but merges less."""
+    flat = np.ascontiguousarray(points)
+    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+    first, inverse = _first_appearance(keys)
+    return points[first], inverse
 
-    Returns (labels, centers, inertia) for the best of ``cfg.restarts``
-    k-means++-seeded runs. All k labels are used whenever the row count
-    allows it. Deterministic given ``cfg.seed``. Each distinct row is
-    clustered once, weighted by its multiplicity; with fewer distinct rows
-    than k, every row is clustered with unit weight.
+
+def kmeans(points, k: int, cfg: KMeansConfig | None = None, inverse=None):
+    """Cluster the datapoints that the rows of ``points`` stand for into k
+    groups.
+
+    ``inverse``, when given, maps each datapoint to its row of ``points``,
+    and every row must stand for at least one datapoint; by default row i is
+    datapoint i. With the rows in order of their first datapoint, the result
+    is that of ``kmeans(points[inverse], k, cfg)``, bit for bit.
+
+    Returns (labels, centers, inertia), one label per datapoint, for the
+    best of ``cfg.restarts`` k-means++-seeded runs. All k labels are used
+    whenever the datapoint count allows it. Deterministic given
+    ``cfg.seed``. Each distinct row is clustered once, weighted by its
+    datapoints; with fewer distinct rows than k, every datapoint is
+    clustered on its own with unit weight.
     """
     cfg = cfg or KMeansConfig()
     k = as_int(k, "cluster count k", 1)
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ConfigError("points must be a 2-D array")
-    if points.shape[0] < k:
-        raise ConfigError(f"need at least k={k} rows, got {points.shape[0]}")
+    given = points.shape[0]
+    if inverse is None:
+        inverse = np.arange(given)
+    elif np.ndim(inverse) != 1:
+        raise ConfigError("inverse must be a 1-D array")
+    else:
+        inverse = check_codes(inverse, given, "inverse", ConfigError)
+    counts = np.bincount(inverse, minlength=given)
+    if (counts == 0).any():
+        raise ConfigError(f"row {int(np.argmin(counts))} of points stands for no datapoint")
+    if inverse.size < k:
+        raise ConfigError(f"need at least k={k} rows, got {inverse.size}")
     if not np.isfinite(points).all():
         raise DataError("points have non-finite entries")
     if cfg.normalize_rows:
         norms = np.linalg.norm(points, axis=1, keepdims=True)
         points = np.where(norms > 0.0, points / np.where(norms > 0.0, norms, 1.0), 0.0)
 
-    rows, weights, inverse = _distinct_rows(points)
-    if rows.shape[0] < k:  # too few to fill k clusters: keep every row
-        rows, weights, inverse = points, np.ones(len(points)), np.arange(len(points))
+    rows, merged = _distinct_rows(points)
+    if rows.shape[0] < k:  # too few to fill k clusters: one row per datapoint
+        rows, weights = points[inverse], np.ones(inverse.size)
+        inverse = np.arange(inverse.size)
+    else:
+        weights = np.bincount(merged, weights=counts)  # sums of counts: exact
+        inverse = merged[inverse]
     p2 = np.einsum("ij,ij->i", rows, rows)  # once for all restarts
 
     def restart(rng):

@@ -139,7 +139,7 @@ def test_criterion_03_transfer_cut_oracle():
     checked_angles = 0
     for _ in range(50):
         ds, lams, k = _random_categorical_instance(rng)
-        stacked = build_stacked(ds, lams)
+        stacked = sm.StackedEncoder(ds.categorical, ds.cardinalities, lams)
         pairs, _ = transfer_cut(stacked, k)
         RESIDUALS.append(float(pairs.residuals.max()))
 
@@ -229,7 +229,9 @@ def test_criterion_07_onlycat_linear_scaling():
                 n=n, k=4, q=3, sigma=1.0, p=0.2, seed=1000 + rep))
             result = sm.onlycat(ds, sm.SpecMixConfig(k=4, lambdas=1.0,
                                                      seed=rep))
-            times.append(result.timings["eigen"])
+            # the whole run: the tuple pass, the only step that grows
+            # with n before the label scatter, is in the graph stage
+            times.append(result.timings["total"])
         return statistics.median(times)
 
     t2000 = median_solve_time(2000)
@@ -237,7 +239,7 @@ def test_criterion_07_onlycat_linear_scaling():
     t8000 = median_solve_time(8000)
     ok = t8000 <= 2.5 * t4000 and t8000 <= 6.0 * t2000
     assert report(7, "categorical pipeline scales linearly in n", ok,
-                  f"median eigen+embed {t2000*1e3:.2f}/{t4000*1e3:.2f}/"
+                  f"median total {t2000*1e3:.2f}/{t4000*1e3:.2f}/"
                   f"{t8000*1e3:.2f} ms at n=2000/4000/8000")
 
 

@@ -53,8 +53,8 @@ class TestKModes:
         rng = np.random.default_rng(2)
         cats = rng.integers(0, 4, (40, 4))
         cards = cats.max(axis=0) + 1
-        _, _, _, _, history = _alternate(None, cats, cards, 3,
-                                         np.random.default_rng(0), 100, 1.0)
+        _, _, history = _alternate(None, cats, cards, 3,
+                                   np.random.default_rng(0), 100, 1.0, None)
         assert (np.diff(history) <= 1e-9).all()
 
 
@@ -84,8 +84,8 @@ class TestKPrototypes:
         ds, _ = generate_synthetic(SyntheticParams(n=50, k=3, q=2,
                                                    sigma=1.0, p=0.3, seed=7))
         cards = np.asarray(ds.cardinalities)
-        _, _, _, _, history = _alternate(ds.numeric, ds.categorical, cards, 3,
-                                         rng, 100, 0.5)
+        _, _, history = _alternate(ds.numeric, ds.categorical, cards, 3,
+                                   rng, 100, 0.5, squared_norms(ds.numeric))
         assert (np.diff(history) <= 1e-9).all()
 
     def test_requires_both_parts(self):
@@ -110,10 +110,16 @@ class TestKPrototypes:
         assert len(set(labels.tolist())) >= 1
 
 
+def squared_norms(numeric):
+    """The ``p2`` that ``_alternate`` takes: None without numeric features."""
+    return None if numeric is None else np.einsum("ij,ij->i", numeric, numeric)
+
+
 def winning_objective(numeric, categorical, cards, k, seed, gamma_mix):
     """The lowest objective over the ten restarts the baselines run."""
     return min(_alternate(numeric, categorical, cards, k,
-                          np.random.default_rng([seed, r]), 100, gamma_mix)[3]
+                          np.random.default_rng([seed, r]), 100, gamma_mix,
+                          squared_norms(numeric))[1]
                for r in range(10))
 
 
@@ -153,9 +159,11 @@ TWO_BLOCKS = MixedDataset(np.repeat([[0.0, 0.0], [10.0, 10.0]], 6, axis=0),
 @pytest.mark.parametrize("numeric, gamma_mix", [(False, 1.0), (True, 0.5)])
 def test_two_blocks_every_restart_ties(numeric, gamma_mix):
     ds = TWO_BLOCKS
-    objectives = {_alternate(ds.numeric if numeric else None, ds.categorical,
+    features = ds.numeric if numeric else None
+    objectives = {_alternate(features, ds.categorical,
                              np.asarray(ds.cardinalities), 2,
-                             np.random.default_rng([seed, r]), 100, gamma_mix)[3]
+                             np.random.default_rng([seed, r]), 100, gamma_mix,
+                             squared_norms(features))[1]
                   for seed in range(3) for r in range(10)}
     assert objectives == {0.0}
 

@@ -217,3 +217,38 @@ def test_repeated_rows_weighted_invariants(data, seed):
     for c in range(k):
         assert np.allclose(centers[c], points[labels == c].mean(axis=0),
                            rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(repeated_rows(), st.integers(0, 1000), st.booleans())
+def test_rows_with_an_inverse_cluster_as_their_datapoints(data, seed, normalize):
+    """Rows in order of their first datapoint that stand for datapoints
+    through ``inverse`` give the bits that one row per datapoint gives, equal
+    given rows and the fallback to one row per datapoint (fewer distinct rows
+    than k) included."""
+    points, k = data
+    rng = np.random.default_rng(seed)
+    extra = rng.integers(0, points.shape[0], rng.integers(0, 30))
+    inverse = rng.permutation(np.concatenate([np.arange(points.shape[0]), extra]))
+    _, first = np.unique(inverse, return_index=True)
+    order = inverse[np.sort(first)]  # the rows by their first datapoint
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    cfg = KMeansConfig(restarts=2, seed=seed, normalize_rows=normalize)
+    expected = kmeans(points[inverse], k, cfg)
+    result = kmeans(points[order], k, cfg, inverse=rank[inverse])
+    assert np.array_equal(result[0], expected[0])
+    assert np.array_equal(result[1], expected[1])
+    assert result[2] == expected[2]
+
+
+def test_inverse_is_checked():
+    points = np.array([[0.0], [1.0], [2.0]])
+    with pytest.raises(ConfigError, match="row 1 of points stands for no datapoint"):
+        kmeans(points, 2, inverse=[0, 2, 2])
+    with pytest.raises(ConfigError, match="inverse"):
+        kmeans(points, 2, inverse=[0, 1, 3])
+    with pytest.raises(ConfigError, match="1-D"):
+        kmeans(points, 2, inverse=[[0, 1, 2]])
+    with pytest.raises(ConfigError, match="at least k=4"):
+        kmeans(points, 4, inverse=[0, 1, 2])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmix import (ClusteringResult, ConfigError, DataError, MixedDataset,
-                     SpecMixConfig, SpectralGapError, SyntheticParams,
+                     SpecMixConfig, SpectralGapError, StackedEncoder, SyntheticParams,
                      base_similarity, build_bipartite_reduction, build_stacked,
                      generalized_smallest_eigs, generate_synthetic,
                      label_agreement, numeric_spectral, onlycat, purity,
@@ -44,13 +44,13 @@ class TestStackedEncoder:
     def test_column_sums(self):
         rng = np.random.default_rng(1)
         ds = categorical_dataset(rng, 20, [3, 2])
-        stacked = build_stacked(ds, [2.0, 0.5])
+        stacked = StackedEncoder(ds.categorical, ds.cardinalities, [2.0, 0.5])
         assert np.allclose(stacked.column_sums, stacked.dense().sum(axis=0))
 
     def test_apply_matches_dense(self):
         rng = np.random.default_rng(2)
         ds = categorical_dataset(rng, 15, [4, 3, 2])
-        stacked = build_stacked(ds, [1.0, 3.0, 0.2])
+        stacked = StackedEncoder(ds.categorical, ds.cardinalities, [1.0, 3.0, 0.2])
         h = stacked.dense()
         u = rng.standard_normal(stacked.t)
         x = rng.standard_normal(stacked.n)
@@ -120,7 +120,8 @@ class TestTransferCut:
         for _ in range(5):
             n = int(rng.integers(40, 151))
             ds = categorical_dataset(rng, n, [4, 3])
-            stacked = build_stacked(ds, list(rng.uniform(0.2, 5.0, 2)))
+            stacked = StackedEncoder(ds.categorical, ds.cardinalities,
+                                     list(rng.uniform(0.2, 5.0, 2)))
             k = 3
             pairs, _ = transfer_cut(stacked, k)
             w, d = dense_bipartite(stacked)
@@ -438,8 +439,10 @@ def test_row_permutation_equivariance(problem, lam, seed):
     perm = np.random.default_rng(seed).permutation(ds.n)
     shuffled = MixedDataset(ds.numeric[perm], ds.categorical[perm], ds.cardinalities)
     lams = [lam] * ds.num_categorical
-    pairs, embedding = transfer_cut(build_stacked(ds, lams), k)
-    pairs_p, embedding_p = transfer_cut(build_stacked(shuffled, lams), k)
+    pairs, embedding = transfer_cut(
+        StackedEncoder(ds.categorical, ds.cardinalities, lams), k)
+    pairs_p, embedding_p = transfer_cut(
+        StackedEncoder(shuffled.categorical, shuffled.cardinalities, lams), k)
     assert np.array_equal(pairs_p.values, pairs.values)
     assert np.array_equal(embedding_p, embedding[perm])
 
