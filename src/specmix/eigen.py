@@ -8,9 +8,7 @@ mu = 0). A random start block of k columns, one per pair wanted, has a
 full-rank component in every eigenspace, so its Krylov space holds every
 copy the k smallest pairs need (Golub & Underwood, 1977), and no second run
 has to look for missing copies. Each step is one product with a block of k
-columns. ``method="dense"`` runs a full LAPACK decomposition
-instead; it is kept as the oracle that tests compare the Lanczos path
-against. The generalized problem L v = mu D v is reduced to the symmetric
+columns. The generalized problem L v = mu D v is reduced to the symmetric
 problem on D^{-1/2} L D^{-1/2} and mapped back, so returned generalized
 eigenvectors are D-orthonormal.
 
@@ -74,10 +72,9 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _as_operator(a):
-    """Normalize to (matvec, dim, dense), where ``dense`` materializes the
-    matrix and is None for an operator that cannot."""
+    """Normalize a matrix or an operator to (matvec, dim)."""
     if hasattr(a, "matvec") and hasattr(a, "dim"):
-        return a.matvec, a.dim, getattr(a, "dense", None)
+        return a.matvec, a.dim
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ConfigError("expected a square matrix or an object exposing "
@@ -87,20 +84,7 @@ def _as_operator(a):
     err = np.abs(arr - arr.T).max(initial=0.0)
     if err > _SYM_TOL * max(1.0, np.abs(arr).max(initial=0.0)):
         raise ConfigError(f"matrix is not symmetric (max asymmetry {err:.3g})")
-    return (lambda x: arr @ x), arr.shape[0], (lambda: arr)
-
-
-def _smallest(matvec, dim: int, k: int, method: str, seed: int, dense):
-    """K smallest pairs of one symmetric problem: Lanczos on ``matvec``, or
-    for the dense oracle a full decomposition of ``dense()``."""
-    if method == "lanczos":
-        return _lanczos_smallest(matvec, dim, k, seed=seed)
-    if method != "dense":
-        raise ConfigError(f"unknown eigensolver method {method!r}")
-    if dense is None:
-        raise ConfigError("dense solve requires a materializable matrix")
-    values, vectors = np.linalg.eigh(dense())
-    return values[:k].copy(), vectors[:, :k].copy()
+    return (lambda x: arr @ x), arr.shape[0]
 
 
 def _residual_norms(product, vectors, values) -> np.ndarray:
@@ -232,31 +216,27 @@ def _gershgorin(band) -> float:
     return max(1.0, float(sums.max()))
 
 
-def symmetric_smallest_eigs(a, k: int, method: str = "lanczos",
-                            seed: int = 0) -> EigenPairs:
+def symmetric_smallest_eigs(a, k: int, seed: int = 0) -> EigenPairs:
     """K algebraically smallest eigenpairs of a symmetric matrix or of an
     operator: any object with ``dim`` and a ``matvec`` taking a dim x m block.
-
-    ``method`` is "lanczos" or "dense", the full-decomposition oracle for
-    matrices. Eigenvectors are orthonormal.
+    Eigenvectors are orthonormal; ``seed`` draws the start block.
     """
-    matvec, dim, dense = _as_operator(a)
+    matvec, dim = _as_operator(a)
     if not 1 <= k <= dim:
         raise ConfigError(f"k must lie in [1, {dim}], got {k}")
     matvec = _Counted(matvec)
-    values, vectors = _smallest(matvec, dim, k, method, seed, dense)
+    values, vectors = _lanczos_smallest(matvec, dim, k, seed)
     vectors = _fix_signs(vectors)
     residuals = _residual_norms(matvec(vectors), vectors, values)
     return EigenPairs(values, vectors, residuals, matvec.columns)
 
 
-def generalized_smallest_eigs(weights, degrees, k: int, method: str = "lanczos",
-                              seed: int = 0) -> EigenPairs:
+def generalized_smallest_eigs(weights, degrees, k: int, seed: int = 0) -> EigenPairs:
     """K smallest eigenpairs of L v = mu D v with L = D - W.
 
-    ``weights`` is a dense symmetric matrix or an object with ``matvec``,
-    ``dim`` and, for ``method="dense"``, ``dense()`` (the augmented graph
-    qualifies). Solved through the symmetric reduction D^{-1/2} L D^{-1/2};
+    ``weights`` is a dense symmetric matrix or an object with ``matvec`` and
+    ``dim`` (the augmented graph qualifies); ``seed`` draws the start block.
+    Solved through the symmetric reduction D^{-1/2} L D^{-1/2};
     eigenvalues lie in [0, 2] and eigenvectors are D-orthonormal. The
     eigenvalue 0 appears once per connected component, and its eigenvectors
     span the components' indicator vectors.
@@ -265,7 +245,7 @@ def generalized_smallest_eigs(weights, degrees, k: int, method: str = "lanczos",
     bad = np.flatnonzero(~(np.isfinite(degrees) & (degrees > 0.0)))
     if bad.size:
         raise ConfigError(f"node {int(bad[0])} has nonpositive or non-finite degree")
-    w_matvec, dim, w_dense = _as_operator(weights)
+    w_matvec, dim = _as_operator(weights)
     w_matvec = _Counted(w_matvec)
     if degrees.shape != (dim,):
         raise ConfigError("degree vector length does not match graph dimension")
@@ -277,12 +257,7 @@ def generalized_smallest_eigs(weights, degrees, k: int, method: str = "lanczos",
     def lsym_matvec(x):  # a block of column vectors
         return x - dinv_sqrt[:, None] * w_matvec(dinv_sqrt[:, None] * x)
 
-    def lsym_dense():
-        lsym = np.eye(dim) - w_dense() * np.outer(dinv_sqrt, dinv_sqrt)
-        return 0.5 * (lsym + lsym.T)
-
-    values, u = _smallest(lsym_matvec, dim, k, method, seed,
-                          lsym_dense if w_dense is not None else None)
+    values, u = _lanczos_smallest(lsym_matvec, dim, k, seed)
     vectors = _fix_signs(u * dinv_sqrt[:, None])
     scale = max(1.0, float(degrees.max()))
     dv = degrees[:, None] * vectors

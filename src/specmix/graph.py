@@ -319,7 +319,7 @@ def assignment_energy(assign: AssignmentMatrix, graph) -> float:
     Equals the normalized-cut value of the partition the matrix encodes.
     ``graph`` is an AugmentedGraph, BaseWeights or a symmetric matrix.
     """
-    matvec, dim, _ = _as_operator(graph)
+    matvec, dim = _as_operator(graph)
     degrees = graph.degrees if hasattr(graph, "degrees") else np.asarray(graph).sum(axis=1)
     z = assign.entries
     if z.shape[0] != dim:

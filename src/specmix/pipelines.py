@@ -11,7 +11,8 @@ graph the augmentation (minus the extra-node self-loops) is exactly
 bipartite, so the generalized eigenproblem is solved on the small t x t
 side and each pair is lifted back. A datapoint's rows depend only on its
 category tuple, so after one O(nQ) pass over the codes every stage works on
-the u distinct tuples weighted by their counts, in O(u t (k+t) + t^3).
+the u distinct tuples weighted by their counts, in O(u t (k+t)) plus the
+block Lanczos solve of the t x t reduction, O(t^3) at worst.
 
 Pipelines are pure given (dataset, config); many invocations may run
 concurrently.
@@ -45,7 +46,8 @@ class SpecMixConfig:
     ``lambdas`` is either one value broadcast to every categorical variable
     or an explicit per-variable sequence. ``seed`` pins the whole run: it
     supersedes ``kmeans.seed`` so a single value controls eigensolver starts
-    and K-means restarts.
+    and K-means restarts. For ``onlycat`` it drives K-means only: the
+    reduced solve starts from seed 0 (see ``transfer_cut``).
     """
 
     k: int
@@ -223,9 +225,12 @@ def transfer_cut(stacked: StackedEncoder, k: int) -> tuple[EigenPairs, np.ndarra
     mu = 1 - sqrt(1 - gamma) (equivalently gamma = mu (2 - mu)) and
     data-side block f = D_rows^{-1} H u / (1 - mu); the stacked vector
     (f, u) / sqrt(2) is D-orthonormal on the full bipartite graph. Requires
-    gamma_k < 1; total work is O(rt(k+t) + t^3) for an encoder with r rows:
-    r = n, or r = u with one row per distinct tuple, which does not grow
-    with n.
+    gamma_k < 1; the reduction and lift cost O(rt(k+t)) for an encoder with
+    r rows, r = n or r = u with one row per distinct tuple, which does not
+    grow with n; the block Lanczos solve of the reduction costs O(t^3) at
+    worst. The solve starts from seed 0: in a repeated eigenspace the start
+    block picks the basis, so a fixed one gives every encoder of the same
+    data the same pairs.
 
     Returns the lifted pairs over the encoder's r rows and the t category
     rows, and the r x k data-row embedding fed to K-means. A datapoint's
@@ -236,9 +241,7 @@ def transfer_cut(stacked: StackedEncoder, k: int) -> tuple[EigenPairs, np.ndarra
     if k > stacked.t:
         raise ConfigError(f"k={k} exceeds the {stacked.t} category nodes")
     w_small, d_small = build_bipartite_reduction(stacked)
-    # The reduction is already dense and costs O(r t^2), more than a full
-    # O(t^3) decomposition, so Lanczos would save nothing here.
-    small = generalized_smallest_eigs(w_small, d_small, k, method="dense")
+    small = generalized_smallest_eigs(w_small, d_small, k)
     gammas = small.values
     if gammas[-1] >= 1.0 - _GAP_TOL:
         raise SpectralGapError(
@@ -258,13 +261,12 @@ def transfer_cut(stacked: StackedEncoder, k: int) -> tuple[EigenPairs, np.ndarra
     embedding = vectors[:rows, :] * np.sqrt(2.0)
 
     # (D - W - mu D) v per node; each tuple's row stands for its datapoints'
-    # equal rows. The reduced problem is solved densely, so these k columns
-    # are the only products with the full graph.
+    # equal rows. ``products`` counts the reduced solve's columns plus these k.
     f, u = vectors[:rows], vectors[rows:]
     data = stacked.lam_total * (1.0 - mus) * f - stacked.apply(u)
     cats = (1.0 - mus) * d_small[:, None] * u - stacked.apply_transpose(f)
     residuals = np.sqrt(stacked.counts @ (data * data) + np.einsum("ij,ij->j", cats, cats))
-    return EigenPairs(mus, vectors, residuals, k), embedding
+    return EigenPairs(mus, vectors, residuals, small.products + k), embedding
 
 
 def _cluster(ds: MixedDataset, cfg: SpecMixConfig, method: str,

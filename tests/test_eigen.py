@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from specmix import (ConfigError, generalized_smallest_eigs,
-                     symmetric_smallest_eigs)
+from specmix import (ConfigError, StackedEncoder, build_bipartite_reduction,
+                     generalized_smallest_eigs, symmetric_smallest_eigs)
 
 
 class Operator:
@@ -25,6 +25,19 @@ def random_graph_weights(rng, dim):
     w = 0.5 * (w + w.T)
     np.fill_diagonal(w, 0.0)
     return w
+
+
+def dense_oracle(a, degrees=None):
+    """The whole spectrum by LAPACK, values ascending: ``eigh`` of the
+    symmetric ``a``, or with ``degrees`` d of D^-1/2 (D - W) D^-1/2 for
+    W = ``a``, its eigenvectors mapped back by D^-1/2 so that they are
+    D-orthonormal."""
+    if degrees is None:
+        return np.linalg.eigh(a)
+    dinv = 1.0 / np.sqrt(degrees)
+    lsym = np.eye(dinv.size) - a * dinv[:, None] * dinv[None, :]
+    values, vectors = np.linalg.eigh(0.5 * (lsym + lsym.T))
+    return values, dinv[:, None] * vectors
 
 
 def subspace_sine(a, b):
@@ -69,17 +82,15 @@ class TestSymmetric:
         rng = np.random.default_rng(1)
         for _ in range(5):
             a = random_symmetric(rng, 50)
-            dense = symmetric_smallest_eigs(a, 6, method="dense")
-            lanczos = symmetric_smallest_eigs(a, 6, method="lanczos")
-            assert np.abs(dense.values - lanczos.values).max() <= 1e-8
+            lanczos = symmetric_smallest_eigs(a, 6)
+            assert np.abs(dense_oracle(a)[0][:6] - lanczos.values).max() <= 1e-8
 
     def test_operator_form(self):
         rng = np.random.default_rng(2)
         a = random_symmetric(rng, 40)
         op = Operator(lambda x: a @ x, 40)
         pairs = symmetric_smallest_eigs(op, 3)
-        dense = symmetric_smallest_eigs(a, 3, method="dense")
-        assert np.abs(pairs.values - dense.values).max() <= 1e-8
+        assert np.abs(pairs.values - dense_oracle(a)[0][:3]).max() <= 1e-8
 
 
 class TestGeneralized:
@@ -140,23 +151,21 @@ class TestGeneralized:
             d = w.sum(axis=1)
             k = 4
             pairs = generalized_smallest_eigs(w, d, k)
-            dinv = 1.0 / np.sqrt(d)
-            lsym = np.eye(dim) - w * dinv[:, None] * dinv[None, :]
-            ref_vals, ref_vecs = np.linalg.eigh(0.5 * (lsym + lsym.T))
+            ref_vals, ref_vecs = dense_oracle(w, d)
             assert np.abs(pairs.values - ref_vals[:k]).max() <= 1e-8
             gap = ref_vals[k] - ref_vals[k - 1]
             if gap > 1e-6:
-                scaled = np.sqrt(d)[:, None] * pairs.vectors
-                assert subspace_sine(ref_vecs[:, :k], scaled) <= 1e-6
+                scale = np.sqrt(d)[:, None]
+                assert subspace_sine(scale * ref_vecs[:, :k],
+                                     scale * pairs.vectors) <= 1e-6
 
     def test_lanczos_path_on_operator(self):
         rng = np.random.default_rng(8)
         w = random_graph_weights(rng, 60)
         d = w.sum(axis=1)
-        dense = generalized_smallest_eigs(w, d, 5, method="dense")
         op = Operator(lambda x: w @ x, 60)
-        lanczos = generalized_smallest_eigs(op, d, 5, method="lanczos")
-        assert np.abs(dense.values - lanczos.values).max() <= 1e-8
+        lanczos = generalized_smallest_eigs(op, d, 5)
+        assert np.abs(dense_oracle(w, d)[0][:5] - lanczos.values).max() <= 1e-8
 
     def test_default_matches_dense_at_dim_2100(self):
         rng = np.random.default_rng(9)
@@ -164,8 +173,7 @@ class TestGeneralized:
         w = random_graph_weights(rng, dim)
         d = w.sum(axis=1)
         default = generalized_smallest_eigs(w, d, 2)
-        forced = generalized_smallest_eigs(w, d, 2, method="dense")
-        assert np.abs(default.values - forced.values).max() <= 1e-8
+        assert np.abs(default.values - dense_oracle(w, d)[0][:2]).max() <= 1e-8
 
 
 class TestRepeatedEigenvalues:
@@ -177,8 +185,7 @@ class TestRepeatedEigenvalues:
         w = np.block([[c, np.full_like(c, link)], [np.full_like(c, link), c]])
         d = w.sum(axis=1)
         pairs = generalized_smallest_eigs(w, d, k)
-        oracle = generalized_smallest_eigs(w, d, k, method="dense")
-        assert np.abs(pairs.values - oracle.values).max() <= 1e-8
+        assert np.abs(pairs.values - dense_oracle(w, d)[0][:k]).max() <= 1e-8
 
     def test_one_null_vector_per_component(self):
         # four disconnected clusters: mu = 0 four times, and the eigenvectors
@@ -206,8 +213,7 @@ class TestRepeatedEigenvalues:
         a = random_symmetric(rng, 30)
         b = block_diag(a, a, a)
         pairs = symmetric_smallest_eigs(b, 7)
-        dense = symmetric_smallest_eigs(b, 7, method="dense")
-        assert np.abs(pairs.values - dense.values).max() <= 1e-8
+        assert np.abs(pairs.values - dense_oracle(b)[0][:7]).max() <= 1e-8
         assert np.abs(pairs.vectors.T @ pairs.vectors - np.eye(7)).max() <= 1e-8
 
 
@@ -234,40 +240,35 @@ class TestProducts:
         pairs = generalized_smallest_eigs(self.counting(w, columns), d, k)
         assert pairs.products == sum(columns) >= 2 * k
 
-    def test_dense_oracle_applies_only_the_residual_check(self):
-        w = random_graph_weights(np.random.default_rng(12), 20)
-        d = w.sum(axis=1)
-        assert generalized_smallest_eigs(w, d, 3, method="dense").products == 3
-        assert symmetric_smallest_eigs(w, 2, method="dense").products == 2
-
 
 class TestNonFiniteInput:
     # NaN fails every comparison, so these inputs used to reach
-    # eigh_tridiagonal (ValueError) or LAPACK (LinAlgError)
-    @pytest.mark.parametrize("method", ["lanczos", "dense"])
+    # eigh_tridiagonal (ValueError) or LAPACK (LinAlgError); ``method`` names
+    # the one solver, and keeps the test ids of the three matrix cases
+    @pytest.mark.parametrize("method", ["lanczos"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_symmetric_matrix(self, method, bad):
         a = random_symmetric(np.random.default_rng(0), 6)
         a[2, 3] = a[3, 2] = bad
         with pytest.raises(ConfigError, match="non-finite"):
-            symmetric_smallest_eigs(a, 2, method=method)
+            symmetric_smallest_eigs(a, 2)
 
-    @pytest.mark.parametrize("method", ["lanczos", "dense"])
+    @pytest.mark.parametrize("method", ["lanczos"])
     def test_generalized_matrix(self, method):
         w = random_graph_weights(np.random.default_rng(1), 6)
         d = w.sum(axis=1)
         w[0, 1] = w[1, 0] = np.nan
         with pytest.raises(ConfigError, match="non-finite"):
-            generalized_smallest_eigs(w, d, 2, method=method)
+            generalized_smallest_eigs(w, d, 2)
 
-    @pytest.mark.parametrize("method", ["lanczos", "dense"])
+    @pytest.mark.parametrize("method", ["lanczos"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_generalized_degrees(self, method, bad):
         w = random_graph_weights(np.random.default_rng(2), 6)
         d = w.sum(axis=1)
         d[4] = bad
         with pytest.raises(ConfigError, match="node 4"):
-            generalized_smallest_eigs(w, d, 2, method=method)
+            generalized_smallest_eigs(w, d, 2)
 
     # operators are not inspected up front; a non-finite product used to
     # escape from eigh_tridiagonal as a raw ValueError
@@ -357,11 +358,10 @@ def weighted_graphs(draw):
 
 
 def oracle_mismatch(pairs, w, d, k) -> str | None:
-    """How the default solve ``pairs`` of graph ``w`` at k departs from the
-    dense oracle: an eigenvalue off by more than 1e-8, or eigenvectors not
+    """How the solve ``pairs`` of graph ``w`` at k departs from the dense
+    oracle: an eigenvalue off by more than 1e-8, or eigenvectors not
     D-orthonormal within 1e-8. None when it does not."""
-    oracle = generalized_smallest_eigs(w, d, k, method="dense")
-    gap = float(np.abs(pairs.values - oracle.values).max())
+    gap = float(np.abs(pairs.values - dense_oracle(w, d)[0][:k]).max())
     gram = pairs.vectors.T @ (d[:, None] * pairs.vectors)
     loss = float(np.abs(gram - np.eye(k)).max())
     if gap > 1e-8 or loss > 1e-8:
@@ -381,6 +381,39 @@ def test_default_solver_matches_dense_oracle(graph):
 
 
 @st.composite
+def bipartite_reductions(draw):
+    """The t x t reduction that ``transfer_cut`` solves, of random codes: 1-4
+    variables, with rows in 1-4 groups whose categories never co-occur, so
+    the reduced graph has one component per group. Groups after the first
+    are drawn afresh or are exact copies of it, which repeats every
+    eigenvalue. Also draws the lambdas and k."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = draw(st.integers(1, 4))
+    copies = draw(st.booleans())
+    groups = []
+    for _ in range(draw(st.integers(1, 4))):
+        if copies and groups:
+            groups.append(groups[0])
+            continue
+        cards = rng.integers(1, 7, q)
+        rows = int(cards.max()) + int(rng.integers(0, 30))
+        groups.append((np.column_stack([rng.permutation(np.concatenate(
+            [np.arange(c), rng.integers(0, c, rows - c)])) for c in cards]), cards))
+    offsets = np.cumsum([np.zeros(q, dtype=np.int64)] + [c for _, c in groups], axis=0)
+    codes = np.concatenate([g + o for (g, _), o in zip(groups, offsets)])
+    lams = draw(st.sampled_from([np.ones(q), rng.uniform(0.1, 5.0, q)]))
+    w, d = build_bipartite_reduction(StackedEncoder(codes, offsets[-1], lams))
+    return w, d, draw(st.integers(1, d.size))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(bipartite_reductions())
+def test_bipartite_reductions_match_dense_oracle(problem):
+    w, d, k = problem
+    assert oracle_mismatch(generalized_smallest_eigs(w, d, k), w, d, k) is None
+
+
+@st.composite
 def symmetric_copies(draw):
     """Block-diagonal copies (1 to 4) of one random symmetric matrix of 2-30
     rows, so every eigenvalue repeats once per copy; also draws k."""
@@ -395,6 +428,5 @@ def symmetric_copies(draw):
 def test_symmetric_copies_match_dense_oracle(problem):
     b, k = problem
     pairs = symmetric_smallest_eigs(b, k)
-    oracle = symmetric_smallest_eigs(b, k, method="dense")
-    assert np.abs(pairs.values - oracle.values).max() <= 1e-8
+    assert np.abs(pairs.values - dense_oracle(b)[0][:k]).max() <= 1e-8
     assert np.abs(pairs.vectors.T @ pairs.vectors - np.eye(k)).max() <= 1e-8

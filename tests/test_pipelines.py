@@ -145,6 +145,13 @@ class TestTransferCut:
         mus = transfer_cut(stacked, 4)[0].values
         assert np.abs(mus * (2.0 - mus) - gammas).max() <= 1e-12
 
+    def test_products_are_the_reduced_solve_plus_the_lift_residual(self):
+        rng = np.random.default_rng(9)
+        stacked = build_stacked(categorical_dataset(rng, 80, [6, 5, 4]),
+                                [1.0, 2.0, 0.5])
+        small = generalized_smallest_eigs(*build_bipartite_reduction(stacked), 4)
+        assert transfer_cut(stacked, 4)[0].products == small.products + 4
+
     def test_k_above_categories_rejected(self):
         rng = np.random.default_rng(7)
         ds = categorical_dataset(rng, 20, [2, 2])
