@@ -25,7 +25,7 @@ from .dataset import (ColumnSchema, SyntheticParams, generate_synthetic,
 from .errors import (ConfigError, ConvergenceError, DataError, SchemaError,
                      SpecmixError, SpectralGapError)
 from .kmeans import KMeansConfig
-from .metrics import imbalance_ratio, label_agreement, purity
+from .metrics import ContingencyTable, imbalance_ratio
 from .pipelines import (ClusteringResult, SpecMixConfig, specmix_graph,
                         specmix_graph_dim)
 from .sweep import (METHODS, ExperimentGrid, fmt, parse_values, run_method,
@@ -147,8 +147,9 @@ def _cmd_cluster(args) -> int:
     else:
         print(doc)
     if truth is not None:
-        line = (f"purity_weighted={fmt(purity(result.labels, truth, 'weighted'))} "
-                f"purity_macro={fmt(purity(result.labels, truth, 'macro'))}")
+        table = ContingencyTable.from_labels(result.labels, truth)
+        line = (f"purity_weighted={fmt(table.purity('weighted'))} "
+                f"purity_macro={fmt(table.purity('macro'))}")
         print(line, file=sys.stdout if args.output else sys.stderr)
     return 0
 
@@ -203,9 +204,10 @@ def _cmd_eval(args) -> int:
     if pred.size != truth.size:
         raise DataError(
             f"prediction has {pred.size} labels, truth has {truth.size}")
-    print(f"purity_weighted={fmt(purity(pred, truth, 'weighted'))}")
-    print(f"purity_macro={fmt(purity(pred, truth, 'macro'))}")
-    print(f"label_agreement={fmt(label_agreement(pred, truth))}")
+    table = ContingencyTable.from_labels(pred, truth)
+    print(f"purity_weighted={fmt(table.purity('weighted'))}")
+    print(f"purity_macro={fmt(table.purity('macro'))}")
+    print(f"label_agreement={fmt(table.agreement())}")
     print(f"imbalance_ratio={fmt(imbalance_ratio(truth))}")
     return 0
 

@@ -104,6 +104,25 @@ def check_codes(values, limit, what: str,
     return codes
 
 
+def _first_appearance(keys: np.ndarray, size: int | None = None):
+    """(first, inverse) for the 1-D ``keys``: the index where each distinct
+    key first appears, in increasing order, and the number of each entry's
+    key in that order.
+
+    ``size``, when given, bounds nonnegative integer keys, which then need
+    no sort; only the keys present are ordered."""
+    if size is None:
+        unique, keys = np.unique(keys, return_inverse=True)
+        size = unique.size
+    first = np.full(size, keys.size)
+    np.minimum.at(first, keys, np.arange(keys.size))
+    present = np.flatnonzero(first < keys.size)
+    order = present[np.argsort(first[present])]  # the key of each rank
+    rank = np.empty(size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[keys]
+
+
 def as_int(value, what: str, low: int,
            error: type[SpecmixError] = ConfigError) -> int:
     """``value`` as an int of at least ``low``. A value ``operator.index``
@@ -313,38 +332,65 @@ def _read_columns(path, schema: ColumnSchema):
     return header, lines, columns
 
 
+def _token_codes(column, missing) -> tuple[np.ndarray, list[int]]:
+    """(codes, absent) for a column of raw tokens: each row's code is the
+    first row whose token strips to the same value, and ``absent`` holds the
+    codes of values in ``missing``. Only distinct raw tokens are stripped."""
+    first: dict[str, int] = {}
+    codes = np.fromiter(map(first.setdefault, column, range(len(column))),
+                        np.int64, len(column))
+    stripped, values = list(map(str.strip, first)), first.values()
+    # merge only when raw tokens share a stripped value; a set of the
+    # stripped values costs less than a second dictionary
+    if len(set(stripped)) < len(stripped):
+        merged: dict[str, int] = {}
+        remap = np.empty(len(column), dtype=np.int64)
+        remap[np.fromiter(values, np.int64, len(first))] = np.fromiter(
+            map(merged.setdefault, stripped, values), np.int64, len(first))
+        codes, stripped, values = remap[codes], merged, merged.values()
+    return codes, list(compress(values, map(missing.__contains__, stripped)))
+
+
 def load_mixed_csv(path, schema: ColumnSchema,
                    missing_values: Sequence[str] = DEFAULT_MISSING,
                    ) -> tuple[MixedDataset, Optional[np.ndarray]]:
     """Load a header-ed CSV into a MixedDataset plus optional labels.
 
     The records are read once and parsed column-wise. Blank records are
-    skipped but counted in the line numbers of error messages. Rows with a
-    missing value in any non-ignored column are dropped. Categorical (and
-    ordinal) columns and the label, which is returned separately, are
+    skipped but counted in the line numbers of error messages. Tokens are
+    compared after stripping surrounding whitespace. Rows with a missing value
+    in any non-ignored column are dropped. Categorical (and ordinal)
+    columns and the label, which is returned separately, are
     dictionary-encoded in first-appearance order over the surviving rows, so
     unused category levels never receive a code.
+
+    Cost: numeric tokens are stripped, tested and parsed one by one. A
+    categorical or label column costs one dictionary lookup per token, and
+    the strip, the merge of padded tokens and the missing test run once per
+    distinct token, so it is cheapest when distinct tokens are few.
     """
     missing = set(missing_values) | {""}
     header, lines, columns = _read_columns(path, schema)
-    used = [i for i, r in enumerate(schema.roles) if r != ROLE_IGNORE]
     keep = np.ones(lines.size, dtype=bool)
-    for col in used:
+    for col in schema.numeric_indices:
         columns[col] = list(map(str.strip, columns[col]))
         keep &= ~np.fromiter(map(missing.__contains__, columns[col]), bool, lines.size)
+    label = () if schema.label_index is None else (schema.label_index,)
+    for col in schema.categorical_indices + label:
+        columns[col], absent = _token_codes(columns[col], missing)
+        keep &= np.isin(columns[col], absent, invert=True)
     n = int(keep.sum())
     if n == 0:
         raise DataError("dataset empty after removing rows with missing values")
-    lines, keep = lines[keep], keep.tolist()
-    for col in used:
-        columns[col] = list(compress(columns[col], keep))
 
     numeric = np.empty((n, len(schema.numeric_indices)))
+    kept = keep.tolist()
     for j, col in enumerate(schema.numeric_indices):
+        tokens = list(compress(columns[col], kept))
         try:
-            numeric[:, j] = np.fromiter(map(float, columns[col]), np.float64, n)
+            numeric[:, j] = np.fromiter(map(float, tokens), np.float64, n)
         except ValueError:
-            for line_no, tok in zip(lines, columns[col]):
+            for line_no, tok in zip(lines[keep], tokens):
                 try:
                     float(tok)
                 except ValueError:
@@ -352,19 +398,12 @@ def load_mixed_csv(path, schema: ColumnSchema,
                         f"line {line_no}, column {header[col]!r}: "
                         f"cannot parse {tok!r} as numeric") from None
 
-    def encode(col: int) -> tuple[np.ndarray, int]:
-        codebook: dict[str, int] = {}
-        codes = np.fromiter((codebook.setdefault(tok, len(codebook))
-                             for tok in columns[col]), np.int64, n)
-        return codes, len(codebook)
-
     categorical = np.empty((n, len(schema.categorical_indices)), dtype=np.int64)
     cards = []
     for j, col in enumerate(schema.categorical_indices):
-        categorical[:, j], card = encode(col)
-        cards.append(card)
-
-    labels = None if schema.label_index is None else encode(schema.label_index)[0]
+        first, categorical[:, j] = _first_appearance(columns[col][keep], lines.size)
+        cards.append(first.size)
+    labels = _first_appearance(columns[label[0]][keep], lines.size)[1] if label else None
     return MixedDataset(numeric, categorical, tuple(cards)), labels
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import _check_seed, as_int, check_codes
+from .dataset import _check_seed, _first_appearance, as_int, check_codes
 from .errors import ConfigError, DataError
 
 
@@ -134,26 +134,6 @@ def _lloyd(points, k, centers, max_iters, tol, w, p2):
         if converged or prev - inertia <= tol * max(prev, 1e-300):
             break
     return labels, centers, inertia, history
-
-
-def _first_appearance(keys: np.ndarray, size: int | None = None):
-    """(first, inverse) for the 1-D ``keys``: the index where each distinct
-    key first appears, in increasing order, and the number of each entry's
-    key in that order.
-
-    ``size``, when given, bounds nonnegative integer keys, which then need
-    no sort; absent keys sort last, behind every index."""
-    if size is None:
-        unique, keys = np.unique(keys, return_inverse=True)
-        size = unique.size
-    counts = np.bincount(keys, minlength=size)
-    first = np.full(size, keys.size)
-    np.minimum.at(first, keys, np.arange(keys.size))
-    order = np.argsort(first)  # position of each rank among the keys
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    present = order[:np.count_nonzero(counts)]
-    return first[present], rank[keys]
 
 
 def _distinct_rows(points: np.ndarray):

@@ -18,7 +18,8 @@ from .errors import DataError
 
 @dataclass(frozen=True)
 class ContingencyTable:
-    """Cross-tabulation of predicted clusters against true classes."""
+    """Cross-tabulation of predicted clusters against true classes. Build
+    one per pair of label vectors and read every score from it."""
 
     counts: np.ndarray
     n: int
@@ -31,25 +32,38 @@ class ContingencyTable:
             raise DataError("label vectors must be 1-D and of equal length")
         if pred.size < 1:
             raise DataError("label vectors are empty")
-        _, pi = np.unique(pred, return_inverse=True)
-        _, ti = np.unique(truth, return_inverse=True)
-        counts = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
-        np.add.at(counts, (pi, ti), 1)
-        return cls(counts, pred.size)
+        clusters, pi = np.unique(pred, return_inverse=True)
+        classes, ti = np.unique(truth, return_inverse=True)
+        shape = (clusters.size, classes.size)
+        counts = np.bincount(pi * shape[1] + ti, minlength=shape[0] * shape[1])
+        return cls(counts.reshape(shape), pred.size)
+
+    def purity(self, mode: str = "weighted") -> float:
+        """Majority-class purity of the clusters against the classes."""
+        if mode not in ("weighted", "macro"):
+            raise DataError(f"unknown purity mode {mode!r}")
+        maxima = self.counts.max(axis=1)
+        if mode == "weighted":
+            return int(maxima.sum()) / self.n
+        sizes = self.counts.sum(axis=1)
+        nonempty = sizes > 0
+        # fsum keeps the mean exactly invariant under cluster relabeling
+        return math.fsum(maxima[nonempty] / sizes[nonempty]) / int(nonempty.sum())
+
+    def agreement(self) -> float:
+        """Largest fraction of points on which the clusters equal a
+        relabeling of the classes: exact optimal matching over the table."""
+        # imported here: scipy.optimize costs every process about 0.3 s and
+        # 19 MB to import, and only ``specmix eval`` calls this
+        from scipy.optimize import linear_sum_assignment
+
+        rows, cols = linear_sum_assignment(self.counts, maximize=True)
+        return int(self.counts[rows, cols].sum()) / self.n
 
 
 def purity(pred, truth, mode: str = "weighted") -> float:
     """Majority-class purity of a predicted clustering against ground truth."""
-    if mode not in ("weighted", "macro"):
-        raise DataError(f"unknown purity mode {mode!r}")
-    table = ContingencyTable.from_labels(pred, truth)
-    maxima = table.counts.max(axis=1)
-    if mode == "weighted":
-        return int(maxima.sum()) / table.n
-    sizes = table.counts.sum(axis=1)
-    nonempty = sizes > 0
-    # fsum keeps the mean exactly invariant under cluster relabeling
-    return math.fsum(maxima[nonempty] / sizes[nonempty]) / int(nonempty.sum())
+    return ContingencyTable.from_labels(pred, truth).purity(mode)
 
 
 def imbalance_ratio(truth) -> float:
@@ -63,14 +77,5 @@ def imbalance_ratio(truth) -> float:
 
 def label_agreement(a, b) -> float:
     """Largest fraction of positions where ``a`` equals a cluster-id
-    permutation of ``b``.
-
-    Exact optimal matching over the contingency table.
-    """
-    # imported here: scipy.optimize costs every process about 0.3 s and 19 MB
-    # to import, and only ``specmix eval`` calls this
-    from scipy.optimize import linear_sum_assignment
-
-    table = ContingencyTable.from_labels(a, b)
-    rows, cols = linear_sum_assignment(table.counts, maximize=True)
-    return int(table.counts[rows, cols].sum()) / table.n
+    permutation of ``b``."""
+    return ContingencyTable.from_labels(a, b).agreement()

@@ -27,12 +27,12 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .dataset import MixedDataset, _check_seed, as_int
+from .dataset import MixedDataset, _check_seed, _first_appearance, as_int
 from .eigen import EigenPairs, _fix_signs, generalized_smallest_eigs
 from .errors import ConfigError, DataError, SpectralGapError
 from .graph import (AugmentedGraph, BaseWeights, StackedEncoder,
                     assemble_augmented, base_similarity)
-from .kmeans import KMeansConfig, _first_appearance, kmeans
+from .kmeans import KMeansConfig, kmeans
 
 RESULT_FORMAT_VERSION = 1
 
@@ -100,7 +100,8 @@ class ClusteringResult:
     def to_json(self) -> str:
         """The result as ``json.dumps(doc, indent=2, sort_keys=True)`` would
         write it. The labels, one per line, are joined in one pass instead of
-        through the encoder's pure-Python indenting path."""
+        through the encoder's pure-Python indenting path, and each distinct
+        label is formatted once."""
         doc = {
             "version": RESULT_FORMAT_VERSION,
             "method": self.method,
@@ -113,8 +114,10 @@ class ClusteringResult:
             "max_residual": float(self.max_residual),
         }
         text = json.dumps(doc, indent=2, sort_keys=True)
-        labels = ("[\n    " + ",\n    ".join(map(str, self.labels.tolist())) + "\n  ]"
-                  if self.labels.size else "[]")
+        values = self.labels.tolist()
+        text_of = {v: str(v) for v in set(values)}
+        labels = ("[\n    " + ",\n    ".join(map(text_of.__getitem__, values)) + "\n  ]"
+                  if values else "[]")
         # JSON escapes newlines inside strings, so only a top-level key can
         # start a line with exactly two spaces and a quote
         return text.replace('\n  "labels": []', '\n  "labels": ' + labels, 1)

@@ -46,7 +46,7 @@ from .dataset import (MixedDataset, SyntheticParams, _check_seed, as_int,
                       csv_error, generate_synthetic, read_text)
 from .errors import ConfigError, DataError, SpecmixError
 from .kmeans import KMeansConfig
-from .metrics import purity
+from .metrics import ContingencyTable
 from .pipelines import (ClusteringResult, SpecMixConfig, numeric_spectral,
                         onlycat, specmix)
 
@@ -224,8 +224,9 @@ def _compute_row(args: tuple[tuple, str]) -> tuple[tuple, dict]:
             n=n, k=k, q=q, sigma=sigma, p=p, seed=seed))
         cfg = SpecMixConfig(k=k, lambdas=lam, kmeans=KMeansConfig(), seed=seed)
         result = run_method(row["method"], ds, cfg)
-        row["purity_weighted"] = fmt(purity(result.labels, truth, "weighted"))
-        row["purity_macro"] = fmt(purity(result.labels, truth, "macro"))
+        table = ContingencyTable.from_labels(result.labels, truth)
+        row["purity_weighted"] = fmt(table.purity("weighted"))
+        row["purity_macro"] = fmt(table.purity("macro"))
         row.update((f"seconds_{stage}", fmt(result.timings.get(stage, 0.0)))
                    for stage in STAGES)
     except SpecmixError as exc:

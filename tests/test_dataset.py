@@ -1,6 +1,9 @@
+import csv
 import gc
+import io
 import re
 import warnings
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from specmix import (ColumnSchema, ConfigError, DataError, MixedDataset,
                      OneHotMatrix, SchemaError, SyntheticParams, generate_synthetic,
                      load_mixed_csv, one_hot, standardize_numeric)
+from specmix.dataset import _read_columns
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -71,6 +75,13 @@ class TestLoad:
         path = write(tmp_path, "c\nb\na\nb\n")
         ds, _ = load_mixed_csv(path, ColumnSchema.parse("cat"))
         assert ds.categorical[:, 0].tolist() == [0, 1, 0]
+        assert ds.cardinalities == (2,)
+
+    def test_codes_renumbered_over_surviving_rows(self, tmp_path):
+        # "b" first appears on a dropped row, so "a" takes code 0
+        path = write(tmp_path, "c,x\nb,?\na,1\nb,2\n")
+        ds, _ = load_mixed_csv(path, ColumnSchema.parse("cat,num"))
+        assert ds.categorical[:, 0].tolist() == [0, 1]
         assert ds.cardinalities == (2,)
 
     def test_unused_levels_pruned(self, tmp_path):
@@ -264,6 +275,121 @@ class TestLoadRoundTrip:
             firsts = list(dict.fromkeys(tokens))
             assert [firsts[c] for c in codes] == tokens
             assert card in (None, len(firsts))
+
+
+def reference_load(path, schema, missing_values=("?",)):
+    """``load_mixed_csv`` token by token: every token is stripped and tested
+    for a missing value, the surviving tokens are kept, and each categorical
+    or label column is dictionary-encoded row by row."""
+    missing = set(missing_values) | {""}
+    header, lines, columns = _read_columns(path, schema)
+    used = [i for i, r in enumerate(schema.roles) if r != "ignore"]
+    keep = np.ones(lines.size, dtype=bool)
+    for col in used:
+        columns[col] = list(map(str.strip, columns[col]))
+        keep &= ~np.fromiter(map(missing.__contains__, columns[col]), bool, lines.size)
+    n = int(keep.sum())
+    if n == 0:
+        raise DataError("dataset empty after removing rows with missing values")
+    lines, keep = lines[keep], keep.tolist()
+    for col in used:
+        columns[col] = list(compress(columns[col], keep))
+
+    numeric = np.empty((n, len(schema.numeric_indices)))
+    for j, col in enumerate(schema.numeric_indices):
+        try:
+            numeric[:, j] = np.fromiter(map(float, columns[col]), np.float64, n)
+        except ValueError:
+            for line_no, tok in zip(lines, columns[col]):
+                try:
+                    float(tok)
+                except ValueError:
+                    raise DataError(
+                        f"line {line_no}, column {header[col]!r}: "
+                        f"cannot parse {tok!r} as numeric") from None
+
+    def encode(col):
+        codebook = {}
+        codes = np.fromiter((codebook.setdefault(tok, len(codebook))
+                             for tok in columns[col]), np.int64, n)
+        return codes, len(codebook)
+
+    categorical = np.empty((n, len(schema.categorical_indices)), dtype=np.int64)
+    cards = []
+    for j, col in enumerate(schema.categorical_indices):
+        categorical[:, j], card = encode(col)
+        cards.append(card)
+
+    labels = None if schema.label_index is None else encode(schema.label_index)[0]
+    return MixedDataset(numeric, categorical, tuple(cards)), labels
+
+
+# Messy files: padded values and sentinels, empty fields, quoted fields with
+# commas, bad numeric tokens, blank lines and an all-distinct ID column.
+_MESSY = {
+    "num": ["1", "-2.5", "1e3", "0"],
+    "cat": ["a", "b", "c", "a,b", "NA"],
+    "ord": ["lo", "mid", "hi"],
+    "label": ["x", "y", "x,y"],
+    "ignore": ["u", "?", "", "v,w"],
+}
+_BAD_NUMERIC = ["oops", "1,5", "nan"]
+_SENTINEL = st.sampled_from(["?", "", "NA", " ?"])
+
+
+@st.composite
+def messy_csvs(draw):
+    roles = draw(st.lists(st.sampled_from(["num", "cat", "ord", "ignore"]),
+                          min_size=1, max_size=4))
+    if draw(st.booleans()):
+        roles.insert(draw(st.integers(0, len(roles))), "label")
+    ids = draw(st.sampled_from([None, "cat", "ord", "label", "ignore"]))
+    if ids == "label" and "label" in roles:
+        ids = None
+    if ids is not None:
+        roles.insert(draw(st.integers(0, len(roles))), ids)
+    faults = draw(st.sampled_from([[], _BAD_NUMERIC]))
+    values = {r: st.sampled_from(v + faults * (r == "num")) for r, v in _MESSY.items()}
+    pad = draw(st.sampled_from([st.just(""), _PAD]))  # half the files unpadded
+    n = draw(st.integers(0, 15))
+    rows = []
+    for i in range(n):
+        row = [draw(pad) + draw(_SENTINEL if draw(st.integers(0, 4)) == 0 else values[r])
+               + draw(pad) for r in roles]
+        if ids is not None:
+            row[roles.index(ids)] = draw(pad) + f"id{i}"
+        rows.append(row)
+    for at in sorted(draw(st.sets(st.integers(0, n))), reverse=True):
+        rows.insert(at, [])
+    missing = draw(st.sampled_from([("?",), (), ("?", "NA"), (" ?",)]))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(f"h{j}" for j in range(len(roles)))
+    writer.writerows(rows)
+    return roles, out.getvalue(), missing
+
+
+class TestLoadOracle:
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(messy_csvs())
+    def test_matches_per_token_reference(self, tmp_path, case):
+        roles, text, missing = case
+        path = write(tmp_path, text)
+        schema = ColumnSchema.parse(",".join(roles))
+        try:
+            expected = reference_load(path, schema, missing)
+        except (DataError, SchemaError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                load_mixed_csv(path, schema, missing)
+            return
+        (ds, labels), (want, want_labels) = load_mixed_csv(path, schema, missing), expected
+        assert np.array_equal(ds.numeric, want.numeric)
+        assert np.array_equal(ds.categorical, want.categorical)
+        assert ds.cardinalities == want.cardinalities
+        assert (labels is None) == (want_labels is None)
+        if labels is not None:
+            assert np.array_equal(labels, want_labels)
 
 
 class TestMixedDataset:

@@ -461,7 +461,9 @@ def test_row_permutation_equivariance(problem, lam, seed):
 @st.composite
 def results(draw, method):
     n = draw(st.sampled_from([0, 1]) | st.integers(2, 3000))
-    labels = np.random.default_rng(draw(st.integers(0, 1000))).integers(
+    # from_json accepts negative labels and labels beyond 32 bits
+    low = draw(st.sampled_from([0, -10, 2**31 - 5, -2**40, 2**62]))
+    labels = low + np.random.default_rng(draw(st.integers(0, 1000))).integers(
         0, draw(st.integers(1, 20)), n)
     finite = st.floats(allow_nan=False, allow_infinity=False)
     return ClusteringResult(
