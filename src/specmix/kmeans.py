@@ -1,10 +1,12 @@
 """Lloyd's K-means over the rows of a spectral embedding, and the
 assignment step and restart loop that K-modes and K-prototypes share.
 
-k-means++ seeding, a configurable number of independent restarts (the
-lowest-inertia run wins, ties going to the earliest restart), and
-deterministic empty-cluster repair. Restart r draws from a generator seeded
-with (seed, r), so restarts are independent and may run concurrently.
+Greedy k-means++ seeding scores each step's few candidates as one block, one
+product with all the rows, and draws them as ``Generator.choice`` would,
+index for index. Lloyd's center update is one sparse one-hot product. Restart
+r draws from a generator seeded with (seed, r), so restarts are independent
+and may run concurrently; the lowest-inertia run wins, ties going to the
+earliest, and empty clusters are repaired deterministically.
 
 Rows may stand for several datapoints: ``onlycat`` hands over one row per
 distinct category tuple and an ``inverse`` that gives each datapoint's row.
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .dataset import _check_seed, _first_appearance, as_int, check_codes
 from .errors import ConfigError, DataError
@@ -54,33 +57,41 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray, p2) -> np.ndarray:
     return d2
 
 
+def _choice(rng, p, size) -> np.ndarray:
+    """``rng.choice(p.size, size, p=p)``'s indices and state, unvalidated."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def _plus_plus_init(points: np.ndarray, k: int, rng, w, inverse, p2) -> np.ndarray:
     """Greedy k-means++: each new center is the best of a few
     squared-distance-sampled candidates.
 
     Row i stands for ``w[i]`` datapoints, and ``inverse`` maps each
-    datapoint to its row, so the draws are over datapoints. ``p2`` is
-    passed on to ``_sq_dists``."""
-    m = points.shape[0]
+    datapoint to its row, so the draws are over datapoints. ``p2`` holds the
+    squared row norms. Each step scores its candidates as one block."""
     trials = 2 + int(np.log(k))
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[inverse[rng.integers(inverse.size)]]
     d2 = _sq_dists(points, centers[:1], p2)[:, 0]
+    block = np.empty((trials, points.shape[0]))
     for j in range(1, k):
         wd2 = w * d2
         total = wd2.sum()
         if total <= 0.0:
             candidates = inverse[rng.integers(inverse.size, size=trials)]
         else:
-            candidates = rng.choice(m, size=trials, p=wd2 / total)
-        best_idx, best_d2, best_total = None, None, np.inf
-        for idx in candidates:
-            cand = np.minimum(d2, _sq_dists(points, points[idx][None, :], p2)[:, 0])
-            cand_total = (w * cand).sum()
-            if cand_total < best_total:
-                best_idx, best_d2, best_total = int(idx), cand, cand_total
-        centers[j] = points[best_idx]
-        d2 = best_d2
+            candidates = _choice(rng, wd2 / total, trials)
+        cand = points[candidates]
+        np.matmul(-2.0 * cand, points.T, out=block)  # exact scaling
+        block += p2
+        block += np.einsum("ij,ij->i", cand, cand)[:, None]
+        np.maximum(block, 0.0, out=block)
+        np.minimum(block, d2, out=block)
+        best = int(np.argmin(block @ w))  # ties to the earliest candidate
+        centers[j] = cand[best]
+        d2 = block[best].copy()
     return centers
 
 
@@ -122,12 +133,11 @@ def _lloyd(points, k, centers, max_iters, tol, w, p2):
         new_labels = _assign(_sq_dists(points, centers, p2), k)
         converged = np.array_equal(new_labels, labels)
         labels = new_labels
-        mass = np.bincount(labels, weights=w, minlength=k)
-        for dim in range(points.shape[1]):
-            centers[:, dim] = np.bincount(labels, weights=w * points[:, dim],
-                                          minlength=k) / mass
+        centers = csr_array((w, labels, np.arange(n + 1)), shape=(n, k)).T @ points
+        centers /= np.bincount(labels, weights=w, minlength=k)[:, None]  # masses
         prev = inertia
-        diff = points - centers[labels]
+        diff = centers[labels]
+        np.subtract(points, diff, out=diff)  # one m x d buffer, not two
         diff *= sqrt_w  # exact at unit weight
         inertia = float(np.einsum("ij,ij->", diff, diff))
         history.append(inertia)

@@ -222,21 +222,21 @@ def test_criterion_06_easy_regime_purity():
 
 
 def test_criterion_07_onlycat_linear_scaling():
-    def median_graph_time(n, reps=5):
-        times = []
-        for rep in range(reps):
+    sizes = (100_000, 200_000, 400_000)
+    times = {n: [] for n in sizes}
+    for rep in range(5):
+        # the three sizes in turn within each repetition, so that a slow
+        # phase of the machine slows all of them rather than one
+        for n in sizes:
             ds, _ = sm.generate_synthetic(sm.SyntheticParams(
                 n=n, k=4, q=3, sigma=1.0, p=0.2, seed=1000 + rep))
             result = sm.onlycat(ds, sm.SpecMixConfig(k=4, lambdas=1.0,
                                                      seed=rep))
             # the graph stage holds the tuple pass, the one step that grows
             # with n; the stages after it work on the distinct tuples
-            times.append(result.timings["graph"])
-        return statistics.median(times)
+            times[n].append(result.timings["graph"])
 
-    t1 = median_graph_time(100_000)
-    t2 = median_graph_time(200_000)
-    t4 = median_graph_time(400_000)
+    t1, t2, t4 = (statistics.median(times[n]) for n in sizes)
     ok = t4 <= 2.5 * t2 and t4 <= 6.0 * t1
     assert report(7, "categorical pipeline scales linearly in n", ok,
                   f"median graph stage {t1*1e3:.2f}/{t2*1e3:.2f}/"

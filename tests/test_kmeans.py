@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmix import ConfigError, DataError, KMeansConfig, kmeans
-from specmix.kmeans import _lloyd, _plus_plus_init
+from specmix.kmeans import _choice, _lloyd, _plus_plus_init, _sq_dists
 
 
 def brute_force_two_clusters(points):
@@ -252,3 +252,102 @@ def test_inverse_is_checked():
         kmeans(points, 2, inverse=[[0, 1, 2]])
     with pytest.raises(ConfigError, match="at least k=4"):
         kmeans(points, 4, inverse=[0, 1, 2])
+
+
+def reference_plus_plus(points, k, rng, w, inverse, p2):
+    """Greedy k-means++ scored one candidate at a time: one distance
+    product, minimum and weighted sum per candidate, drawn with
+    ``rng.choice``. The oracle of the block seeding."""
+    m = points.shape[0]
+    trials = 2 + int(np.log(k))
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[inverse[rng.integers(inverse.size)]]
+    d2 = _sq_dists(points, centers[:1], p2)[:, 0]
+    for j in range(1, k):
+        wd2 = w * d2
+        total = wd2.sum()
+        if total <= 0.0:
+            candidates = inverse[rng.integers(inverse.size, size=trials)]
+        else:
+            candidates = rng.choice(m, size=trials, p=wd2 / total)
+        best_idx, best_d2, best_total = None, None, np.inf
+        for idx in candidates:
+            cand = np.minimum(d2, _sq_dists(points, points[idx][None, :], p2)[:, 0])
+            cand_total = (w * cand).sum()
+            if cand_total < best_total:
+                best_idx, best_d2, best_total = int(idx), cand, cand_total
+        centers[j] = points[best_idx]
+        d2 = best_d2
+    return centers
+
+
+@st.composite
+def quarter_grid_rows(draw):
+    """1-60 rows of 1-6 quarter-grid coordinates in [-4, 4], so that every
+    distance and weighted sum is exact; each row stands for 1-5 datapoints
+    through a shuffled inverse. A narrow grid repeats rows, and a k above
+    the distinct row count reaches the all-zero-distance draw."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, d, span = draw(st.integers(1, 60)), draw(st.integers(1, 6)), draw(st.integers(0, 16))
+    points = rng.integers(-span, span + 1, (m, d)) / 4.0
+    counts = rng.integers(1, 6, m)
+    inverse = rng.permutation(np.repeat(np.arange(m), counts))
+    return points, counts.astype(np.float64), inverse, draw(st.integers(2, 16))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(quarter_grid_rows(), st.integers(0, 2**32 - 1))
+def test_block_seeding_matches_per_candidate_reference(data, seed):
+    points, w, inverse, k = data
+    p2 = np.einsum("ij,ij->i", points, points)
+    block_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    centers = _plus_plus_init(points, k, block_rng, w, inverse, p2)
+    expected = reference_plus_plus(points, k, reference_rng, w, inverse, p2)
+    assert centers.tobytes() == expected.tobytes()
+    assert block_rng.random() == reference_rng.random()
+
+
+@st.composite
+def weight_vectors(draw):
+    """Nonnegative weights with a positive sum: 1 to 60,000 of them, dense,
+    with a share of zeros, or with a single nonzero weight."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.one_of(st.integers(1, 50), st.integers(1, 60_000)))
+    w = rng.exponential(1.0, size)
+    shape = draw(st.sampled_from(["dense", "zeros", "single"]))
+    if shape == "zeros":
+        w[rng.random(size) < draw(st.floats(0.0, 0.99))] = 0.0
+    elif shape == "single":
+        w[:] = 0.0
+    w[rng.integers(size)] = rng.exponential(1.0) + 1e-3
+    return w
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(weight_vectors(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_inverse_cdf_draw_is_generator_choice(w, size, seed):
+    p = w / w.sum()
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(_choice(ours, p, size), numpys.choice(p.size, size, p=p))
+    assert ours.random() == numpys.random()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 50_000), st.integers(1, 20), st.integers(1, 20),
+       st.integers(0, 2**32 - 1))
+def test_center_update_matches_per_column_bincounts(m, d, k, seed):
+    """One Lloyd step's centers equal the weighted per-column bincount
+    means, bit for bit: both sum each cluster's rows in row order."""
+    rng = np.random.default_rng(seed)
+    k = min(k, m)
+    points = rng.standard_normal((m, d)) * rng.exponential(1.0, d)
+    w = rng.exponential(1.0, m)
+    p2 = np.einsum("ij,ij->i", points, points)
+    start = points[rng.choice(m, k, replace=False)]
+    labels, centers, _, _ = _lloyd(points, k, start, 1, 1e-6, w, p2)
+    mass = np.bincount(labels, weights=w, minlength=k)
+    expected = np.empty((k, d))
+    for dim in range(d):
+        expected[:, dim] = np.bincount(labels, weights=w * points[:, dim],
+                                       minlength=k) / mass
+    assert centers.tobytes() == expected.tobytes()
