@@ -1,9 +1,8 @@
 """Mixed-type dataset model.
 
 Holds the numeric/categorical data matrices, handles CSV ingestion driven by
-a column-role schema, preprocessing (standardization, missing-row removal),
-one-hot views of categorical variables, and the synthetic cluster generator
-used by the benchmark harness.
+a column-role schema, preprocessing (standardization, missing-row removal) and
+the synthetic cluster generator used by the benchmark harness.
 
 All types are treated as immutable after construction and are safe to share
 across threads for reading.
@@ -15,7 +14,6 @@ import csv
 import gc
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from pathlib import Path
 from typing import Optional, Sequence
@@ -247,42 +245,6 @@ class MixedDataset:
     @property
     def num_categorical(self) -> int:
         return self.categorical.shape[1]
-
-
-@dataclass(frozen=True)
-class OneHotMatrix:
-    """One-hot encoding of a single categorical variable.
-
-    Stored as the code vector; the dense indicator matrix is a derived view.
-    Every row of it sums to 1.
-    """
-
-    codes: np.ndarray
-    cardinality: int
-
-    def __post_init__(self):
-        if np.ndim(self.codes) != 1:
-            raise DataError("one-hot codes must be a vector")
-        object.__setattr__(self, "cardinality",
-                           as_int(self.cardinality, "cardinality", 1, DataError))
-        object.__setattr__(self, "codes",
-                           check_codes(self.codes, self.cardinality, "one-hot codes"))
-
-    @property
-    def n(self) -> int:
-        return self.codes.shape[0]
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        out = np.zeros((self.n, self.cardinality))
-        out[np.arange(self.n), self.codes] = 1.0
-        return out
-
-
-def one_hot(ds: MixedDataset, index: int) -> OneHotMatrix:
-    """One-hot view of categorical variable ``index`` (0-based)."""
-    index = check_codes(index, ds.num_categorical, "categorical index", ConfigError)
-    return OneHotMatrix(ds.categorical[:, index], ds.cardinalities[index])
 
 
 def _read_columns(path, schema: ColumnSchema):

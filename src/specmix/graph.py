@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .dataset import MixedDataset, OneHotMatrix, as_int, check_codes
+from .dataset import MixedDataset, as_int, check_codes
 from .eigen import _SYM_TOL, _as_operator
 from .errors import ConfigError, DataError
 
@@ -143,7 +143,12 @@ class StackedEncoder:
     def __post_init__(self):
         cards = tuple(as_int(t, "cardinality", 1, DataError) for t in self.cardinalities)
         object.__setattr__(self, "cardinalities", cards)
-        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
+        try:
+            lambdas = tuple(float(v) for v in self.lambdas)
+        except (TypeError, ValueError):
+            raise ConfigError(f"edge weights lambda must be finite numbers, "
+                              f"got {self.lambdas!r}") from None
+        object.__setattr__(self, "lambdas", lambdas)
         if not cards:
             raise ConfigError("stacked encoder needs at least one variable")
         if len(self.lambdas) != len(cards):
@@ -285,21 +290,11 @@ def assemble_augmented(base: BaseWeights, stacked: StackedEncoder) -> AugmentedG
     return AugmentedGraph(base, stacked)
 
 
-@dataclass(frozen=True)
-class AssignmentMatrix:
-    """Volume-normalized cluster indicator matrix.
-
-    Row i has a single nonzero 1/sqrt(vol(cluster of i)) in its cluster's
-    column, where volumes are taken with respect to the degrees the matrix
-    was built against; this makes Z.T @ D @ Z the identity.
-    """
-
-    entries: np.ndarray
-    volumes: np.ndarray
-
-
-def assignment_matrix(labels, degrees, k: int) -> AssignmentMatrix:
-    """Build the assignment matrix of a hard partition against ``degrees``."""
+def assignment_matrix(labels, degrees, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(z, volumes) for a hard partition against ``degrees``: the
+    volume-normalized indicator matrix Z, whose row i holds
+    1/sqrt(vol(cluster of i)) in its cluster's column so that Z.T @ D @ Z is
+    the identity, and each cluster's volume."""
     labels = check_codes(labels, k, "labels", ConfigError)
     degrees = np.asarray(degrees, dtype=np.float64)
     if labels.shape != degrees.shape:
@@ -308,34 +303,39 @@ def assignment_matrix(labels, degrees, k: int) -> AssignmentMatrix:
     if (volumes <= 0.0).any():
         empty = int(np.flatnonzero(volumes <= 0.0)[0])
         raise ConfigError(f"cluster {empty} is empty (zero volume)")
-    entries = np.zeros((labels.size, k))
-    entries[np.arange(labels.size), labels] = 1.0 / np.sqrt(volumes[labels])
-    return AssignmentMatrix(entries, volumes)
+    z = np.zeros((labels.size, k))
+    z[np.arange(labels.size), labels] = 1.0 / np.sqrt(volumes[labels])
+    return z, volumes
 
 
-def assignment_energy(assign: AssignmentMatrix, graph) -> float:
+def assignment_energy(z, graph) -> float:
     """tr(Z.T L Z) for L = D - W, without materializing L.
 
-    Equals the normalized-cut value of the partition the matrix encodes.
-    ``graph`` is an AugmentedGraph, BaseWeights or a symmetric matrix.
+    Equals the normalized-cut value of the partition whose assignment
+    matrix is ``z``. ``graph`` is an AugmentedGraph, BaseWeights or a
+    symmetric matrix.
     """
     matvec, dim = _as_operator(graph)
     degrees = graph.degrees if hasattr(graph, "degrees") else np.asarray(graph).sum(axis=1)
-    z = assign.entries
-    if z.shape[0] != dim:
-        raise ConfigError(f"assignment has {z.shape[0]} rows, graph has {dim} nodes")
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2 or z.shape[0] != dim:
+        raise ConfigError(f"assignment must be a {dim}-row matrix, got shape {z.shape}")
     degree_term = float(np.sum(degrees * np.einsum("ik,ik->i", z, z)))
     return degree_term - float(np.einsum("ik,ik->", z, matvec(z)))
 
 
-def delta_counts(data_labels, extra_labels, encoder: OneHotMatrix, k: int) -> np.ndarray:
+def delta_counts(data_labels, extra_labels, codes, cardinality: int, k: int) -> np.ndarray:
     """K x K matrix counting datapoints of cluster a whose category node
-    (for this variable) was assigned to cluster b."""
+    (for the variable with these ``codes``) was assigned to cluster b."""
     data_labels = check_codes(data_labels, k, "labels", ConfigError)
     extra_labels = check_codes(extra_labels, k, "labels", ConfigError)
-    if data_labels.size != encoder.n:
-        raise ConfigError("data labels length does not match encoder rows")
-    if extra_labels.size != encoder.cardinality:
+    cardinality = as_int(cardinality, "cardinality", 1, DataError)
+    if np.ndim(codes) != 1:
+        raise DataError("category codes must be a vector")
+    codes = check_codes(codes, cardinality, "category codes")
+    if data_labels.size != codes.size:
+        raise ConfigError("data labels length does not match the code count")
+    if extra_labels.size != cardinality:
         raise ConfigError("extra labels length does not match category count")
-    pairs = data_labels * k + extra_labels[encoder.codes]
+    pairs = data_labels * k + extra_labels[codes]
     return np.bincount(pairs, minlength=k * k).reshape(k, k)

@@ -69,6 +69,8 @@ def purity(pred, truth, mode: str = "weighted") -> float:
 def imbalance_ratio(truth) -> float:
     """Size of the smallest class divided by the size of the largest."""
     truth = np.asarray(truth)
+    if truth.ndim != 1:
+        raise DataError("label vector must be 1-D")
     if truth.size < 1:
         raise DataError("label vector is empty")
     _, counts = np.unique(truth, return_counts=True)

@@ -60,13 +60,14 @@ class SpecMixConfig:
         object.__setattr__(self, "seed", _check_seed(self.seed))
 
     def resolve_lambdas(self, q: int) -> np.ndarray:
-        if np.isscalar(self.lambdas):
-            lams = np.full(q, float(self.lambdas))
-        else:
-            lams = np.asarray(self.lambdas, dtype=np.float64)
-            if lams.shape != (q,):
-                raise ConfigError(
-                    f"expected {q} lambda values, got {lams.shape}")
+        try:
+            lams = (np.full(q, float(self.lambdas)) if np.isscalar(self.lambdas)
+                    else np.asarray(self.lambdas, dtype=np.float64))
+        except (TypeError, ValueError):
+            raise ConfigError(f"lambda values must be finite numbers, "
+                              f"got {self.lambdas!r}") from None
+        if lams.shape != (q,):
+            raise ConfigError(f"expected {q} lambda values, got {lams.shape}")
         if not (np.isfinite(lams).all() and (lams >= 0.0).all()):
             raise ConfigError("lambda values must be finite and nonnegative")
         return lams

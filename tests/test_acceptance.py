@@ -50,11 +50,10 @@ def random_instance(rng):
         for c in cards])
     ds = sm.MixedDataset(rng.standard_normal((n, r)), cats, tuple(cards))
     lams = rng.uniform(1e-6, 10.0, q)
-    encoders = [sm.one_hot(ds, l) for l in range(q)]
     graph = sm.assemble_augmented(sm.base_similarity(ds),
                                   sm.StackedEncoder(ds.categorical, ds.cardinalities, lams))
     labels = random_partition(rng, graph.dim, k)
-    return ds, graph, encoders, lams, labels, k
+    return ds, graph, lams, labels, k
 
 
 def subspace_sine(a, b):
@@ -68,17 +67,19 @@ def test_criterion_01_energy_decomposition():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(200):
-        ds, graph, encoders, lams, labels, k = random_instance(rng)
-        z = assignment_matrix(labels, graph.degrees, k)
+        ds, graph, lams, labels, k = random_instance(rng)
+        z, _ = assignment_matrix(labels, graph.degrees, k)
         lhs = assignment_energy(z, graph)
-        x = z.entries[:ds.n]
+        x = z[:ds.n]
         w = graph.base.matrix
         rhs = float(np.trace(x.T @ (np.diag(w.sum(axis=1)) - w) @ x))
         off = ds.n
-        for enc, lam in zip(encoders, lams):
-            y = z.entries[off:off + enc.cardinality]
-            rhs += lam * float(np.linalg.norm(x - enc.entries @ y) ** 2)
-            off += enc.cardinality
+        # E_l Y, variable l's one-hot matrix times its extra-node rows, is
+        # the row gather y[codes]
+        for codes, card, lam in zip(ds.categorical.T, ds.cardinalities, lams):
+            y = z[off:off + card]
+            rhs += lam * float(np.linalg.norm(x - y[codes]) ** 2)
+            off += card
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 10.0
@@ -91,20 +92,20 @@ def test_criterion_02_delta_identity():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(200):
-        ds, graph, encoders, lams, labels, k = random_instance(rng)
-        z = assignment_matrix(labels, graph.degrees, k)
-        x = z.entries[:ds.n]
+        ds, graph, lams, labels, k = random_instance(rng)
+        z, volumes = assignment_matrix(labels, graph.degrees, k)
+        x = z[:ds.n]
         off = ds.n
-        for enc in encoders:
-            y = z.entries[off:off + enc.cardinality]
-            frob = float(np.linalg.norm(x - enc.entries @ y) ** 2)
-            counts = delta_counts(labels[:ds.n],
-                                  labels[off:off + enc.cardinality], enc, k)
+        for codes, card in zip(ds.categorical.T, ds.cardinalities):
+            y = z[off:off + card]
+            frob = float(np.linalg.norm(x - y[codes]) ** 2)
+            counts = delta_counts(labels[:ds.n], labels[off:off + card],
+                                  codes, card, k)
             incident = (counts.sum(axis=1) + counts.sum(axis=0)
                         - 2 * np.diag(counts))
-            rhs = float(np.sum(incident / z.volumes))
+            rhs = float(np.sum(incident / volumes))
             worst = max(worst, abs(frob - rhs) / max(1.0, frob, rhs))
-            off += enc.cardinality
+            off += card
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 10.0
     assert report(2, "coupling-term delta identity on the same instances", ok,

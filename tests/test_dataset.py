@@ -11,8 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from specmix import (ColumnSchema, ConfigError, DataError, MixedDataset,
-                     OneHotMatrix, SchemaError, SyntheticParams, generate_synthetic,
-                     load_mixed_csv, one_hot, standardize_numeric)
+                     SchemaError, SyntheticParams, generate_synthetic,
+                     load_mixed_csv, standardize_numeric)
 from specmix.dataset import _read_columns
 
 
@@ -453,45 +453,6 @@ class TestStandardize:
         ds = MixedDataset(np.empty((3, 0)), np.zeros((3, 1), dtype=int), (1,))
         with pytest.raises(ConfigError):
             standardize_numeric(ds)
-
-
-class TestOneHot:
-    def test_definition(self):
-        from specmix import MixedDataset
-        ds = MixedDataset(np.empty((3, 0)),
-                          np.array([[0], [1], [0]]), (2,))
-        enc = one_hot(ds, 0)
-        assert enc.entries.tolist() == [[1, 0], [0, 1], [1, 0]]
-        assert enc.entries.sum(axis=0).tolist() == [2, 1]
-
-    def test_rows_sum_to_one(self):
-        from specmix import MixedDataset
-        rng = np.random.default_rng(2)
-        ds = MixedDataset(np.empty((30, 0)),
-                          rng.integers(0, 4, (30, 2)), (4, 4))
-        for l in range(2):
-            assert np.array_equal(one_hot(ds, l).entries.sum(axis=1),
-                                  np.ones(30))
-
-    def test_out_of_range(self):
-        from specmix import MixedDataset
-        ds = MixedDataset(np.empty((3, 0)), np.zeros((3, 1), dtype=int), (1,))
-        with pytest.raises(ConfigError):
-            one_hot(ds, 1)
-
-    @pytest.mark.parametrize("bad", [0.5, np.nan, -np.inf])
-    def test_non_integer_codes_rejected(self, bad):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DataError, match="must be integers"):
-                OneHotMatrix(np.array([0.0, bad, 1.0]), 2)
-
-    def test_total_column_sums(self):
-        ds, _ = generate_synthetic(SyntheticParams(n=37, k=3, q=4,
-                                                   sigma=1.0, p=0.3, seed=9))
-        total = sum(one_hot(ds, l).entries.sum()
-                    for l in range(ds.num_categorical))
-        assert total == ds.n * ds.num_categorical
 
 
 class TestSynthetic:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from specmix import (ConfigError, DataError, MixedDataset,
                      StackedEncoder, assemble_augmented, assignment_energy,
                      assignment_matrix, base_similarity,
-                     build_bipartite_reduction, delta_counts, one_hot)
+                     build_bipartite_reduction, delta_counts)
 from specmix.graph import _BLOCK_BYTES, BaseWeights
 
 # The largest n whose similarity build is a single row block.
@@ -27,10 +28,9 @@ def random_mixed(rng, n, r, q, max_card=4):
 def random_augmented(rng, n=12, r=2, q=2):
     ds = random_mixed(rng, n, r, q)
     weights = base_similarity(ds)
-    encoders = [one_hot(ds, l) for l in range(q)]
     lams = rng.uniform(0.1, 10.0, q)
     stacked = StackedEncoder(ds.categorical, ds.cardinalities, lams)
-    return assemble_augmented(weights, stacked), ds, encoders, lams
+    return assemble_augmented(weights, stacked), ds, lams
 
 
 def nonempty_partition(rng, size, k):
@@ -155,7 +155,8 @@ class TestAssemble:
             assemble_augmented(base_similarity(ds),
                                StackedEncoder(ds.categorical, ds.cardinalities, [0.0]))
 
-    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    # "x" used to escape as a raw ValueError
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, "x"])
     def test_non_finite_lambda_rejected(self, lam):
         ds = random_mixed(np.random.default_rng(4), 8, 1, 1)
         with pytest.raises(ConfigError, match="finite"):
@@ -209,21 +210,22 @@ class TestStackedEncoderChecks:
 class TestAssignment:
     def test_single_cluster_constant(self):
         degrees = np.array([1.0, 2.0, 3.0])
-        z = assignment_matrix(np.zeros(3, dtype=int), degrees, 1)
-        assert np.allclose(z.entries[:, 0], 1.0 / np.sqrt(6.0))
+        z, volumes = assignment_matrix(np.zeros(3, dtype=int), degrees, 1)
+        assert np.allclose(z[:, 0], 1.0 / np.sqrt(6.0))
+        assert volumes.tolist() == [6.0]
 
     def test_two_node_example(self):
-        z = assignment_matrix([0, 1], np.array([2.0, 3.0]), 2)
-        assert z.entries[0, 0] == pytest.approx(1 / np.sqrt(2))
-        assert z.entries[1, 1] == pytest.approx(1 / np.sqrt(3))
-        assert z.entries[0, 1] == 0.0 and z.entries[1, 0] == 0.0
+        z, _ = assignment_matrix([0, 1], np.array([2.0, 3.0]), 2)
+        assert z[0, 0] == pytest.approx(1 / np.sqrt(2))
+        assert z[1, 1] == pytest.approx(1 / np.sqrt(3))
+        assert z[0, 1] == 0.0 and z[1, 0] == 0.0
 
     def test_ztdz_identity(self):
         rng = np.random.default_rng(6)
         graph, *_ = random_augmented(rng, n=15, r=2, q=2)
         labels = nonempty_partition(rng, graph.dim, 3)
-        z = assignment_matrix(labels, graph.degrees, 3)
-        gram = z.entries.T @ (graph.degrees[:, None] * z.entries)
+        z, _ = assignment_matrix(labels, graph.degrees, 3)
+        gram = z.T @ (graph.degrees[:, None] * z)
         assert np.abs(gram - np.eye(3)).max() <= 1e-10
 
     def test_empty_cluster_rejected(self):
@@ -245,14 +247,14 @@ class TestEnergy:
     def test_single_cluster_zero(self):
         rng = np.random.default_rng(7)
         graph, *_ = random_augmented(rng)
-        z = assignment_matrix(np.zeros(graph.dim, dtype=int), graph.degrees, 1)
+        z, _ = assignment_matrix(np.zeros(graph.dim, dtype=int), graph.degrees, 1)
         assert abs(assignment_energy(z, graph)) <= 1e-10
 
     def test_disconnected_components_zero(self):
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 1.0
         w[2, 3] = w[3, 2] = 1.0
-        z = assignment_matrix([0, 0, 1, 1], w.sum(axis=1), 2)
+        z, _ = assignment_matrix([0, 0, 1, 1], w.sum(axis=1), 2)
         assert abs(assignment_energy(z, w)) <= 1e-12
 
     def test_matches_ncut_oracle(self):
@@ -261,7 +263,7 @@ class TestEnergy:
             w = rng.uniform(0.05, 1.0, (6, 6))
             w = 0.5 * (w + w.T)
             labels = nonempty_partition(rng, 6, 2)
-            z = assignment_matrix(labels, w.sum(axis=1), 2)
+            z, _ = assignment_matrix(labels, w.sum(axis=1), 2)
             assert assignment_energy(z, w) == pytest.approx(
                 ncut_oracle(w, labels, 2), rel=1e-10)
 
@@ -270,7 +272,7 @@ class TestEnergy:
         for _ in range(5):
             graph, *_ = random_augmented(rng, n=10, r=2, q=2)
             labels = nonempty_partition(rng, graph.dim, 3)
-            z = assignment_matrix(labels, graph.degrees, 3)
+            z, _ = assignment_matrix(labels, graph.degrees, 3)
             assert assignment_energy(z, graph) == pytest.approx(
                 ncut_oracle(graph.dense(), labels, 3), rel=1e-10)
 
@@ -290,19 +292,18 @@ class TestDeltaCounts:
     def test_direct_example(self):
         # points 0,1: cluster 0, category 0 whose node sits in cluster 0;
         # point 2: cluster 1, category 1 whose node sits in cluster 1
-        ds = MixedDataset(np.empty((3, 0)), np.array([[0], [0], [1]]), (2,))
-        counts = delta_counts([0, 0, 1], [0, 1], one_hot(ds, 0), 2)
+        counts = delta_counts([0, 0, 1], [0, 1], [0, 0, 1], 2, 2)
         assert counts.tolist() == [[2, 0], [0, 1]]
-        counts = delta_counts([0, 0, 1], [0, 0], one_hot(ds, 0), 2)
+        counts = delta_counts([0, 0, 1], [0, 0], [0, 0, 1], 2, 2)
         assert counts.tolist() == [[2, 0], [1, 0]]
 
     def test_pure_diagonal_when_coclustered(self):
         rng = np.random.default_rng(11)
         ds = random_mixed(rng, 20, 1, 1, max_card=3)
-        enc = one_hot(ds, 0)
-        extra_labels = np.arange(enc.cardinality) % 3
-        data_labels = extra_labels[enc.codes]
-        counts = delta_counts(data_labels, extra_labels, enc, 3)
+        codes, card = ds.categorical[:, 0], ds.cardinalities[0]
+        extra_labels = np.arange(card) % 3
+        data_labels = extra_labels[codes]
+        counts = delta_counts(data_labels, extra_labels, codes, card, 3)
         assert np.array_equal(counts, np.diag(np.diag(counts)))
         assert counts.trace() == ds.n
 
@@ -311,43 +312,55 @@ class TestDeltaCounts:
                                              ([0.9, 1.2, 0.4], [0.3, 1.9])])
     def test_fractional_labels_not_truncated(self, data, extra):
         # these used to be counted as the truncated labels
-        ds = MixedDataset(np.empty((3, 0)), np.array([[0], [0], [1]]), (2,))
         with pytest.raises(ConfigError, match="must be integers"):
-            delta_counts(data, extra, one_hot(ds, 0), 2)
+            delta_counts(data, extra, [0, 0, 1], 2, 2)
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, -np.inf])
+    def test_non_integer_codes_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="must be integers"):
+                delta_counts([0, 1, 0], [0, 1], np.array([0.0, bad, 1.0]), 2, 2)
+
+    @pytest.mark.parametrize("codes", [[0, 2, 1], [0, -1, 1], [[0, 1, 1]]])
+    def test_codes_checked(self, codes):
+        with pytest.raises(DataError, match="category codes"):
+            delta_counts([0, 1, 0], [0, 1], codes, 2, 2)
 
     def test_total_is_n(self):
         rng = np.random.default_rng(12)
         ds = random_mixed(rng, 25, 1, 1)
-        enc = one_hot(ds, 0)
+        codes, card = ds.categorical[:, 0], ds.cardinalities[0]
         counts = delta_counts(rng.integers(0, 3, 25),
-                              rng.integers(0, 3, enc.cardinality), enc, 3)
+                              rng.integers(0, 3, card), codes, card, 3)
         assert counts.sum() == 25
 
 
 class TestIdentities:
     """Algebraic identities of the augmented-graph energy on random
-    instances with random hard partitions."""
+    instances with random hard partitions. E_l Y, the one-hot matrix of
+    variable l times the extra-node rows Y, is the row gather y[codes]."""
 
     def test_energy_decomposition(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
-            graph, ds, encoders, lams = random_augmented(
+            graph, ds, lams = random_augmented(
                 rng, n=int(rng.integers(8, 30)), r=int(rng.integers(1, 4)),
                 q=int(rng.integers(1, 4)))
             k = int(rng.integers(2, 5))
             labels = nonempty_partition(rng, graph.dim, k)
-            z = assignment_matrix(labels, graph.degrees, k)
+            z, _ = assignment_matrix(labels, graph.degrees, k)
             lhs = assignment_energy(z, graph)
 
-            x = z.entries[:ds.n]
+            x = z[:ds.n]
             w = graph.base.matrix
             base_energy = np.trace(x.T @ (np.diag(w.sum(axis=1)) - w) @ x)
             rhs = base_energy
             off = ds.n
-            for enc, lam in zip(encoders, lams):
-                y = z.entries[off:off + enc.cardinality]
-                rhs += lam * np.linalg.norm(x - enc.entries @ y) ** 2
-                off += enc.cardinality
+            for codes, card, lam in zip(ds.categorical.T, ds.cardinalities, lams):
+                y = z[off:off + card]
+                rhs += lam * np.linalg.norm(x - y[codes]) ** 2
+                off += card
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
     def test_delta_identity(self):
@@ -356,23 +369,23 @@ class TestIdentities:
         # through each cluster it touches.
         rng = np.random.default_rng(14)
         for _ in range(20):
-            graph, ds, encoders, _ = random_augmented(
+            graph, ds, _ = random_augmented(
                 rng, n=int(rng.integers(8, 30)), r=1,
                 q=int(rng.integers(1, 4)))
             k = int(rng.integers(2, 5))
             labels = nonempty_partition(rng, graph.dim, k)
-            z = assignment_matrix(labels, graph.degrees, k)
-            x = z.entries[:ds.n]
+            z, volumes = assignment_matrix(labels, graph.degrees, k)
+            x = z[:ds.n]
             off = ds.n
-            for enc in encoders:
-                y = z.entries[off:off + enc.cardinality]
-                frob = np.linalg.norm(x - enc.entries @ y) ** 2
-                counts = delta_counts(labels[:ds.n],
-                                      labels[off:off + enc.cardinality], enc, k)
+            for codes, card in zip(ds.categorical.T, ds.cardinalities):
+                y = z[off:off + card]
+                frob = np.linalg.norm(x - y[codes]) ** 2
+                counts = delta_counts(labels[:ds.n], labels[off:off + card],
+                                      codes, card, k)
                 incident = counts.sum(axis=1) + counts.sum(axis=0) - 2 * np.diag(counts)
-                rhs = float(np.sum(incident / z.volumes))
+                rhs = float(np.sum(incident / volumes))
                 assert abs(frob - rhs) <= 1e-9 * max(1.0, frob)
-                off += enc.cardinality
+                off += card
 
 
 def per_variable_products(stacked, u, x):

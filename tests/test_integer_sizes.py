@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from specmix import (ConfigError, DataError, ExperimentGrid, KMeansConfig,
-                     MixedDataset, OneHotMatrix, SpecMixConfig, SyntheticParams,
+                     MixedDataset, SpecMixConfig, SyntheticParams, delta_counts,
                      generate_synthetic, kmeans, kmodes, kprototypes, specmix)
 
 
@@ -78,8 +78,8 @@ DATA_CASES = {
         np.empty((3, 0)), np.array([[0], [1], [0]]), (2.7,)),
     "MixedDataset cardinality 0": lambda: MixedDataset(
         np.empty((3, 0)), np.array([[0], [1], [0]]), (0,)),
-    "OneHotMatrix cardinality 2.5": lambda: OneHotMatrix(np.array([0, 1]), 2.5),
-    "OneHotMatrix cardinality -1": lambda: OneHotMatrix(np.array([], int), -1),
+    "delta_counts cardinality 2.5": lambda: delta_counts([0, 1], [0, 1], [0, 1], 2.5, 2),
+    "delta_counts cardinality -1": lambda: delta_counts([], [], np.array([], int), -1, 2),
 }
 
 
@@ -101,7 +101,7 @@ def test_numpy_integers_accepted():
     assert kmodes(CODES, two, restarts=three).shape == (4,)
     ds = MixedDataset(np.empty((3, 0)), np.array([[0], [1], [0]]), (np.int64(2),))
     assert ds.cardinalities == (2,) and type(ds.cardinalities[0]) is int
-    assert OneHotMatrix(np.array([0, 1]), np.int32(2)).cardinality == 2
+    assert delta_counts([0, 1], [0, 1], [0, 1], np.int32(2), two).trace() == 2
 
 
 def test_numpy_seed_stored_as_int():

@@ -81,6 +81,12 @@ class TestImbalanceRatio:
     def test_single_class(self):
         assert imbalance_ratio([3, 3, 3]) == 1.0
 
+    @pytest.mark.parametrize("truth", [np.zeros((2, 2)), np.array(3)])
+    def test_not_one_dimensional_rejected(self, truth):
+        # a 2-D array used to give a ratio over all its cells
+        with pytest.raises(DataError, match="1-D"):
+            imbalance_ratio(truth)
+
 
 class TestLabelAgreement:
     def test_identical(self):

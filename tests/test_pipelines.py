@@ -295,9 +295,10 @@ class TestSpecMix:
         with pytest.raises(ConfigError):
             SpecMixConfig(k=2, lambdas=-1.0).resolve_lambdas(1)
 
-    @pytest.mark.parametrize("lam", [np.nan, np.inf, [1.0, np.nan]])
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, [1.0, np.nan], "abc", ["x", 1.0]])
     def test_non_finite_lambda_rejected(self, lam):
-        # nan used to pass the sign check and cluster without an error
+        # nan used to pass the sign check and cluster without an error, and
+        # a string escaped as a raw ValueError
         with pytest.raises(ConfigError, match="finite"):
             SpecMixConfig(k=2, lambdas=lam).resolve_lambdas(2)
 
