@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import MixedDataset, _check_seed, as_codes, as_int
+from .dataset import MixedDataset, _check_seed, as_codes, as_int, as_real
 from .errors import ConfigError, DataError
 from .kmeans import _assign, _sq_dists, best_of_restarts
 
@@ -91,7 +91,11 @@ def kmodes(categorical, k: int, seed: int = 0, max_iters: int = 100,
     if n < as_int(k, "cluster count k", 1):
         raise ConfigError(f"need at least k={k} rows, got {n}")
     seed = _check_seed(seed)
-    cards = categorical.max(axis=0) + 1
+    # each column renumbered in increasing order: count tables sized by the
+    # codes that occur, ties still to the lowest code, so the same labels
+    columns = [np.unique(column, return_inverse=True) for column in categorical.T]
+    categorical = np.column_stack([inverse for _, inverse in columns])
+    cards = [unique.size for unique, _ in columns]
 
     return best_of_restarts(as_int(restarts, "restarts", 1), seed, lambda rng: _alternate(
         None, categorical, cards, k, rng, max_iters, 1.0, None))[0]
@@ -113,7 +117,7 @@ def kprototypes(ds: MixedDataset, k: int, gamma_mix: Optional[float] = None,
     seed = _check_seed(seed)
     if gamma_mix is None:
         gamma_mix = 0.5 * float(np.mean(np.var(ds.numeric, axis=0)))
-    if not 0.0 <= gamma_mix < np.inf:
+    if not 0.0 <= as_real(gamma_mix, "gamma_mix") < np.inf:
         raise ConfigError(f"gamma_mix must be finite and nonnegative, got {gamma_mix}")
     cards = np.asarray(ds.cardinalities, dtype=np.int64)
     p2 = np.einsum("ij,ij->i", ds.numeric, ds.numeric)  # once for all restarts

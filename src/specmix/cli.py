@@ -5,8 +5,8 @@ Subcommands: ``cluster`` (run one method on a CSV dataset), ``synth``
 experiments), ``eval`` (score label files against each other).
 
 Errors are reported as one JSON object on stderr with a stable ``error``
-code; exit codes: 0 success, 2 usage/schema, 3 data, 4 configuration,
-5 numerical failure, 1 anything else.
+code; the exit code is the error's ``exit_code`` (2 usage/schema, 3 data and
+I/O, 4 configuration, 5 numerical failure, 1 anything else), 0 on success.
 """
 
 from __future__ import annotations
@@ -22,22 +22,13 @@ import numpy as np
 
 from .dataset import (ColumnSchema, SyntheticParams, generate_synthetic,
                       load_mixed_csv, read_text, standardize_numeric)
-from .errors import (ConfigError, ConvergenceError, DataError, SchemaError,
-                     SpecmixError, SpectralGapError)
+from .errors import ConfigError, DataError, SpecmixError
 from .kmeans import KMeansConfig
 from .metrics import ContingencyTable, imbalance_ratio
 from .pipelines import (ClusteringResult, SpecMixConfig, specmix_graph,
                         specmix_graph_dim)
 from .sweep import (METHODS, ExperimentGrid, fmt, parse_values, run_method,
                     run_sweep, write_rows)
-
-_EXIT_CODES = {
-    SchemaError: 2,
-    DataError: 3,
-    ConfigError: 4,
-    SpectralGapError: 5,
-    ConvergenceError: 5,
-}
 
 DUMP_NODE_LIMIT = 5000
 
@@ -222,7 +213,7 @@ def main(argv=None) -> int:
     except SpecmixError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}),
               file=sys.stderr)
-        return _EXIT_CODES.get(type(exc), 1)
+        return exc.exit_code
     except OSError as exc:
         print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
         return 3

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import numbers
 import operator
 from dataclasses import dataclass
 from itertools import compress
@@ -133,6 +134,13 @@ def as_int(value, what: str, low: int,
     if value < low:
         raise error(f"{what} must be >= {low}, got {value}")
     return value
+
+
+def as_real(value, what: str) -> float:
+    """``value`` as a float; a non-number raises ConfigError naming ``what``."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _check_seed(seed) -> int:
@@ -301,16 +309,12 @@ def _token_codes(column, missing) -> tuple[np.ndarray, list[int]]:
     first: dict[str, int] = {}
     codes = np.fromiter(map(first.setdefault, column, range(len(column))),
                         np.int64, len(column))
-    stripped, values = list(map(str.strip, first)), first.values()
-    # merge only when raw tokens share a stripped value; a set of the
-    # stripped values costs less than a second dictionary
-    if len(set(stripped)) < len(stripped):
-        merged: dict[str, int] = {}
-        remap = np.empty(len(column), dtype=np.int64)
-        remap[np.fromiter(values, np.int64, len(first))] = np.fromiter(
-            map(merged.setdefault, stripped, values), np.int64, len(first))
-        codes, stripped, values = remap[codes], merged, merged.values()
-    return codes, list(compress(values, map(missing.__contains__, stripped)))
+    merged: dict[str, int] = {}  # raw tokens that strip alike share a code
+    remap = np.empty(len(column), dtype=np.int64)
+    remap[np.fromiter(first.values(), np.int64, len(first))] = np.fromiter(
+        map(merged.setdefault, map(str.strip, first), first.values()),
+        np.int64, len(first))
+    return remap[codes], [merged[value] for value in missing if value in merged]
 
 
 def load_mixed_csv(path, schema: ColumnSchema,
@@ -406,9 +410,9 @@ class SyntheticParams:
         if as_int(self.n, "n", 1) < as_int(self.k, "cluster count k", 2):
             raise ConfigError("synthetic generator requires n >= k")
         as_int(self.q, "q", 0)
-        if not 0.0 <= self.p <= 1.0:
+        if not 0.0 <= as_real(self.p, "p") <= 1.0:
             raise ConfigError("p must lie in [0, 1]")
-        if not 0.0 <= self.sigma < np.inf:
+        if not 0.0 <= as_real(self.sigma, "sigma") < np.inf:
             raise ConfigError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.corruption not in ("others", "uniform"):
             raise ConfigError("corruption must be 'others' or 'uniform'")

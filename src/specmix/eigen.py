@@ -47,17 +47,6 @@ class EigenPairs:
     products: int
 
 
-class _Counted:
-    """A block matvec that counts the operator columns it applies."""
-
-    def __init__(self, matvec):
-        self.matvec, self.columns = matvec, 0
-
-    def __call__(self, x):
-        self.columns += x.shape[1]
-        return self.matvec(x)
-
-
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column, in place, so that its largest-magnitude entry is
     positive.
@@ -96,8 +85,9 @@ def _residual_norms(product, vectors, values) -> np.ndarray:
 
 
 def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
-    """K algebraically smallest eigenpairs via block Lanczos with full
-    reorthogonalization, from a random start block of k columns.
+    """(values, vectors, columns): the k algebraically smallest eigenpairs via
+    block Lanczos with full reorthogonalization, from a random start block of
+    k columns, and the number of operator columns applied, checks included.
 
     Block j of the basis, Q_j, satisfies A Q_j = Q_{j-1} B_{j-1}^T + Q_j A_j
     + Q_{j+1} B_j, so the basis carries a block tridiagonal T, kept in band
@@ -109,17 +99,20 @@ def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
     not grow with the block width. A basis that fills the space gives exact
     pairs.
     """
+    if not 1 <= k <= dim:
+        raise ConfigError(f"k must lie in [1, {dim}], got {k}")
     rng = np.random.default_rng(seed)
     band = np.zeros((min(k, dim - 1) + 1, dim))  # T[i, j] at band[i - j, j], i >= j
     basis = np.empty((dim, min(dim, max(4 * k, 128))), order="F")
     width, _ = _orthonormalize(basis, 0, rng.standard_normal((dim, k)), rng,
                                _LANCZOS_TOL)
-    start, prev, checked = 0, None, 0  # prev is B_{j-1}
+    start, prev, checked, columns = 0, None, 0, 0  # prev is B_{j-1}
     a_norm = 1.0  # max(1, largest ||A q|| over basis columns q) <= max(1, ||A||)
     while True:
         end = start + width
         q = basis[:, start:end]
         aq = matvec(q)
+        columns += width
         if not np.isfinite(aq).all():
             raise ConfigError("operator product has non-finite entries")
         a_norm = max(a_norm, float(np.linalg.norm(aq, axis=0).max()))
@@ -149,12 +142,13 @@ def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
             if (np.linalg.norm(b @ s[start:end], axis=0) <= _LANCZOS_TOL * scale).all():
                 vectors = basis[:, :end] @ s
                 residuals = _residual_norms(matvec(vectors), vectors, theta)
+                columns += k
                 if (residuals <= _RESIDUAL_TOL * a_norm).all():
-                    return theta, vectors
+                    return theta, vectors, columns
         start, width, prev = end, new_width, b
 
     theta, s = eig_banded(band, lower=True, select="i", select_range=(0, k - 1))
-    return theta, basis @ s
+    return theta, basis @ s, columns
 
 
 def _orthonormalize(basis, m: int, block, rng, drop: float):
@@ -222,13 +216,10 @@ def symmetric_smallest_eigs(a, k: int, seed: int = 0) -> EigenPairs:
     Eigenvectors are orthonormal; ``seed`` draws the start block.
     """
     matvec, dim = _as_operator(a)
-    if not 1 <= k <= dim:
-        raise ConfigError(f"k must lie in [1, {dim}], got {k}")
-    matvec = _Counted(matvec)
-    values, vectors = _lanczos_smallest(matvec, dim, k, seed)
+    values, vectors, columns = _lanczos_smallest(matvec, dim, k, seed)
     vectors = _fix_signs(vectors)
     residuals = _residual_norms(matvec(vectors), vectors, values)
-    return EigenPairs(values, vectors, residuals, matvec.columns)
+    return EigenPairs(values, vectors, residuals, columns + k)
 
 
 def generalized_smallest_eigs(weights, degrees, k: int, seed: int = 0) -> EigenPairs:
@@ -246,18 +237,15 @@ def generalized_smallest_eigs(weights, degrees, k: int, seed: int = 0) -> EigenP
     if bad.size:
         raise ConfigError(f"node {int(bad[0])} has nonpositive or non-finite degree")
     w_matvec, dim = _as_operator(weights)
-    w_matvec = _Counted(w_matvec)
     if degrees.shape != (dim,):
         raise ConfigError("degree vector length does not match graph dimension")
-    if not 1 <= k <= dim:
-        raise ConfigError(f"k must lie in [1, {dim}], got {k}")
 
     dinv_sqrt = 1.0 / np.sqrt(degrees)
 
     def lsym_matvec(x):  # a block of column vectors
         return x - dinv_sqrt[:, None] * w_matvec(dinv_sqrt[:, None] * x)
 
-    values, u = _lanczos_smallest(lsym_matvec, dim, k, seed)
+    values, u, columns = _lanczos_smallest(lsym_matvec, dim, k, seed)
     vectors = _fix_signs(u * dinv_sqrt[:, None])
     scale = max(1.0, float(degrees.max()))
     dv = degrees[:, None] * vectors
@@ -266,4 +254,4 @@ def generalized_smallest_eigs(weights, degrees, k: int, seed: int = 0) -> EigenP
         worst = float(residuals.max())
         raise ConvergenceError(
             f"generalized eigensolve residual {worst:.3g} exceeds tolerance")
-    return EigenPairs(values, vectors, residuals, w_matvec.columns)
+    return EigenPairs(values, vectors, residuals, columns + k)

@@ -1,7 +1,7 @@
 """Exception hierarchy with stable machine-readable error codes.
 
-The CLI maps ``code`` to exit codes and prints it in the error JSON, so the
-values are part of the external interface and must stay stable.
+Each class carries the ``code`` the CLI prints in the error JSON and the
+``exit_code`` it returns; both are external interface and must stay stable.
 """
 
 
@@ -9,33 +9,39 @@ class SpecmixError(Exception):
     """Base class for all package errors."""
 
     code = "internal"
+    exit_code = 1
 
 
 class SchemaError(SpecmixError):
     """Column schema is invalid or does not match the file."""
 
     code = "schema"
+    exit_code = 2
 
 
 class DataError(SpecmixError):
     """Input data cannot be parsed or is degenerate after preprocessing."""
 
     code = "data"
+    exit_code = 3
 
 
 class ConfigError(SpecmixError):
     """A configuration value violates an operation's preconditions."""
 
     code = "config"
+    exit_code = 4
 
 
 class SpectralGapError(SpecmixError):
     """The bipartite reduction has no usable spectral gap (gamma_K ~ 1)."""
 
     code = "spectral-gap"
+    exit_code = 5
 
 
 class ConvergenceError(SpecmixError):
     """An iterative solver exhausted its iteration budget."""
 
     code = "convergence"
+    exit_code = 5

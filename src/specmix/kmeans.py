@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array
 
-from .dataset import _check_seed, _first_appearance, as_int, check_codes
+from .dataset import _check_seed, _first_appearance, as_int, as_real, check_codes
 from .errors import ConfigError, DataError
 
 
@@ -44,8 +44,11 @@ class KMeansConfig:
         object.__setattr__(self, "restarts", as_int(self.restarts, "restarts", 1))
         object.__setattr__(self, "max_iters", as_int(self.max_iters, "max_iters", 1))
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        if not self.tol > 0.0:  # NaN fails too
+        if not as_real(self.tol, "tol") > 0.0:  # NaN fails too
             raise ConfigError("tol must be positive")
+        if not isinstance(self.normalize_rows, bool):  # "no" would be true
+            raise ConfigError(f"normalize_rows must be a bool, "
+                              f"got {self.normalize_rows!r}")
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray, p2) -> np.ndarray:

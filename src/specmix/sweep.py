@@ -100,8 +100,9 @@ def run_method(method: str, ds: MixedDataset,
                cfg: SpecMixConfig) -> ClusteringResult:
     """Run one of ``METHODS`` on ``ds``: the dispatch of the CLI and the sweep.
 
-    The baselines use ``cfg.k``, ``cfg.seed`` and ``cfg.kmeans.restarts``;
-    their result carries no eigenvalues and times only the whole run.
+    The baselines use ``cfg.k``, ``cfg.seed`` and ``cfg.kmeans.restarts``,
+    and their result's config holds only these three; it carries no
+    eigenvalues and times only the whole run.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r} (choose from {METHODS})")
@@ -110,18 +111,29 @@ def run_method(method: str, ds: MixedDataset,
     run = globals()[method.replace("-", "_")]
     if method not in ("kmodes", "kprototypes"):
         return run(ds, cfg)
+    settings = {"seed": cfg.seed, "restarts": cfg.kmeans.restarts}
     start = time.perf_counter()
-    labels = run(ds.categorical if method == "kmodes" else ds, cfg.k,
-                 seed=cfg.seed, restarts=cfg.kmeans.restarts)
+    labels = run(ds.categorical if method == "kmodes" else ds, cfg.k, **settings)
     return ClusteringResult(
         labels=np.asarray(labels, dtype=np.int64), eigenvalues=np.empty(0),
         embedding_rows_used=0, timings={"total": time.perf_counter() - start},
-        config=cfg.echo(), seed=cfg.seed, method=method)
+        config={"k": cfg.k, **settings}, seed=cfg.seed, method=method)
+
+
+# grid key -> (ExperimentGrid field, value type); reps and seed take one value
+_GRID_KEYS = {"n": ("n_values", int), "k": ("k_values", int), "q": ("q_values", int),
+              "sigma": ("sigma_values", float), "p": ("p_values", float),
+              "lambda": ("lambda_values", float), "methods": ("methods", str),
+              "reps": ("repetitions", int), "seed": ("seed", int)}
 
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """Declarative sweep: axis values, methods, repetitions, base seed."""
+    """Declarative sweep: axis values, methods, repetitions, base seed.
+
+    A cell that SyntheticParams refuses, or a specmix lambda that
+    resolve_lambdas does, is a ConfigError; a method that fails on a valid
+    cell, as kmodes does on Q = 0, gives an error row."""
 
     n_values: tuple[int, ...]
     k_values: tuple[int, ...]
@@ -138,18 +150,17 @@ class ExperimentGrid:
                      "p_values", "lambda_values", "methods"):
             if not getattr(self, name):
                 raise ConfigError(f"grid axis {name} is empty")
-        # the lower bounds of SyntheticParams
-        for name, what, low in (("n_values", "n", 1),
-                                ("k_values", "cluster count k", 2),
-                                ("q_values", "q", 0)):
-            values = tuple(as_int(v, what, low) for v in getattr(self, name))
-            object.__setattr__(self, name, values)
+        for cell in itertools.product(self.n_values, self.k_values, self.q_values,
+                                      self.sigma_values, self.p_values):
+            SyntheticParams(*cell)
         object.__setattr__(self, "repetitions",
                            as_int(self.repetitions, "repetitions", 1))
         object.__setattr__(self, "seed", _check_seed(self.seed))
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r} (choose from {METHODS})")
+        if "specmix" in self.methods:  # the one method whose rows take the lambda axis
+            SpecMixConfig(2, self.lambda_values).resolve_lambdas(len(self.lambda_values))
         # values that format alike (sigma = 1, 1.0) would name a row twice
         for key, after in itertools.pairwise(sorted(self.row_keys())):
             if key == after:
@@ -171,32 +182,22 @@ class ExperimentGrid:
                 raise ConfigError(f"grid line {line_no}: repeated key {key.strip()!r}")
             values[key.strip().lower()] = rhs
 
-        def parse(key, convert, default):
-            if key not in values:
-                return default
-            return parse_values(f"grid key {key!r}", values[key], convert)
-
-        def single(key, default):
-            value, *extra = parse(key, int, (default,))
-            if extra:
-                raise ConfigError(f"grid key {key!r} takes one value")
-            return value
-
-        known = {"n", "k", "q", "sigma", "p", "lambda", "methods", "reps",
-                 "seed"}
-        unknown = set(values) - known
+        unknown = set(values) - set(_GRID_KEYS)
         if unknown:
             raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
         if "n" not in values or "k" not in values:
             raise ConfigError("grid must define 'n' and 'K'")
-        return cls(
-            n_values=parse("n", int, None), k_values=parse("k", int, None),
-            q_values=parse("q", int, cls.q_values),
-            sigma_values=parse("sigma", float, cls.sigma_values),
-            p_values=parse("p", float, cls.p_values),
-            lambda_values=parse("lambda", float, cls.lambda_values),
-            methods=parse("methods", str, cls.methods),
-            repetitions=single("reps", 1), seed=single("seed", 0))
+        fields = {}
+        for key, (name, convert) in _GRID_KEYS.items():
+            if key not in values:  # the field keeps its default
+                continue
+            parsed = parse_values(f"grid key {key!r}", values[key], convert)
+            if key in ("reps", "seed"):
+                if len(parsed) > 1:
+                    raise ConfigError(f"grid key {key!r} takes one value")
+                parsed = parsed[0]
+            fields[name] = parsed
+        return cls(**fields)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentGrid":

@@ -39,6 +39,19 @@ class TestKModes:
         with pytest.raises(DataError, match="nonnegative integer"):
             kmodes([[bad], [0], [1]], 2)
 
+    def test_sparse_codes_label_as_their_dense_renumbering(self):
+        # the count tables used to have max code + 1 columns: a code of
+        # 2**40 asked for 16 TiB
+        rng = np.random.default_rng(3)
+        dense = rng.integers(0, 4, (30, 3))
+        values = np.array([[0, 5, 2**40, 2**62], [1, 7, 9, 10],
+                           [3, 4, 5, 6]]).T  # increasing, per column
+        sparse = np.take_along_axis(values, dense, axis=0)
+        for seed in range(3):
+            assert np.array_equal(kmodes(sparse, 3, seed=seed),
+                                  kmodes(dense, 3, seed=seed))
+        assert kmodes(np.array([[0], [2**40], [3], [2**40]]), 2).shape == (4,)
+
     def test_integral_float_codes_accepted(self):
         cats = np.array([[0, 1, 2]] * 3 + [[3, 0, 1]] * 3)
         assert np.array_equal(kmodes(cats.astype(float), 2, seed=0),
@@ -93,6 +106,14 @@ class TestKPrototypes:
                           np.empty((10, 0), dtype=int), ())
         with pytest.raises(ConfigError):
             kprototypes(ds, 2)
+
+    @pytest.mark.parametrize("gamma_mix", ["0.5", [0.5]])
+    def test_non_number_gamma_mix_rejected(self, gamma_mix):
+        # used to raise a raw TypeError from the range comparison
+        ds, _ = generate_synthetic(SyntheticParams(n=60, k=2, q=2,
+                                                   sigma=1.0, p=0.2, seed=0))
+        with pytest.raises(ConfigError, match="gamma_mix"):
+            kprototypes(ds, 2, gamma_mix=gamma_mix)
 
     @pytest.mark.parametrize("gamma_mix", [np.nan, np.inf])
     def test_non_finite_gamma_mix_rejected(self, gamma_mix):

@@ -509,6 +509,14 @@ class TestSynthetic:
         with pytest.raises(ConfigError):
             SyntheticParams(n=10, k=2, q=1, sigma=-1.0, p=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("p", "0.5"), ("p", None), ("sigma", "0.5"), ("sigma", None)])
+    def test_non_number_is_config_error(self, field, value):
+        # used to raise a raw TypeError from the range comparison
+        params = dict(n=10, k=2, q=1, sigma=0.0, p=0.0)
+        with pytest.raises(ConfigError, match=field):
+            SyntheticParams(**{**params, field: value})
+
     @pytest.mark.parametrize("sigma", [np.nan, np.inf])
     def test_non_finite_sigma_rejected(self, sigma):
         # nan used to pass the sign check and fail later as a data error

@@ -51,14 +51,20 @@ class TestKMeans:
             kmeans(np.zeros((2, 2)), 3)
 
     def test_inertia_non_increasing_within_run(self):
-        rng = np.random.default_rng(2)
-        points = rng.standard_normal((40, 3))
-        unit, identity = np.ones(40), np.arange(40)
-        p2 = np.einsum("ij,ij->i", points, points)
-        centers = _plus_plus_init(points, 4, rng, unit, identity, p2)
-        _, _, _, history = _lloyd(points, 4, centers, 300, 1e-9, unit, p2)
-        diffs = np.diff(history)
-        assert (diffs <= 1e-12).all()
+        # one Lloyd iteration per call, the centers fed back: a whole run's
+        # history has one entry while _lloyd stops after its first step
+        for seed in range(2, 8):
+            rng = np.random.default_rng(seed)
+            points = rng.standard_normal((40, 3))
+            unit, identity = np.ones(40), np.arange(40)
+            p2 = np.einsum("ij,ij->i", points, points)
+            centers = _plus_plus_init(points, 4, rng, unit, identity, p2)
+            inertias = []
+            for _ in range(30):
+                _, centers, inertia, _ = _lloyd(points, 4, centers, 1, 1e-9, unit, p2)
+                inertias.append(inertia)
+            for before, after in zip(inertias, inertias[1:]):
+                assert after <= before * (1.0 + 1e-12), seed
 
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 2: the first stop test of _lloyd compares with an "
@@ -155,6 +161,15 @@ class TestKMeans:
             KMeansConfig(max_iters=0)
         with pytest.raises(ConfigError):
             KMeansConfig(tol=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("tol", "1e-6"), ("tol", None), ("normalize_rows", "no"),
+        ("normalize_rows", 1)])
+    def test_wrong_type_is_config_error(self, field, value):
+        # a string tol used to raise a raw TypeError from the comparison,
+        # and normalize_rows="no" to normalize the rows
+        with pytest.raises(ConfigError, match=field):
+            KMeansConfig(**{field: value})
 
     def test_nan_tol_rejected(self):
         # NaN fails every comparison, so it used to pass the sign check

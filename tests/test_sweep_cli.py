@@ -8,6 +8,7 @@ import pytest
 from specmix import (ClusteringResult, ConfigError, DataError,
                      ExperimentGrid, KMeansConfig, SpecMixConfig,
                      SyntheticParams, generate_synthetic, run_sweep)
+from specmix import cli, errors
 from specmix.cli import _build_parser, main
 from specmix.sweep import (COORDS, METHODS, RESULT_COLUMNS, derive_seed,
                            run_method, sidecar_paths, write_rows)
@@ -90,6 +91,21 @@ class TestGrid:
         # two repetitions in the aggregate
         with pytest.raises(ConfigError, match="twice"):
             ExperimentGrid.from_text(f"n = 10\nK = 2\n{line}\n")
+
+    @pytest.mark.parametrize("lines, name", [
+        ("K = 2\np = 1.5", "p"), ("K = 2\nsigma = nan", "sigma"),
+        ("K = 2\nsigma = -1", "sigma"), ("K = 2\nlambda = -1", "lambda"),
+        ("K = 2\nlambda = inf", "lambda"), ("K = 2, 20", "n >= k"),
+        ("K = 2\nQ = -1", "q")])
+    def test_rows_that_must_fail_are_config_errors(self, lines, name):
+        # p = 1.5 and lambda = -1 used to write every row as a config error
+        with pytest.raises(ConfigError, match=name):
+            ExperimentGrid.from_text(f"n = 10\n{lines}\n")
+
+    def test_lambda_checked_only_for_specmix(self):
+        grid = ExperimentGrid.from_text(
+            "n = 10\nK = 2\nlambda = -1\nmethods = onlycat, kmodes\n")
+        assert len(grid.row_keys()) == 2
 
     def test_unused_axis_may_repeat_a_value(self):
         # lambda is not an axis of onlycat, so its rows stay distinct
@@ -382,6 +398,18 @@ class TestRunMethod:
         assert back.method == method
         assert np.array_equal(back.labels, result.labels)
         assert back.to_json() == doc
+
+    @pytest.mark.parametrize("method", ["kmodes", "kprototypes"])
+    def test_baseline_config_holds_what_it_ran_with(self, method):
+        # used to echo the K-means max_iters, tol and normalize_rows and the
+        # lambdas, none of which a baseline reads
+        ds, _ = generate_synthetic(SyntheticParams(n=30, k=2, q=2, sigma=0.5,
+                                                   p=0.1, seed=1))
+        cfg = SpecMixConfig(k=2, lambdas=5.0, kmeans=KMeansConfig(restarts=3),
+                            seed=4)
+        result = run_method(method, ds, cfg)
+        assert result.config == {"k": 2, "restarts": 3, "seed": 4}
+        assert ClusteringResult.from_json(result.to_json()).config == result.config
 
     def test_unknown_method(self):
         ds, _ = generate_synthetic(SyntheticParams(n=20, k=2, q=1, sigma=0.5,
@@ -741,6 +769,16 @@ class TestEvalCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and "'two'" in err["message"]
 
+    def test_sweep_command_refuses_rows_that_must_fail(self, tmp_path, capsys):
+        grid_path = tmp_path / "grid.txt"
+        grid_path.write_text("n = 20\nK = 2\np = 1.5\nlambda = -1\n"
+                             "methods = specmix, onlycat\n")
+        out = tmp_path / "results.csv"
+        assert main(["sweep", "--grid", str(grid_path), "--output", str(out)]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not out.exists()
+        assert not any(path.exists() for path in sidecar_paths(out).values())
+
     def test_sweep_command_malformed_grid(self, tmp_path, capsys):
         grid_path = tmp_path / "grid.txt"
         grid_path.write_text("n = abc\nK = 2\n")
@@ -748,3 +786,25 @@ class TestEvalCommand:
                      "--output", str(tmp_path / "results.csv")])
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code", [
+        (errors.SpecmixError, 1), (errors.SchemaError, 2), (errors.DataError, 3),
+        (errors.ConfigError, 4), (errors.SpectralGapError, 5),
+        (errors.ConvergenceError, 5)])
+    def test_main_returns_the_errors_exit_code(self, tmp_path, capsys,
+                                               monkeypatch, error, code):
+        # a subclass keeps its parent's codes; a lookup by exact type gave it 1
+        class Narrower(error):
+            pass
+
+        for raised in (error, Narrower):
+            def fail(args, raised=raised):
+                raise raised("failed")
+
+            monkeypatch.setattr(cli, "_cmd_synth", fail)
+            assert main(["synth", "--n", "10", "--k", "2",
+                         "--output", str(tmp_path / "synth.csv")]) == code
+            assert json.loads(capsys.readouterr().err)["error"] == error.code
