@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import MixedDataset, _check_seed, as_codes, as_int, as_real
 from .errors import ConfigError, DataError
-from .kmeans import _assign, _sq_dists, best_of_restarts
+from .kmeans import _assign, _sq_dists, best_of_restarts, cluster_means
 
 
 def _column_modes(categorical, labels, k, cards) -> np.ndarray:
@@ -34,7 +34,7 @@ def _alternate(numeric, categorical, cards, k, rng, max_iters, gamma_mix, p2):
     row norms of ``numeric``."""
     n, q = categorical.shape
     init = rng.choice(n, size=k, replace=False)
-    centers = numeric[init].copy() if numeric is not None else None
+    centers = numeric[init] if numeric is not None else None
     modes = categorical[init].copy()
 
     def assignment_cost():
@@ -62,8 +62,7 @@ def _alternate(numeric, categorical, cards, k, rng, max_iters, gamma_mix, p2):
         labels = new_labels
         if not converged:
             if numeric is not None:
-                for c in range(k):
-                    centers[c] = numeric[labels == c].mean(axis=0)
+                centers = cluster_means(numeric, labels, k, np.ones(n))
             modes = _column_modes(categorical, labels, k, cards)
             cost = assignment_cost()
         objective = float(cost[np.arange(n), labels].sum())

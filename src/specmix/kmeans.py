@@ -1,5 +1,5 @@
-"""Lloyd's K-means over the rows of a spectral embedding, and the
-assignment step and restart loop that K-modes and K-prototypes share.
+"""Lloyd's K-means over the rows of a spectral embedding. Its assignment
+step, mean update and restart loop serve the baselines too.
 
 Greedy k-means++ seeding scores each step's few candidates as one block, one
 product with all the rows, and draws them as ``Generator.choice`` would,
@@ -34,6 +34,10 @@ from .errors import ConfigError, DataError
 
 @dataclass(frozen=True)
 class KMeansConfig:
+    """K-means settings. Known defect: every restart stops after its first
+    assignment (the strict xfail ``test_lloyd_iterates_past_the_first_assignment``),
+    so ``max_iters`` and ``tol`` do not act yet."""
+
     restarts: int = 10
     max_iters: int = 300
     tol: float = 1e-6  # relative inertia-improvement stopping threshold
@@ -123,21 +127,26 @@ def best_of_restarts(restarts: int, seed: int, run):
     return min(results, key=lambda result: result[-2])
 
 
+def cluster_means(points, labels, k, w) -> np.ndarray:
+    """The k means of the rows of ``points`` by label, row i weighing ``w[i]``:
+    one sparse one-hot product, which sums each cluster's rows in row order."""
+    one_hot = csr_array((w, labels, np.arange(labels.size + 1)), shape=(labels.size, k))
+    return (one_hot.T @ points) / np.bincount(labels, weights=w, minlength=k)[:, None]
+
+
 def _lloyd(points, k, centers, max_iters, tol, w, p2):
     """Lloyd iterations on rows that stand for ``w`` datapoints each. Empty
     clusters are repaired, so all k labels stay used while there are at
     least k rows. ``p2`` is passed on to ``_sq_dists``."""
-    n = points.shape[0]
     sqrt_w = np.sqrt(w)[:, None]
-    labels = np.full(n, -1, dtype=np.int64)
+    labels = np.full(points.shape[0], -1, dtype=np.int64)
     inertia = np.inf
     history = []
     for _ in range(max_iters):
         new_labels = _assign(_sq_dists(points, centers, p2), k)
         converged = np.array_equal(new_labels, labels)
         labels = new_labels
-        centers = csr_array((w, labels, np.arange(n + 1)), shape=(n, k)).T @ points
-        centers /= np.bincount(labels, weights=w, minlength=k)[:, None]  # masses
+        centers = cluster_means(points, labels, k, w)
         prev = inertia
         diff = centers[labels]
         np.subtract(points, diff, out=diff)  # one m x d buffer, not two

@@ -21,8 +21,9 @@ concurrently.
 from __future__ import annotations
 
 import json
+import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -35,6 +36,7 @@ from .graph import (AugmentedGraph, BaseWeights, StackedEncoder,
 from .kmeans import KMeansConfig, kmeans
 
 RESULT_FORMAT_VERSION = 1
+STAGES = ("graph", "eigen", "kmeans", "total")  # the timings of a spectral result
 
 _GAP_TOL = 1e-9
 
@@ -43,8 +45,9 @@ _GAP_TOL = 1e-9
 class SpecMixConfig:
     """Clustering configuration shared by both pipelines.
 
-    ``lambdas`` is either one value broadcast to every categorical variable
-    or an explicit per-variable sequence. ``seed`` pins the whole run: it
+    ``lambdas``, checked when the config is built, is one finite nonnegative
+    number for every categorical variable or a sequence of one per variable,
+    kept as a float or a tuple of floats. ``seed`` pins the whole run: it
     supersedes ``kmeans.seed`` so a single value controls eigensolver starts
     and K-means restarts. For ``onlycat`` it drives K-means only: the
     reduced solve starts from seed 0 (see ``transfer_cut``).
@@ -58,31 +61,26 @@ class SpecMixConfig:
     def __post_init__(self):
         object.__setattr__(self, "k", as_int(self.k, "cluster count k", 2))
         object.__setattr__(self, "seed", _check_seed(self.seed))
+        lams = np.asarray(self.lambdas, dtype=object)  # ragged nesting too
+        if lams.ndim > 1 or not all(isinstance(v, numbers.Real) for v in lams.flat):
+            raise ConfigError(f"lambda values must be finite numbers, got {self.lambdas!r}")
+        values = tuple(map(float, lams.flat))
+        if not all(0.0 <= v < np.inf for v in values):  # NaN fails too
+            raise ConfigError("lambda values must be finite and nonnegative")
+        object.__setattr__(self, "lambdas", values if lams.ndim else values[0])
 
     def resolve_lambdas(self, q: int) -> np.ndarray:
-        try:
-            lams = (np.full(q, float(self.lambdas)) if np.isscalar(self.lambdas)
-                    else np.asarray(self.lambdas, dtype=np.float64))
-        except (TypeError, ValueError):
-            raise ConfigError(f"lambda values must be finite numbers, "
-                              f"got {self.lambdas!r}") from None
+        lams = (np.full(q, self.lambdas) if isinstance(self.lambdas, float)
+                else np.array(self.lambdas))
         if lams.shape != (q,):
             raise ConfigError(f"expected {q} lambda values, got {lams.shape}")
-        if not (np.isfinite(lams).all() and (lams >= 0.0).all()):
-            raise ConfigError("lambda values must be finite and nonnegative")
         return lams
 
     def echo(self) -> dict:
-        lams = (float(self.lambdas) if np.isscalar(self.lambdas)
-                else [float(v) for v in self.lambdas])
-        km = self.kmeans
-        return {
-            "k": self.k,
-            "lambdas": lams,
-            "kmeans": {"restarts": km.restarts, "max_iters": km.max_iters,
-                       "tol": km.tol, "normalize_rows": km.normalize_rows},
-            "seed": self.seed,
-        }
+        kmeans = asdict(self.kmeans)
+        del kmeans["seed"]  # the run's seed supersedes it
+        lams = self.lambdas if isinstance(self.lambdas, float) else list(self.lambdas)
+        return {"k": self.k, "lambdas": lams, "kmeans": kmeans, "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -291,8 +289,7 @@ def _cluster(ds: MixedDataset, cfg: SpecMixConfig, method: str,
     labels, _, _ = kmeans(embedding, cfg.k, replace(cfg.kmeans, seed=cfg.seed),
                           inverse=inverse)
     t3 = time.perf_counter()
-    timings = {"graph": t1 - t0, "eigen": t2 - t1, "kmeans": t3 - t2}
-    timings["total"] = sum(timings.values())
+    timings = dict(zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t3 - t0), strict=True))
     return ClusteringResult(
         labels=np.asarray(labels[:ds.n], dtype=np.int64),
         eigenvalues=np.asarray(pairs.values, dtype=np.float64),

@@ -45,10 +45,9 @@ from .baselines import kmodes, kprototypes
 from .dataset import (MixedDataset, SyntheticParams, _check_seed, as_int,
                       csv_error, generate_synthetic, read_text)
 from .errors import ConfigError, DataError, SpecmixError
-from .kmeans import KMeansConfig
 from .metrics import ContingencyTable
-from .pipelines import (ClusteringResult, SpecMixConfig, numeric_spectral,
-                        onlycat, specmix)
+from .pipelines import (STAGES, ClusteringResult, SpecMixConfig,
+                        numeric_spectral, onlycat, specmix)
 
 METHODS = ("specmix", "onlycat", "kmodes", "kprototypes", "numeric-spectral")
 
@@ -60,7 +59,6 @@ _FIXED_LAMBDA = {"onlycat": (1.0,), "kmodes": (0.0,), "kprototypes": (0.0,),
 # CSV names of the row coordinates; a cell is a row without its repetition.
 COORDS = ("n", "K", "Q", "sigma", "p", "lambda", "method", "rep")
 CELL = COORDS[:-1]
-STAGES = ("graph", "eigen", "kmeans", "total")
 
 RESULT_COLUMNS = COORDS + ("seed", "purity_weighted", "purity_macro", "error")
 TIMING_COLUMNS = COORDS + tuple(f"seconds_{stage}" for stage in STAGES)
@@ -132,7 +130,7 @@ class ExperimentGrid:
     """Declarative sweep: axis values, methods, repetitions, base seed.
 
     A cell that SyntheticParams refuses, or a specmix lambda that
-    resolve_lambdas does, is a ConfigError; a method that fails on a valid
+    SpecMixConfig does, is a ConfigError; a method that fails on a valid
     cell, as kmodes does on Q = 0, gives an error row."""
 
     n_values: tuple[int, ...]
@@ -160,7 +158,7 @@ class ExperimentGrid:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r} (choose from {METHODS})")
         if "specmix" in self.methods:  # the one method whose rows take the lambda axis
-            SpecMixConfig(2, self.lambda_values).resolve_lambdas(len(self.lambda_values))
+            SpecMixConfig(2, self.lambda_values)
         # values that format alike (sigma = 1, 1.0) would name a row twice
         for key, after in itertools.pairwise(sorted(self.row_keys())):
             if key == after:
@@ -223,7 +221,7 @@ def _compute_row(args: tuple[tuple, str]) -> tuple[tuple, dict]:
         sigma, p, lam = (float(row[col]) for col in ("sigma", "p", "lambda"))
         ds, truth = generate_synthetic(SyntheticParams(
             n=n, k=k, q=q, sigma=sigma, p=p, seed=seed))
-        cfg = SpecMixConfig(k=k, lambdas=lam, kmeans=KMeansConfig(), seed=seed)
+        cfg = SpecMixConfig(k=k, lambdas=lam, seed=seed)
         result = run_method(row["method"], ds, cfg)
         table = ContingencyTable.from_labels(result.labels, truth)
         row["purity_weighted"] = fmt(table.purity("weighted"))

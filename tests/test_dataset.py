@@ -416,6 +416,18 @@ class TestMixedDataset:
         with pytest.raises(DataError, match="numeric column 1"):
             MixedDataset(numeric, np.zeros((3, 1), dtype=np.int64), (1,))
 
+    @pytest.mark.parametrize("numeric, codes, cards, message", [
+        (np.zeros(3), np.zeros((3, 1)), (1,), "must be 2-D"),
+        (np.zeros((3, 1)), np.zeros(3), (1,), "must be 2-D"),
+        (np.zeros((3, 1)), np.zeros((2, 1)), (1,), "disagree on row count"),
+        (np.zeros((3, 1)), np.zeros((3, 1)), (1, 1), "cardinalities length"),
+        (np.zeros((0, 1)), np.zeros((0, 1)), (1,), "no rows"),
+        (np.zeros((3, 0)), np.zeros((3, 0)), (), "no feature columns"),
+    ])
+    def test_shape_errors(self, numeric, codes, cards, message):
+        with pytest.raises(DataError, match=message):
+            MixedDataset(numeric, codes, cards)
+
 
 class TestStandardize:
     def test_two_point_column(self, tmp_path):

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from specmix import (ConfigError, StackedEncoder, build_bipartite_reduction,
-                     generalized_smallest_eigs, symmetric_smallest_eigs)
+from specmix import (ConfigError, ConvergenceError, StackedEncoder,
+                     build_bipartite_reduction, generalized_smallest_eigs,
+                     symmetric_smallest_eigs)
 
 
 class Operator:
@@ -133,6 +134,21 @@ class TestGeneralized:
         w = np.zeros((3, 3))
         with pytest.raises(ConfigError):
             generalized_smallest_eigs(w, w.sum(axis=1), 1)
+
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(ConfigError, match="square matrix"):
+            generalized_smallest_eigs(np.ones((3, 4)), np.ones(3), 1)
+
+    def test_degree_length_must_match(self):
+        with pytest.raises(ConfigError, match="degree vector length"):
+            generalized_smallest_eigs(np.ones((3, 3)), np.ones(2), 1)
+
+    def test_non_symmetric_operator_fails_the_residual_check(self):
+        # an operator is not checked for symmetry; its Ritz pairs are not
+        # eigenpairs, and the residual check says so
+        w = np.random.default_rng(7).uniform(0.0, 1.0, (12, 12))
+        with pytest.raises(ConvergenceError, match="residual"):
+            generalized_smallest_eigs(Operator(lambda x: w @ x, 12), w.sum(axis=1), 3)
 
     def test_deterministic_with_sign_convention(self):
         rng = np.random.default_rng(6)

@@ -110,6 +110,15 @@ class TestBaseSimilarity:
         with pytest.raises(DataError, match=r"\[0, 1\]"):
             BaseWeights(w)
 
+    @pytest.mark.parametrize("matrix, message", [
+        (np.ones((2, 3)), "must be square"),
+        (np.array([[1.0, 0.2], [0.4, 1.0]]), "must be symmetric"),
+        (np.array([[0.5, 0.2], [0.2, 1.0]]), "diagonal must be 1"),
+    ])
+    def test_malformed_weights_rejected(self, matrix, message):
+        with pytest.raises(DataError, match=message):
+            BaseWeights(matrix)
+
 
 class TestAssemble:
     def test_hand_assembled_dense(self):

@@ -44,6 +44,10 @@ class TestPurity:
         with pytest.raises(DataError):
             purity([0], [0], "median")
 
+    def test_empty_labels_rejected(self):
+        with pytest.raises(DataError, match="label vectors are empty"):
+            ContingencyTable.from_labels([], [])
+
     def test_permutation_invariance_exact(self):
         rng = np.random.default_rng(0)
         pred = rng.integers(0, 5, 200)
@@ -86,6 +90,10 @@ class TestImbalanceRatio:
         # a 2-D array used to give a ratio over all its cells
         with pytest.raises(DataError, match="1-D"):
             imbalance_ratio(truth)
+
+    def test_empty_rejected(self):
+        with pytest.raises(DataError, match="label vector is empty"):
+            imbalance_ratio([])
 
 
 class TestLabelAgreement:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specmix import (ClusteringResult, ConfigError, DataError, MixedDataset,
@@ -301,6 +301,48 @@ class TestSpecMix:
         # a string escaped as a raw ValueError
         with pytest.raises(ConfigError, match="finite"):
             SpecMixConfig(k=2, lambdas=lam).resolve_lambdas(2)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@st.composite
+def edge_weights(draw):
+    """(q, lambdas, bad): a categorical variable count from 0 to 3 and
+    lambdas, one value or a list or tuple of q values; ``bad`` when a value
+    is negative, NaN, infinite or a string, and then a sequence holds one
+    bad value besides its q good ones."""
+    q = draw(st.integers(0, 3))
+    good = st.floats(0.0, 100.0) | st.integers(0, 100)
+    bad_value = (st.floats(max_value=-1e-300) | st.sampled_from([np.nan, np.inf, -np.inf])
+                 | st.text("abcxyz ", max_size=4))
+    bad = draw(st.booleans())
+    if draw(st.booleans()):
+        return q, draw(bad_value if bad else good), bad
+    values = draw(st.lists(good, min_size=q, max_size=q))
+    if bad:
+        values.insert(draw(st.integers(0, q)), draw(bad_value))
+    return q, draw(st.sampled_from([list, tuple]))(values), bad
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(edge_weights())
+@example((0, -1.0, True))
+@example((0, float("nan"), True))
+def test_edge_weights_checked_when_the_config_is_built(case):
+    # Q = 0 uses no lambda, so only the check when the config is built
+    # can refuse -1 or nan there
+    q, lambdas, bad = case
+    if bad:
+        with pytest.raises(ConfigError):
+            SpecMixConfig(k=2, lambdas=lambdas)
+        return
+    ds, _ = generate_synthetic(SyntheticParams(n=40, k=2, q=q, sigma=0.3, p=0.0))
+    text = specmix(ds, SpecMixConfig(k=2, lambdas=lambdas)).to_json()
+    echoed = json.loads(text, parse_constant=_refuse_constant)["config"]["lambdas"]
+    assert echoed == (list(map(float, lambdas)) if isinstance(lambdas, (list, tuple))
+                      else float(lambdas))
 
 
 def test_eight_cluster_solves_pass_residual_gate():

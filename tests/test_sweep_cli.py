@@ -496,6 +496,41 @@ class TestClusterCommand:
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"] == "config"
 
+    @pytest.mark.parametrize("lam", ["-1", "nan"])
+    def test_bad_lambda_without_categories_is_config_error(self, tmp_path,
+                                                           capsys, lam):
+        # with no categorical variable no lambda is used, but it is checked
+        data = self.make_dataset(tmp_path)
+        out = tmp_path / "result.json"
+        code = main(["cluster", str(data), "--schema",
+                     "num,num,ignore,ignore,label", "--k", "2", "--lambda", lam,
+                     "--output", str(out)])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "config",
+                       "message": "lambda values must be finite and nonnegative"}
+        assert not out.exists()
+
+    def test_result_goes_to_stdout_without_output(self, tmp_path, capsys):
+        data = self.make_dataset(tmp_path)
+        code = main(["cluster", str(data), "--schema", "num,num,cat,cat,label",
+                     "--method", "onlycat", "--k", "2"])
+        assert code == 0
+        captured = capsys.readouterr()
+        result = ClusteringResult.from_json(captured.out)
+        assert result.method == "onlycat" and result.labels.size == 40
+        assert result.to_json() + "\n" == captured.out
+        assert "purity_weighted=" in captured.err
+
+    def test_unwritable_output_is_io_error(self, tmp_path, capsys):
+        data = self.make_dataset(tmp_path)
+        out = tmp_path / "missing" / "result.json"
+        code = main(["cluster", str(data), "--schema", "num,num,cat,cat,label",
+                     "--method", "onlycat", "--k", "2", "--output", str(out)])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "io"
+        assert not out.parent.exists()
+
     def test_malformed_lambda_is_config_error(self, tmp_path, capsys):
         data = self.make_dataset(tmp_path)
         code = main(["cluster", str(data), "--schema", "num,num,cat,cat,label",
@@ -692,6 +727,27 @@ class TestEvalCommand:
         assert main(["eval", "--pred", str(a), "--truth", str(b)]) == 0
         assert "label_agreement=1" in capsys.readouterr().out
 
+    def test_eval_label_file_with_a_header_line(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("cluster\n0\n0\n1\n1\n")
+        b.write_text("1\n1\n0\n0\n")
+        assert main(["eval", "--pred", str(a), "--truth", str(b)]) == 0
+        assert "label_agreement=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "contains no labels"), ("label\n", "contains no labels"),
+        ("0\n1\nx\n", "cannot parse labels")])
+    def test_eval_unreadable_label_file_is_data_error(self, tmp_path, capsys,
+                                                      text, message):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text(text)
+        b.write_text("0\n1\n1\n")
+        assert main(["eval", "--pred", str(a), "--truth", str(b)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data" and message in err["message"]
+
     def test_eval_length_mismatch(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -778,6 +834,31 @@ class TestEvalCommand:
         assert json.loads(capsys.readouterr().err)["error"] == "config"
         assert not out.exists()
         assert not any(path.exists() for path in sidecar_paths(out).values())
+
+    @pytest.mark.parametrize("text, message", [
+        ("n = 10\nK 2\n", "grid line 2: expected 'key = values'"),
+        ("n = 10\n", "grid must define 'n' and 'K'"),
+        ("K = 2\n", "grid must define 'n' and 'K'")])
+    def test_sweep_command_grid_without_its_keys(self, tmp_path, capsys,
+                                                 text, message):
+        grid_path = tmp_path / "grid.txt"
+        grid_path.write_text(text)
+        out = tmp_path / "results.csv"
+        assert main(["sweep", "--grid", str(grid_path), "--output", str(out)]) == 4
+        assert json.loads(capsys.readouterr().err) == {"error": "config",
+                                                       "message": message}
+        assert not out.exists()
+
+    def test_sweep_command_results_with_unexpected_columns(self, tmp_path,
+                                                           capsys):
+        grid_path = tmp_path / "grid.txt"
+        grid_path.write_text(SMALL_GRID)
+        out = tmp_path / "results.csv"
+        out.write_text("n,K\n36,2\n", encoding="utf-8")
+        assert main(["sweep", "--grid", str(grid_path), "--output", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data" and "unexpected columns" in err["message"]
+        assert out.read_text(encoding="utf-8") == "n,K\n36,2\n"
 
     def test_sweep_command_malformed_grid(self, tmp_path, capsys):
         grid_path = tmp_path / "grid.txt"
