@@ -1,10 +1,9 @@
 """Partitional reference baselines: K-modes and K-prototypes.
 
-Both alternate between computing cluster prototypes and nearest-prototype
-assignment, starting from K distinct random datapoints, with independent
-restarts keeping the best objective. All tie-breaks (nearest prototype,
-column modes, farthest-point repair) go to the lowest index, so runs are
-deterministic given the seed.
+Both run ``kmeans.alternate``, the loop K-means runs, from K distinct random
+datapoints at unit weights, with independent restarts keeping the best
+objective. All tie-breaks (nearest prototype, column modes, farthest-point
+repair) go to the lowest index, so runs are deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -15,61 +14,23 @@ import numpy as np
 
 from .dataset import MixedDataset, _check_seed, as_codes, as_int, as_real
 from .errors import ConfigError, DataError
-from .kmeans import _assign, _sq_dists, best_of_restarts, cluster_means
+from .kmeans import alternate, best_of_restarts
 
 
-def _column_modes(categorical, labels, k, cards) -> np.ndarray:
-    """The (k, Q) per-cluster majority codes, ties to the lowest code."""
-    modes = np.empty((k, categorical.shape[1]), dtype=np.int64)
-    for col, card in enumerate(cards):
-        counts = np.bincount(labels * card + categorical[:, col], minlength=k * card)
-        modes[:, col] = counts.reshape(k, card).argmax(axis=1)
-    return modes
+def _best_run(numeric, codes, cards, k, gamma_mix, seed, restarts, max_iters):
+    """(labels, centers, modes, objective) of the best of ``restarts`` runs
+    of ``alternate`` at unit weights, each from k distinct random rows."""
+    seed, restarts = _check_seed(seed), as_int(restarts, "restarts", 1)
+    max_iters, n = as_int(max_iters, "max_iters", 1), codes.shape[0]
+    unit = np.ones(n)
+    p2 = np.einsum("ij,ij->i", numeric, numeric)  # once for all restarts
 
+    def restart(rng):
+        init = rng.choice(n, size=k, replace=False)
+        return alternate(numeric, codes, cards, numeric[init], codes[init], unit, p2,
+                         gamma_mix, max_iters)
 
-def _alternate(numeric, categorical, cards, k, rng, max_iters, gamma_mix, p2):
-    """One restart of the alternating minimization shared by both baselines:
-    (labels, objective, history). ``numeric`` is None for the purely
-    categorical case, and so is ``p2``; otherwise ``p2`` holds the squared
-    row norms of ``numeric``."""
-    n, q = categorical.shape
-    init = rng.choice(n, size=k, replace=False)
-    centers = numeric[init] if numeric is not None else None
-    modes = categorical[init].copy()
-
-    def assignment_cost():
-        cost = (_sq_dists(numeric, centers, p2) if numeric is not None
-                else np.zeros((n, k)))
-        if gamma_mix != 0.0:
-            # Hamming distance = Q - matches, counted one column at a time so
-            # memory stays O(nk) whatever the cardinalities
-            matches = np.zeros((n, k))
-            for col in range(q):
-                matches += categorical[:, col, None] == modes[None, :, col]
-            cost += gamma_mix * (q - matches)
-        return cost
-
-    # The cost matrix computed for an iteration's assignment also gives the
-    # previous iteration's objective. When the labels repeat, the prototypes
-    # do too, so that iteration's own matrix gives its objective.
-    labels = np.full(n, -1, dtype=np.int64)
-    objective = np.inf
-    history = []
-    cost = assignment_cost()
-    for _ in range(as_int(max_iters, "max_iters", 1)):
-        new_labels = _assign(cost, k)
-        converged = np.array_equal(new_labels, labels)
-        labels = new_labels
-        if not converged:
-            if numeric is not None:
-                centers = cluster_means(numeric, labels, k, np.ones(n))
-            modes = _column_modes(categorical, labels, k, cards)
-            cost = assignment_cost()
-        objective = float(cost[np.arange(n), labels].sum())
-        history.append(objective)
-        if converged:
-            break
-    return labels, objective, history
+    return best_of_restarts(restarts, seed, restart)
 
 
 def kmodes(categorical, k: int, seed: int = 0, max_iters: int = 100,
@@ -87,17 +48,16 @@ def kmodes(categorical, k: int, seed: int = 0, max_iters: int = 100,
     if (categorical < 0).any():
         raise DataError(message)
     n = categorical.shape[0]
-    if n < as_int(k, "cluster count k", 1):
+    k = as_int(k, "cluster count k", 1)
+    if n < k:
         raise ConfigError(f"need at least k={k} rows, got {n}")
-    seed = _check_seed(seed)
     # each column renumbered in increasing order: count tables sized by the
     # codes that occur, ties still to the lowest code, so the same labels
     columns = [np.unique(column, return_inverse=True) for column in categorical.T]
     categorical = np.column_stack([inverse for _, inverse in columns])
     cards = [unique.size for unique, _ in columns]
-
-    return best_of_restarts(as_int(restarts, "restarts", 1), seed, lambda rng: _alternate(
-        None, categorical, cards, k, rng, max_iters, 1.0, None))[0]
+    return _best_run(np.empty((n, 0)), categorical, cards, k, 1.0, seed, restarts,
+                     max_iters)[0]
 
 
 def kprototypes(ds: MixedDataset, k: int, gamma_mix: Optional[float] = None,
@@ -111,14 +71,13 @@ def kprototypes(ds: MixedDataset, k: int, gamma_mix: Optional[float] = None,
     """
     if ds.num_numeric < 1 or ds.num_categorical < 1:
         raise ConfigError("kprototypes needs both numeric and categorical features")
-    if ds.n < as_int(k, "cluster count k", 1):
+    k = as_int(k, "cluster count k", 1)
+    if ds.n < k:
         raise ConfigError(f"need at least k={k} rows, got {ds.n}")
-    seed = _check_seed(seed)
     if gamma_mix is None:
         gamma_mix = 0.5 * float(np.mean(np.var(ds.numeric, axis=0)))
-    if not 0.0 <= as_real(gamma_mix, "gamma_mix") < np.inf:
+    gamma_mix = as_real(gamma_mix, "gamma_mix")
+    if not 0.0 <= gamma_mix < np.inf:
         raise ConfigError(f"gamma_mix must be finite and nonnegative, got {gamma_mix}")
-    cards = np.asarray(ds.cardinalities, dtype=np.int64)
-    p2 = np.einsum("ij,ij->i", ds.numeric, ds.numeric)  # once for all restarts
-    return best_of_restarts(as_int(restarts, "restarts", 1), seed, lambda rng: _alternate(
-        ds.numeric, ds.categorical, cards, k, rng, max_iters, gamma_mix, p2))[0]
+    return _best_run(ds.numeric, ds.categorical, ds.cardinalities, k, gamma_mix, seed,
+                     restarts, max_iters)[0]

@@ -124,11 +124,11 @@ def _first_appearance(keys: np.ndarray, size: int | None = None):
 
 def as_int(value, what: str, low: int,
            error: type[SpecmixError] = ConfigError) -> int:
-    """``value`` as an int of at least ``low``. A value ``operator.index``
-    refuses (a float, even a whole one) or a smaller one raises ``error``
-    naming ``what``; numpy integers pass."""
-    try:
-        value = operator.index(value)
+    """``value`` as an int of at least ``low``. A bool, a value
+    ``operator.index`` refuses (a float, even a whole one) or a smaller one
+    raises ``error`` naming ``what``; numpy integers pass."""
+    try:  # None for a bool, which operator.index takes as 0 or 1
+        value = operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise error(f"{what} must be an integer, got {value!r}") from None
     if value < low:
@@ -136,9 +136,15 @@ def as_int(value, what: str, low: int,
     return value
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def as_real(value, what: str) -> float:
-    """``value`` as a float; a non-number raises ConfigError naming ``what``."""
-    if not isinstance(value, numbers.Real):
+    """``value`` as a float; a bool or another non-number raises ConfigError
+    naming ``what``."""
+    if not is_real(value):
         raise ConfigError(f"{what} must be a real number, got {value!r}")
     return float(value)
 
@@ -407,16 +413,19 @@ class SyntheticParams:
     corruption: str = "others"
 
     def __post_init__(self):
-        if as_int(self.n, "n", 1) < as_int(self.k, "cluster count k", 2):
+        for name, value in dict(
+                n=as_int(self.n, "n", 1), k=as_int(self.k, "cluster count k", 2),
+                q=as_int(self.q, "q", 0), p=as_real(self.p, "p"),
+                sigma=as_real(self.sigma, "sigma"), seed=_check_seed(self.seed)).items():
+            object.__setattr__(self, name, value)
+        if self.n < self.k:
             raise ConfigError("synthetic generator requires n >= k")
-        as_int(self.q, "q", 0)
-        if not 0.0 <= as_real(self.p, "p") <= 1.0:
+        if not 0.0 <= self.p <= 1.0:
             raise ConfigError("p must lie in [0, 1]")
-        if not 0.0 <= as_real(self.sigma, "sigma") < np.inf:
+        if not 0.0 <= self.sigma < np.inf:
             raise ConfigError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.corruption not in ("others", "uniform"):
             raise ConfigError("corruption must be 'others' or 'uniform'")
-        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 def generate_synthetic(params: SyntheticParams) -> tuple[MixedDataset, np.ndarray]:

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .dataset import MixedDataset, as_int, check_codes
+from .dataset import MixedDataset, as_int, check_codes, is_real
 from .eigen import _SYM_TOL, _as_operator
 from .errors import ConfigError, DataError
 
@@ -118,6 +118,19 @@ def base_similarity(ds: MixedDataset) -> BaseWeights:
     return weights
 
 
+def as_lambdas(lambdas) -> tuple[float, ...]:
+    """The edge weights ``lambdas``, one number or a flat sequence of them,
+    as a tuple of floats. A non-number, a bool too, or a negative, infinite
+    or NaN value raises ConfigError."""
+    lams = np.asarray(lambdas, dtype=object)  # ragged nesting too
+    if lams.ndim > 1 or not all(map(is_real, lams.flat)):
+        raise ConfigError(f"lambda values must be finite numbers, got {lambdas!r}")
+    values = tuple(map(float, lams.flat))
+    if not all(0.0 <= v < np.inf for v in values):  # NaN fails too
+        raise ConfigError("lambda values must be finite and nonnegative")
+    return values
+
+
 @dataclass(frozen=True)
 class StackedEncoder:
     """The n x t matrix H = unit @ diag(weights) of the n x Q ``codes``:
@@ -143,18 +156,13 @@ class StackedEncoder:
     def __post_init__(self):
         cards = tuple(as_int(t, "cardinality", 1, DataError) for t in self.cardinalities)
         object.__setattr__(self, "cardinalities", cards)
-        try:
-            lambdas = tuple(float(v) for v in self.lambdas)
-        except (TypeError, ValueError):
-            raise ConfigError(f"edge weights lambda must be finite numbers, "
-                              f"got {self.lambdas!r}") from None
-        object.__setattr__(self, "lambdas", lambdas)
+        object.__setattr__(self, "lambdas", as_lambdas(self.lambdas))
         if not cards:
             raise ConfigError("stacked encoder needs at least one variable")
         if len(self.lambdas) != len(cards):
             raise ConfigError("one lambda per categorical variable is required")
-        if not all(0.0 < lam < np.inf for lam in self.lambdas):
-            raise ConfigError("edge weights lambda must be positive and finite")
+        if not all(self.lambdas):
+            raise ConfigError("edge weights lambda must be positive")
         if np.shape(self.codes)[1:] != (len(cards),):
             raise DataError(f"category codes must be an n x {len(cards)} matrix")
         object.__setattr__(self, "codes", check_codes(self.codes, cards, "category codes"))

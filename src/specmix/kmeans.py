@@ -1,5 +1,6 @@
-"""Lloyd's K-means over the rows of a spectral embedding. Its assignment
-step, mean update and restart loop serve the baselines too.
+"""Lloyd's K-means over the rows of a spectral embedding, run by
+``alternate``, the one alternating loop that the K-modes and K-prototypes
+baselines run too, through the same restart loop.
 
 Greedy k-means++ seeding scores each step's few candidates as one block, one
 product with all the rows, and draws them as ``Generator.choice`` would,
@@ -28,19 +29,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array
 
-from .dataset import _check_seed, _first_appearance, as_int, as_real, check_codes
+from .dataset import _check_seed, _first_appearance, as_int, check_codes
 from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
 class KMeansConfig:
-    """K-means settings. Known defect: every restart stops after its first
-    assignment (the strict xfail ``test_lloyd_iterates_past_the_first_assignment``),
-    so ``max_iters`` and ``tol`` do not act yet."""
+    """K-means settings. Each restart runs at most ``max_iters`` Lloyd
+    assignments and stops early when the labels repeat. The default of 1 is
+    one assignment and one mean update per restart."""
 
     restarts: int = 10
-    max_iters: int = 300
-    tol: float = 1e-6  # relative inertia-improvement stopping threshold
+    max_iters: int = 1
     seed: int = 0
     normalize_rows: bool = False
 
@@ -48,8 +48,6 @@ class KMeansConfig:
         object.__setattr__(self, "restarts", as_int(self.restarts, "restarts", 1))
         object.__setattr__(self, "max_iters", as_int(self.max_iters, "max_iters", 1))
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        if not as_real(self.tol, "tol") > 0.0:  # NaN fails too
-            raise ConfigError("tol must be positive")
         if not isinstance(self.normalize_rows, bool):  # "no" would be true
             raise ConfigError(f"normalize_rows must be a bool, "
                               f"got {self.normalize_rows!r}")
@@ -121,10 +119,10 @@ def _assign(cost, k) -> np.ndarray:
 
 def best_of_restarts(restarts: int, seed: int, run):
     """The lowest-objective result of ``run(rng)`` over ``restarts`` calls,
-    ties to the earliest. A result ends with its objective and history, as
-    ``_lloyd``'s does; call r draws from a generator seeded with (seed, r)."""
+    ties to the earliest. A result ends with its objective, as ``alternate``'s
+    does; call r draws from a generator seeded with (seed, r)."""
     results = (run(np.random.default_rng([seed, r])) for r in range(restarts))
-    return min(results, key=lambda result: result[-2])
+    return min(results, key=lambda result: result[-1])
 
 
 def cluster_means(points, labels, k, w) -> np.ndarray:
@@ -134,28 +132,51 @@ def cluster_means(points, labels, k, w) -> np.ndarray:
     return (one_hot.T @ points) / np.bincount(labels, weights=w, minlength=k)[:, None]
 
 
-def _lloyd(points, k, centers, max_iters, tol, w, p2):
-    """Lloyd iterations on rows that stand for ``w`` datapoints each. Empty
-    clusters are repaired, so all k labels stay used while there are at
-    least k rows. ``p2`` is passed on to ``_sq_dists``."""
-    sqrt_w = np.sqrt(w)[:, None]
-    labels = np.full(points.shape[0], -1, dtype=np.int64)
-    inertia = np.inf
-    history = []
+def _column_modes(codes, labels, k, cards, w) -> np.ndarray:
+    """The (k, Q) weighted majority codes of each cluster, ties to the lowest."""
+    modes = np.empty((k, codes.shape[1]), dtype=np.int64)
+    for col, card in enumerate(cards):
+        counts = np.bincount(labels * card + codes[:, col], weights=w, minlength=k * card)
+        modes[:, col] = counts.reshape(k, card).argmax(axis=1)
+    return modes
+
+
+def alternate(numeric, codes, cards, centers, modes, w, p2, gamma_mix, max_iters):
+    """Alternating minimization from the given prototypes, as K-means,
+    K-modes and K-prototypes run it: (labels, centers, modes, objective).
+    Row i of ``numeric`` and of ``codes`` (either may have no columns)
+    weighs ``w[i]`` and costs its squared distance to a center, ``p2[i]``
+    being its squared norm, plus ``gamma_mix`` times its mismatches with a
+    mode. Each of at most ``max_iters`` iterations assigns the rows and stops
+    if the labels repeat, or else updates the means and modes. The objective
+    is the weighted cost of the last labels and prototypes."""
+    (m, d), (k, q) = numeric.shape, modes.shape
+    labels = np.full(m, -1, dtype=np.int64)
     for _ in range(max_iters):
-        new_labels = _assign(_sq_dists(points, centers, p2), k)
-        converged = np.array_equal(new_labels, labels)
-        labels = new_labels
-        centers = cluster_means(points, labels, k, w)
-        prev = inertia
-        diff = centers[labels]
-        np.subtract(points, diff, out=diff)  # one m x d buffer, not two
-        diff *= sqrt_w  # exact at unit weight
-        inertia = float(np.einsum("ij,ij->", diff, diff))
-        history.append(inertia)
-        if converged or prev - inertia <= tol * max(prev, 1e-300):
+        # a block with no columns adds nothing, but its products cost time
+        cost = _sq_dists(numeric, centers, p2) if d else np.zeros((m, k))
+        if q:
+            # Hamming distance = Q - matches, counted one column at a time so
+            # memory stays O(mk) whatever the cardinalities
+            matches = np.zeros_like(cost)
+            for col in range(q):
+                matches += codes[:, col, None] == modes[None, :, col]
+            cost += gamma_mix * (q - matches)
+        new_labels = _assign(cost, k)
+        if np.array_equal(new_labels, labels):
             break
-    return labels, centers, inertia, history
+        labels = new_labels
+        if d:
+            centers = cluster_means(numeric, labels, k, w)
+        if q:
+            modes = _column_modes(codes, labels, k, cards, w)
+    diff = centers[labels]
+    np.subtract(numeric, diff, out=diff)  # one m x d buffer, not two
+    diff *= np.sqrt(w)[:, None]  # exact at unit weight
+    objective = float(np.einsum("ij,ij->", diff, diff))
+    if q:
+        objective += gamma_mix * float(w @ (codes != modes[labels]).sum(axis=1))
+    return labels, centers, modes, objective
 
 
 def _distinct_rows(points: np.ndarray):
@@ -216,10 +237,12 @@ def kmeans(points, k: int, cfg: KMeansConfig | None = None, inverse=None):
         weights = np.bincount(merged, weights=counts)  # sums of counts: exact
         inverse = merged[inverse]
     p2 = np.einsum("ij,ij->i", rows, rows)  # once for all restarts
+    no_codes, no_modes = np.empty((rows.shape[0], 0), np.int64), np.empty((k, 0), np.int64)
 
     def restart(rng):
         centers = _plus_plus_init(rows, k, rng, weights, inverse, p2)
-        return _lloyd(rows, k, centers, cfg.max_iters, cfg.tol, weights, p2)
+        return alternate(rows, no_codes, (), centers, no_modes, weights, p2, 0.0,
+                         cfg.max_iters)
 
-    labels, centers, inertia, _ = best_of_restarts(cfg.restarts, cfg.seed, restart)
+    labels, centers, _, inertia = best_of_restarts(cfg.restarts, cfg.seed, restart)
     return labels[inverse], centers, inertia

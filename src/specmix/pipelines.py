@@ -21,7 +21,6 @@ concurrently.
 from __future__ import annotations
 
 import json
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence, Union
@@ -31,7 +30,7 @@ import numpy as np
 from .dataset import MixedDataset, _check_seed, _first_appearance, as_int
 from .eigen import EigenPairs, _fix_signs, generalized_smallest_eigs
 from .errors import ConfigError, DataError, SpectralGapError
-from .graph import (AugmentedGraph, BaseWeights, StackedEncoder,
+from .graph import (AugmentedGraph, BaseWeights, StackedEncoder, as_lambdas,
                     assemble_augmented, base_similarity)
 from .kmeans import KMeansConfig, kmeans
 
@@ -61,13 +60,8 @@ class SpecMixConfig:
     def __post_init__(self):
         object.__setattr__(self, "k", as_int(self.k, "cluster count k", 2))
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        lams = np.asarray(self.lambdas, dtype=object)  # ragged nesting too
-        if lams.ndim > 1 or not all(isinstance(v, numbers.Real) for v in lams.flat):
-            raise ConfigError(f"lambda values must be finite numbers, got {self.lambdas!r}")
-        values = tuple(map(float, lams.flat))
-        if not all(0.0 <= v < np.inf for v in values):  # NaN fails too
-            raise ConfigError("lambda values must be finite and nonnegative")
-        object.__setattr__(self, "lambdas", values if lams.ndim else values[0])
+        values = as_lambdas(self.lambdas)
+        object.__setattr__(self, "lambdas", values if np.ndim(self.lambdas) else values[0])
 
     def resolve_lambdas(self, q: int) -> np.ndarray:
         lams = (np.full(q, self.lambdas) if isinstance(self.lambdas, float)

@@ -164,8 +164,9 @@ class TestAssemble:
             assemble_augmented(base_similarity(ds),
                                StackedEncoder(ds.categorical, ds.cardinalities, [0.0]))
 
-    # "x" used to escape as a raw ValueError
-    @pytest.mark.parametrize("lam", [np.nan, np.inf, "x"])
+    # "x" used to escape as a raw ValueError, and "1.5" built an encoder
+    # that SpecMixConfig refuses
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, "x", "1.5"])
     def test_non_finite_lambda_rejected(self, lam):
         ds = random_mixed(np.random.default_rng(4), 8, 1, 1)
         with pytest.raises(ConfigError, match="finite"):

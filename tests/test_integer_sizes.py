@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from specmix import (ConfigError, DataError, ExperimentGrid, KMeansConfig,
-                     MixedDataset, SpecMixConfig, SyntheticParams, delta_counts,
-                     generate_synthetic, kmeans, kmodes, kprototypes, specmix)
+                     MixedDataset, SpecMixConfig, StackedEncoder, SyntheticParams,
+                     delta_counts, generate_synthetic, kmeans, kmodes, kprototypes,
+                     specmix)
 
 
 def mixed():
@@ -73,6 +74,35 @@ def test_bad_size_is_config_error(case):
         CONFIG_CASES[case]()
 
 
+# a bool is an int to operator.index and a numbers.Real: kmodes and
+# kprototypes used to pass k=True on to rng.choice (a raw TypeError),
+# KMeansConfig(restarts=True) ran one restart, and lambdas=True built 1.0
+BOOL_CASES = {
+    "kmeans k": lambda: kmeans(POINTS, True),
+    "kmodes k": lambda: kmodes(CODES, True),
+    "kmodes restarts": lambda: kmodes(CODES, 2, restarts=True),
+    "kmodes max_iters": lambda: kmodes(CODES, 2, max_iters=True),
+    "kprototypes k": lambda: kprototypes(mixed(), True),
+    "kprototypes gamma_mix": lambda: kprototypes(mixed(), 2, gamma_mix=True),
+    "KMeansConfig restarts": lambda: KMeansConfig(restarts=True),
+    "KMeansConfig max_iters": lambda: KMeansConfig(max_iters=True),
+    "SpecMixConfig k": lambda: SpecMixConfig(k=True),
+    "SpecMixConfig lambdas": lambda: SpecMixConfig(k=2, lambdas=True),
+    "SpecMixConfig lambdas list": lambda: SpecMixConfig(k=2, lambdas=[1.0, False]),
+    "StackedEncoder lambdas": lambda: StackedEncoder(CODES, (2, 2), [True, 1.0]),
+    "SyntheticParams n": lambda: SyntheticParams(n=True, k=2, q=1, sigma=0.1, p=0.0),
+    "SyntheticParams p": lambda: SyntheticParams(n=10, k=2, q=1, sigma=0.1, p=True),
+    "SyntheticParams sigma": lambda: SyntheticParams(n=10, k=2, q=1, sigma=True, p=0.0),
+    "ExperimentGrid repetitions": lambda: grid(repetitions=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOL_CASES))
+def test_bool_is_config_error(case):
+    with pytest.raises(ConfigError):
+        BOOL_CASES[case]()
+
+
 DATA_CASES = {
     "MixedDataset cardinality 2.7": lambda: MixedDataset(
         np.empty((3, 0)), np.array([[0], [1], [0]]), (2.7,)),
@@ -95,7 +125,10 @@ def test_numpy_integers_accepted():
     # stored as ints, so the result JSON can echo them
     assert json.dumps(cfg.echo()) and type(cfg.k) is int
     assert type(cfg.kmeans.restarts) is int and type(cfg.kmeans.max_iters) is int
-    SyntheticParams(n=np.int64(10), k=two, q=np.uint8(1), sigma=0.1, p=0.0)
+    params = SyntheticParams(n=np.int64(10), k=two, q=np.uint8(1), sigma=1, p=0)
+    # stored as checked: p and sigma used to stay as given, here ints
+    assert [type(getattr(params, name)) for name in ("n", "k", "q", "sigma", "p")] == (
+        [int, int, int, float, float])
     labels, _, _ = kmeans(POINTS, two, KMeansConfig(restarts=1))
     assert labels.shape == (10,)
     assert kmodes(CODES, two, restarts=three).shape == (4,)

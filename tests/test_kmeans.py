@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmix import ConfigError, DataError, KMeansConfig, kmeans
-from specmix.kmeans import _choice, _lloyd, _plus_plus_init, _sq_dists
+from specmix.kmeans import _choice, _plus_plus_init, _sq_dists, alternate
 
 
 def brute_force_two_clusters(points):
@@ -50,35 +50,16 @@ class TestKMeans:
         with pytest.raises(ConfigError):
             kmeans(np.zeros((2, 2)), 3)
 
-    def test_inertia_non_increasing_within_run(self):
-        # one Lloyd iteration per call, the centers fed back: a whole run's
-        # history has one entry while _lloyd stops after its first step
-        for seed in range(2, 8):
-            rng = np.random.default_rng(seed)
-            points = rng.standard_normal((40, 3))
-            unit, identity = np.ones(40), np.arange(40)
-            p2 = np.einsum("ij,ij->i", points, points)
-            centers = _plus_plus_init(points, 4, rng, unit, identity, p2)
-            inertias = []
-            for _ in range(30):
-                _, centers, inertia, _ = _lloyd(points, 4, centers, 1, 1e-9, unit, p2)
-                inertias.append(inertia)
-            for before, after in zip(inertias, inertias[1:]):
-                assert after <= before * (1.0 + 1e-12), seed
-
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 2: the first stop test of _lloyd compares with an "
-        "infinite inertia, so every restart stops after one assignment"))
     def test_lloyd_iterates_past_the_first_assignment(self):
-        # the input of test_inertia_non_increasing_within_run, whose
-        # one-entry history makes that test hold whatever _lloyd does
         rng = np.random.default_rng(2)
         points = rng.standard_normal((40, 3))
         unit, identity = np.ones(40), np.arange(40)
         p2 = np.einsum("ij,ij->i", points, points)
         centers = _plus_plus_init(points, 4, rng, unit, identity, p2)
-        _, _, _, history = _lloyd(points, 4, centers, 300, 1e-9, unit, p2)
-        assert len(history) > 1
+        no_codes, no_modes = np.empty((40, 0), np.int64), np.empty((4, 0), np.int64)
+        once, converged = (alternate(points, no_codes, (), centers, no_modes, unit, p2,
+                                     0.0, max_iters)[-1] for max_iters in (1, 300))
+        assert converged < once
 
     def test_all_clusters_used(self):
         rng = np.random.default_rng(3)
@@ -159,22 +140,13 @@ class TestKMeans:
             KMeansConfig(restarts=0)
         with pytest.raises(ConfigError):
             KMeansConfig(max_iters=0)
-        with pytest.raises(ConfigError):
-            KMeansConfig(tol=0.0)
 
     @pytest.mark.parametrize("field, value", [
-        ("tol", "1e-6"), ("tol", None), ("normalize_rows", "no"),
-        ("normalize_rows", 1)])
+        ("normalize_rows", "no"), ("normalize_rows", 1)])
     def test_wrong_type_is_config_error(self, field, value):
-        # a string tol used to raise a raw TypeError from the comparison,
-        # and normalize_rows="no" to normalize the rows
+        # normalize_rows="no" used to normalize the rows
         with pytest.raises(ConfigError, match=field):
             KMeansConfig(**{field: value})
-
-    def test_nan_tol_rejected(self):
-        # NaN fails every comparison, so it used to pass the sign check
-        with pytest.raises(ConfigError, match="tol"):
-            KMeansConfig(tol=float("nan"))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):
@@ -359,10 +331,44 @@ def test_center_update_matches_per_column_bincounts(m, d, k, seed):
     w = rng.exponential(1.0, m)
     p2 = np.einsum("ij,ij->i", points, points)
     start = points[rng.choice(m, k, replace=False)]
-    labels, centers, _, _ = _lloyd(points, k, start, 1, 1e-6, w, p2)
+    labels, centers, _, _ = alternate(points, np.empty((m, 0), np.int64), (), start,
+                                      np.empty((k, 0), np.int64), w, p2, 0.0, 1)
     mass = np.bincount(labels, weights=w, minlength=k)
     expected = np.empty((k, d))
     for dim in range(d):
         expected[:, dim] = np.bincount(labels, weights=w * points[:, dim],
                                        minlength=k) / mass
     assert centers.tobytes() == expected.tobytes()
+
+
+def fixed_start(clusterer):
+    """The inputs of ``alternate`` for one of the three clusterers on 60
+    rows in 4 clusters, started from fixed prototypes: K-means on weighted
+    numeric rows, K-modes on category codes, K-prototypes on both."""
+    rng = np.random.default_rng(11)
+    m, k = 60, 4
+    numeric = rng.standard_normal((m, 3)) if clusterer != "kmodes" else np.empty((m, 0))
+    codes = rng.integers(0, 4, (m, 3)) if clusterer != "kmeans" else np.empty((m, 0), np.int64)
+    w = rng.integers(1, 4, m).astype(np.float64) if clusterer == "kmeans" else np.ones(m)
+    start = rng.choice(m, k, replace=False)
+    gamma_mix = {"kmeans": 0.0, "kmodes": 1.0, "kprototypes": 0.5}[clusterer]
+    return (numeric, codes, (4,) * codes.shape[1], numeric[start], codes[start], w,
+            np.einsum("ij,ij->i", numeric, numeric), gamma_mix)
+
+
+@pytest.mark.parametrize("clusterer", ["kmeans", "kmodes", "kprototypes"])
+def test_objective_falls_until_the_labels_repeat(clusterer):
+    """After j iterations the objective is no larger than after j - 1; once
+    the labels repeat, more iterations change nothing, bit for bit."""
+    args = fixed_start(clusterer)
+    runs = [alternate(*args, max_iters) for max_iters in range(1, 41)]
+    for before, after in zip(runs, runs[1:]):
+        assert after[-1] <= before[-1] * (1.0 + 1e-12)
+    repeat = next(j for j in range(1, len(runs))
+                  if np.array_equal(runs[j][0], runs[j - 1][0]))
+    assert repeat > 1 and runs[repeat - 1][-1] < runs[0][-1]  # it did iterate
+    for run in runs[repeat:]:
+        assert np.array_equal(run[0], runs[repeat - 1][0])
+        assert run[1].tobytes() == runs[repeat - 1][1].tobytes()
+        assert np.array_equal(run[2], runs[repeat - 1][2])
+        assert run[3] == runs[repeat - 1][3]
