@@ -120,14 +120,14 @@ def _cmd_cluster(args) -> int:
         raise ConfigError("--dump-graph dumps the specmix graph; it needs "
                           "--method specmix")
     schema = _load_schema(args)
-    missing = tuple(tok.strip() for tok in args.missing.split(",")) if args.missing else ()
-    ds, truth = load_mixed_csv(args.dataset, schema, missing_values=missing)
-    if ds.num_numeric >= 1 and not args.no_standardize:
-        ds = standardize_numeric(ds)
     lams = parse_values("--lambda", args.lam)
     cfg = SpecMixConfig(k=args.k, lambdas=lams[0] if len(lams) == 1 else lams,
                         kmeans=KMeansConfig(restarts=args.restarts),
                         seed=args.seed)
+    missing = tuple(tok.strip() for tok in args.missing.split(",")) if args.missing else ()
+    ds, truth = load_mixed_csv(args.dataset, schema, missing_values=missing)
+    if ds.num_numeric >= 1 and not args.no_standardize:
+        ds = standardize_numeric(ds)
     if args.dump_graph:
         _dump_graph(ds, cfg, args.dump_graph)
 

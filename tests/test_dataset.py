@@ -3,7 +3,6 @@ import gc
 import io
 import re
 import warnings
-from itertools import compress
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 from specmix import (ColumnSchema, ConfigError, DataError, MixedDataset,
                      SchemaError, SyntheticParams, generate_synthetic,
                      load_mixed_csv, standardize_numeric)
-from specmix.dataset import _read_columns
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -130,6 +128,14 @@ class TestLoad:
         with pytest.raises(DataError, match="line 3: not UTF-8"):
             load_mixed_csv(path, ColumnSchema.parse("num,cat"))
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_non_utf8_line_counts_every_line_end(self, tmp_path, end):
+        # only "\n" used to be counted, so a CR-only file named line 1
+        path = tmp_path / "data.csv"
+        path.write_bytes(f"x,c{end}1,a{end}{end}2,".encode() + b"\xff\n")
+        with pytest.raises(DataError, match="line 4: not UTF-8"):
+            load_mixed_csv(path, ColumnSchema.parse("num,cat"))
+
     def test_oversized_field_is_data_error(self, tmp_path):
         path = write(tmp_path, "x,c\n1,a\n2," + "b" * 200_000 + "\n")
         with pytest.raises(DataError, match="line 3: field larger"):
@@ -183,6 +189,43 @@ class TestLoad:
         message = "line 4, column 'x': cannot parse 'bad_x' as numeric"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_mixed_csv(path, ColumnSchema.parse("num,num"))
+
+    @pytest.mark.parametrize("tail, error, message", [
+        ("oops,c\n", DataError,
+         "line 4, column 'x': cannot parse 'oops' as numeric"),
+        ("1,c,d\n", SchemaError, "line 4: expected 2 fields, got 3"),
+    ])
+    def test_line_numbers_count_the_lines_of_a_quoted_field(
+            self, tmp_path, tail, error, message):
+        # the record '1,"a\nb"' spans lines 2-3, so the next one is on line 4
+        path = write(tmp_path, 'x,c\n1,"a\nb"\n' + tail)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            load_mixed_csv(path, ColumnSchema.parse("num,cat"))
+
+    @pytest.mark.parametrize("text, line", [
+        ('x,c\n1,"a\n2,b\n', 2),
+        ('x,c\n1,a\n\n2,"b""\n', 4),
+        ('"x,c\n1,a\n', 1),
+    ])
+    def test_unclosed_quote_is_data_error(self, tmp_path, text, line):
+        # it used to swallow the rest of the file into one category
+        path = write(tmp_path, text)
+        with pytest.raises(DataError, match=f", line {line}: quoted field not closed"):
+            load_mixed_csv(path, ColumnSchema.parse("num,cat"))
+
+    def test_text_after_a_closing_quote_still_loads(self, tmp_path):
+        # csv's strict mode refuses this; the loader keeps reading it
+        path = write(tmp_path, 'x,c\n1,"a" \n2,"a"b\n')
+        ds, _ = load_mixed_csv(path, ColumnSchema.parse("num,cat"))
+        assert ds.categorical[:, 0].tolist() == [0, 1]
+        assert ds.cardinalities == (2,)
+
+    def test_split_only_at_csv_line_ends(self, tmp_path):
+        # str.splitlines would also split at these three
+        path = write(tmp_path, "x,c\n1,a\x0cb\n2,a\x1cb\n3,a\u2028b\n1,a\x0cb\n")
+        ds, _ = load_mixed_csv(path, ColumnSchema.parse("num,cat"))
+        assert ds.numeric[:, 0].tolist() == [1.0, 2.0, 3.0, 1.0]
+        assert ds.categorical[:, 0].tolist() == [0, 1, 2, 0]
 
     def test_missing_in_ignored_column_keeps_row(self, tmp_path):
         path = write(tmp_path, "x,skip,c\n1,?,a\n2,,b\n")
@@ -278,40 +321,55 @@ class TestLoadRoundTrip:
 
 
 def reference_load(path, schema, missing_values=("?",)):
-    """``load_mixed_csv`` token by token: every token is stripped and tested
-    for a missing value, the surviving tokens are kept, and each categorical
-    or label column is dictionary-encoded row by row."""
+    """``load_mixed_csv`` record by record, on its own reader: ``csv.reader``
+    over the whole file, with each record's first line taken from
+    ``line_num``. Every record's width is checked, every token is stripped
+    and tested for a missing value, the surviving tokens are kept, and each
+    categorical or label column is dictionary-encoded row by row."""
     missing = set(missing_values) | {""}
-    header, lines, columns = _read_columns(path, schema)
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        records, end = [], reader.line_num
+        for record in reader:
+            if record:  # a blank line holds no record but counts as a line
+                records.append((end + 1, record))
+            end = reader.line_num
+    if header is None:
+        raise DataError(f"{path} is empty")
+    if len(header) != schema.width:
+        raise SchemaError(f"schema has {schema.width} roles but header has "
+                          f"{len(header)} columns")
+    for line_no, record in records:
+        if len(record) != schema.width:
+            raise SchemaError(f"line {line_no}: expected {schema.width} "
+                              f"fields, got {len(record)}")
+    if not schema.numeric_indices and not schema.categorical_indices:
+        raise SchemaError("schema declares no feature columns")
+
     used = [i for i, r in enumerate(schema.roles) if r != "ignore"]
-    keep = np.ones(lines.size, dtype=bool)
-    for col in used:
-        columns[col] = list(map(str.strip, columns[col]))
-        keep &= ~np.fromiter(map(missing.__contains__, columns[col]), bool, lines.size)
-    n = int(keep.sum())
+    kept = []
+    for line_no, record in records:
+        row = [tok.strip() for tok in record]
+        if all(row[col] not in missing for col in used):
+            kept.append((line_no, row))
+    n = len(kept)
     if n == 0:
         raise DataError("dataset empty after removing rows with missing values")
-    lines, keep = lines[keep], keep.tolist()
-    for col in used:
-        columns[col] = list(compress(columns[col], keep))
 
     numeric = np.empty((n, len(schema.numeric_indices)))
     for j, col in enumerate(schema.numeric_indices):
-        try:
-            numeric[:, j] = np.fromiter(map(float, columns[col]), np.float64, n)
-        except ValueError:
-            for line_no, tok in zip(lines, columns[col]):
-                try:
-                    float(tok)
-                except ValueError:
-                    raise DataError(
-                        f"line {line_no}, column {header[col]!r}: "
-                        f"cannot parse {tok!r} as numeric") from None
+        for i, (line_no, row) in enumerate(kept):
+            try:
+                numeric[i, j] = float(row[col])
+            except ValueError:
+                raise DataError(f"line {line_no}, column {header[col]!r}: "
+                                f"cannot parse {row[col]!r} as numeric") from None
 
     def encode(col):
         codebook = {}
-        codes = np.fromiter((codebook.setdefault(tok, len(codebook))
-                             for tok in columns[col]), np.int64, n)
+        codes = np.fromiter((codebook.setdefault(row[col], len(codebook))
+                             for _, row in kept), np.int64, n)
         return codes, len(codebook)
 
     categorical = np.empty((n, len(schema.categorical_indices)), dtype=np.int64)
@@ -324,15 +382,21 @@ def reference_load(path, schema, missing_values=("?",)):
     return MixedDataset(numeric, categorical, tuple(cards)), labels
 
 
-# Messy files: padded values and sentinels, empty fields, quoted fields with
-# commas, bad numeric tokens, blank lines and an all-distinct ID column.
+# Messy files: padded values and sentinels, empty fields, bad numeric tokens,
+# blank lines, repeated rows, an all-distinct ID column, tokens holding
+# characters that str.splitlines would split at, and \n, \r\n or \r line
+# ends. Half the files also hold quoted fields: with a comma, or with line
+# ends (both \r and \n, so the writer quotes them whatever its terminator)
+# that make a record span lines.
 _MESSY = {
     "num": ["1", "-2.5", "1e3", "0"],
-    "cat": ["a", "b", "c", "a,b", "NA"],
+    "cat": ["a", "b", "c", "NA", "p\x0cq", "r\x1cs"],
     "ord": ["lo", "mid", "hi"],
-    "label": ["x", "y", "x,y"],
-    "ignore": ["u", "?", "", "v,w"],
+    "label": ["x", "y", "t\u2028u"],
+    "ignore": ["u", "?", ""],
 }
+_QUOTED = {"cat": ["a,b", "m\r\nn"], "label": ["x,y", "o\rp\nq"],
+           "ignore": ["v,w", "\r\n"]}
 _BAD_NUMERIC = ["oops", "1,5", "nan"]
 _SENTINEL = st.sampled_from(["?", "", "NA", " ?"])
 
@@ -349,7 +413,10 @@ def messy_csvs(draw):
     if ids is not None:
         roles.insert(draw(st.integers(0, len(roles))), ids)
     faults = draw(st.sampled_from([[], _BAD_NUMERIC]))
-    values = {r: st.sampled_from(v + faults * (r == "num")) for r, v in _MESSY.items()}
+    quoted = draw(st.booleans())
+    values = {r: st.sampled_from(v + faults * (r == "num")
+                                 + _QUOTED.get(r, []) * quoted)
+              for r, v in _MESSY.items()}
     pad = draw(st.sampled_from([st.just(""), _PAD]))  # half the files unpadded
     n = draw(st.integers(0, 15))
     rows = []
@@ -359,11 +426,14 @@ def messy_csvs(draw):
         if ids is not None:
             row[roles.index(ids)] = draw(pad) + f"id{i}"
         rows.append(row)
-    for at in sorted(draw(st.sets(st.integers(0, n))), reverse=True):
+    if rows:
+        for at in draw(st.lists(st.integers(0, len(rows)), max_size=8)):
+            rows.insert(at, rows[draw(st.integers(0, len(rows) - 1))])
+    for at in sorted(draw(st.sets(st.integers(0, len(rows)))), reverse=True):
         rows.insert(at, [])
     missing = draw(st.sampled_from([("?",), (), ("?", "NA"), (" ?",)]))
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"])))
     writer.writerow(f"h{j}" for j in range(len(roles)))
     writer.writerows(rows)
     return roles, out.getvalue(), missing

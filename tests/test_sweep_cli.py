@@ -540,6 +540,15 @@ class TestClusterCommand:
         assert err["error"] == "config"
         assert "--lambda" in err["message"] and "'abc'" in err["message"]
 
+    @pytest.mark.parametrize("flags", [
+        ["--lambda", "abc"], ["--k", "1"], ["--restarts", "0"]])
+    def test_config_checked_before_the_load(self, tmp_path, capsys, flags):
+        # the dataset does not exist, which would be a data error (exit 3)
+        code = main(["cluster", str(tmp_path / "missing.csv"), "--schema",
+                     "num,cat", "--k", "2", *flags])
+        assert code == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
     def test_non_finite_numeric_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "nan.csv"
         data.write_text("x,c\n1,a\nnan,b\n3,a\n2,b\n", encoding="utf-8")
