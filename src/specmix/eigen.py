@@ -30,6 +30,7 @@ _RESIDUAL_TOL = 1e-8
 _SYM_TOL = 1e-10
 _LANCZOS_TOL = 1e-10  # Ritz residual estimate, relative to the spectrum's scale
 _CHECK_EVERY = 10  # fewest new basis columns between convergence checks
+_CHECK_SHARE = 0.8  # no check once the basis holds this share of the space
 _KEEP = 0.7  # a Gram-Schmidt pass that keeps less of the norm is repeated
 _MAX_PASSES = 4
 
@@ -98,6 +99,14 @@ def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
     norm seen: a lower bound on ||A|| that, unlike the Gershgorin bound, does
     not grow with the block width. A basis that fills the space gives exact
     pairs.
+
+    A check costs O(end^3) in ``eig_banded``, which forms the orthogonal
+    factor of its band reduction, so checks are spaced out as the basis
+    grows: at least ``_CHECK_EVERY`` and at least end/8 new columns apart.
+    None is made once the basis holds ``_CHECK_SHARE`` (4/5) of the space:
+    from there one more check costs about as much as the remaining dim - end
+    columns do, and the full basis ends in one exact solve. A solve that
+    converges before the cutoff takes the same steps as without it.
     """
     if not 1 <= k <= dim:
         raise ConfigError(f"k must lie in [1, {dim}], got {k}")
@@ -131,11 +140,11 @@ def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
             grown[:, :end] = basis[:, :end]
             basis = grown
         new_width, b = _orthonormalize(basis, end, r, rng, _LANCZOS_TOL * scale)
-        rows, cols = np.triu_indices(new_width, 0, width)  # b is upper trapezoidal
-        band[width + rows - cols, start + cols] = b[rows, cols]
+        for o in range(width):  # b is upper trapezoidal: T[end + i, start + i + o]
+            diag = np.diagonal(b, o)
+            band[width - o, start + o:start + o + diag.size] = diag
 
-        # each check costs O(end^3) in eig_banded: space them out as the basis grows
-        if end - checked >= max(_CHECK_EVERY, end // 8):
+        if end - checked >= max(_CHECK_EVERY, end // 8) and end < _CHECK_SHARE * dim:
             checked = end
             theta, s = eig_banded(band[:, :end], lower=True, select="i",
                                   select_range=(0, k - 1))
@@ -189,12 +198,12 @@ def _gram_schmidt(basis, x):
     most of ``x`` cancels.
     """
     coeffs = np.zeros(basis.shape[1])
-    norm = np.linalg.norm(x)
+    norm = np.sqrt(x.dot(x))  # np.linalg.norm's own sum, without its wrapper
     for _ in range(_MAX_PASSES):
         c = basis.T @ x
         x -= basis @ c
         coeffs += c
-        norm, before = np.linalg.norm(x), norm
+        norm, before = np.sqrt(x.dot(x)), norm
         if norm >= _KEEP * before:
             break
     return coeffs, norm

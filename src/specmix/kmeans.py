@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array
 
 from .dataset import _check_seed, _first_appearance, as_int, check_codes
 from .errors import ConfigError, DataError
@@ -127,9 +127,11 @@ def best_of_restarts(restarts: int, seed: int, run):
 
 def cluster_means(points, labels, k, w) -> np.ndarray:
     """The k means of the rows of ``points`` by label, row i weighing ``w[i]``:
-    one sparse one-hot product, which sums each cluster's rows in row order."""
-    one_hot = csr_array((w, labels, np.arange(labels.size + 1)), shape=(labels.size, k))
-    return (one_hot.T @ points) / np.bincount(labels, weights=w, minlength=k)[:, None]
+    one product with the k x m one-hot, built in CSC form (column i holds
+    ``w[i]`` in row ``labels[i]``), which sums each cluster's rows in row
+    order."""
+    one_hot = csc_array((w, labels, np.arange(labels.size + 1)), shape=(k, labels.size))
+    return (one_hot @ points) / np.bincount(labels, weights=w, minlength=k)[:, None]
 
 
 def _column_modes(codes, labels, k, cards, w) -> np.ndarray:

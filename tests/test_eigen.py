@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from specmix import (ConfigError, ConvergenceError, StackedEncoder,
-                     build_bipartite_reduction, generalized_smallest_eigs,
+from specmix import (ConfigError, ConvergenceError, SpecMixConfig,
+                     StackedEncoder, SyntheticParams, base_similarity,
+                     build_bipartite_reduction, eigen,
+                     generalized_smallest_eigs, generate_synthetic, specmix,
                      symmetric_smallest_eigs)
 
 
@@ -446,3 +448,41 @@ def test_symmetric_copies_match_dense_oracle(problem):
     pairs = symmetric_smallest_eigs(b, k)
     assert np.abs(pairs.values - dense_oracle(b)[0][:k]).max() <= 1e-8
     assert np.abs(pairs.vectors.T @ pairs.vectors - np.eye(k)).max() <= 1e-8
+
+
+class TestCheckSchedule:
+    """The convergence checks of the Lanczos solver, seen as the basis width
+    of each ``eig_banded`` call: one at least every max(10, end/8) new
+    columns, none once the basis holds 4/5 of the space, and the exact solve
+    of a filled basis."""
+
+    @staticmethod
+    def record_widths(monkeypatch) -> list:
+        widths, solve = [], eigen.eig_banded
+
+        def recording(band, *args, **kwargs):
+            widths.append(band.shape[1])
+            return solve(band, *args, **kwargs)
+
+        monkeypatch.setattr(eigen, "eig_banded", recording)
+        return widths
+
+    def test_no_check_past_four_fifths_of_a_filled_basis(self, monkeypatch):
+        # eight clusters that overlap at sigma = 1: eight eigenvalues close to
+        # 0, and the basis fills all 200 columns
+        ds, _ = generate_synthetic(SyntheticParams(n=200, k=8, q=3, sigma=1.0,
+                                                   p=0.25, seed=1))
+        graph = base_similarity(ds)
+        widths = self.record_widths(monkeypatch)
+        pairs = generalized_smallest_eigs(graph, graph.degrees, 8)
+        assert all(5 * end < 4 * graph.dim for end in widths[:-1])
+        assert widths[-1] == graph.dim
+        assert widths[:-1] == [16, 32, 48, 64, 80, 96, 112, 128, 152]
+        assert oracle_mismatch(pairs, graph.matrix, graph.degrees, 8) is None
+
+    def test_a_converging_solve_keeps_its_checks(self, monkeypatch):
+        ds, _ = generate_synthetic(SyntheticParams(n=500, k=4, q=3, sigma=1.0,
+                                                   p=0.25, seed=1))
+        widths = self.record_widths(monkeypatch)
+        specmix(ds, SpecMixConfig(k=4, lambdas=10.0))
+        assert widths == [12, 24, 36, 48, 60]  # of 512 columns

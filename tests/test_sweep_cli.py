@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -133,6 +134,19 @@ def output_bytes(out):
 
 
 class TestSweep:
+    def test_results_bytes_are_pinned(self, tmp_path):
+        # sha256 of the results CSV as written before the eigensolver dropped
+        # its checks past 4/5 of the space and K-means built its one-hot in
+        # CSC form, at one and at two BLAS threads; the K=8 numeric solves
+        # (specmix at lambda 0 and numeric-spectral) fill their basis
+        grid = ExperimentGrid(n_values=(120,), k_values=(2, 8),
+                              sigma_values=(1.0,), p_values=(0.25,),
+                              lambda_values=(0.0, 10.0), methods=METHODS)
+        out = tmp_path / "results.csv"
+        run_sweep(grid, out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ab0a44b583e22f75172deb823c78402efb29a0aa1f547146cfaa5929e917e5d6")
+
     def test_determinism_and_resume(self, tmp_path):
         grid = ExperimentGrid.from_text(SMALL_GRID)
 
