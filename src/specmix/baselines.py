@@ -12,25 +12,26 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import MixedDataset, _check_seed, as_codes, as_int, as_real
+from .dataset import MixedDataset, as_codes, as_int, as_real
 from .errors import ConfigError, DataError
-from .kmeans import alternate, best_of_restarts
+from .kmeans import KMeansConfig, alternate, best_of_restarts
 
 
 def _best_run(numeric, codes, cards, k, gamma_mix, seed, restarts, max_iters):
     """(labels, centers, modes, objective) of the best of ``restarts`` runs
     of ``alternate`` at unit weights, each from k distinct random rows."""
-    seed, restarts = _check_seed(seed), as_int(restarts, "restarts", 1)
-    max_iters, n = as_int(max_iters, "max_iters", 1), codes.shape[0]
+    cfg, n = KMeansConfig(restarts=restarts, max_iters=max_iters), codes.shape[0]
+    if n < k:
+        raise ConfigError(f"need at least k={k} rows, got {n}")
     unit = np.ones(n)
     p2 = np.einsum("ij,ij->i", numeric, numeric)  # once for all restarts
 
     def restart(rng):
         init = rng.choice(n, size=k, replace=False)
         return alternate(numeric, codes, cards, numeric[init], codes[init], unit, p2,
-                         gamma_mix, max_iters)
+                         gamma_mix, cfg.max_iters)
 
-    return best_of_restarts(restarts, seed, restart)
+    return best_of_restarts(cfg.restarts, seed, restart)
 
 
 def kmodes(categorical, k: int, seed: int = 0, max_iters: int = 100,
@@ -49,8 +50,6 @@ def kmodes(categorical, k: int, seed: int = 0, max_iters: int = 100,
         raise DataError(message)
     n = categorical.shape[0]
     k = as_int(k, "cluster count k", 1)
-    if n < k:
-        raise ConfigError(f"need at least k={k} rows, got {n}")
     # each column renumbered in increasing order: count tables sized by the
     # codes that occur, ties still to the lowest code, so the same labels
     columns = [np.unique(column, return_inverse=True) for column in categorical.T]
@@ -72,8 +71,6 @@ def kprototypes(ds: MixedDataset, k: int, gamma_mix: Optional[float] = None,
     if ds.num_numeric < 1 or ds.num_categorical < 1:
         raise ConfigError("kprototypes needs both numeric and categorical features")
     k = as_int(k, "cluster count k", 1)
-    if ds.n < k:
-        raise ConfigError(f"need at least k={k} rows, got {ds.n}")
     if gamma_mix is None:
         gamma_mix = 0.5 * float(np.mean(np.var(ds.numeric, axis=0)))
     gamma_mix = as_real(gamma_mix, "gamma_mix")

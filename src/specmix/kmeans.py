@@ -1,25 +1,13 @@
 """Lloyd's K-means over the rows of a spectral embedding, run by
 ``alternate``, the one alternating loop that the K-modes and K-prototypes
-baselines run too, through the same restart loop.
+baselines run too, through the same restart loop, ``best_of_restarts``.
 
-Greedy k-means++ seeding scores each step's few candidates as one block, one
-product with all the rows, and draws them as ``Generator.choice`` would,
-index for index. Lloyd's center update is one sparse one-hot product. Restart
-r draws from a generator seeded with (seed, r), so restarts are independent
-and may run concurrently; the lowest-inertia run wins, ties going to the
-earliest, and empty clusters are repaired deterministically.
-
-Rows may stand for several datapoints: ``onlycat`` hands over one row per
-distinct category tuple and an ``inverse`` that gives each datapoint's row.
-Equal rows are merged as well, so each distinct row is clustered once,
-weighted by the datapoints it stands for, and the labels are scattered back
-to the datapoints. The objective is unchanged. The random draws are over
-datapoints, and the distinct rows keep the order of the given rows. Given
-rows in order of their first datapoint, as ``onlycat``'s tuples are, thus
-draw and label exactly as one row per datapoint would; in another order
-only the draws differ. When every row is distinct, the distinct rows are the
-points in order with unit weights, so the draws and results are those of an
-unweighted run.
+Rows may stand for several datapoints, as ``onlycat``'s distinct category
+tuples do, and equal rows are merged, so each distinct row is clustered once,
+weighted by its datapoints. The random draws are over datapoints: rows in
+order of their first datapoint draw and label exactly as one row per
+datapoint would (in another order only the draws differ), and all-distinct
+rows exactly as an unweighted run.
 """
 
 from __future__ import annotations
@@ -41,13 +29,11 @@ class KMeansConfig:
 
     restarts: int = 10
     max_iters: int = 1
-    seed: int = 0
     normalize_rows: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "restarts", as_int(self.restarts, "restarts", 1))
         object.__setattr__(self, "max_iters", as_int(self.max_iters, "max_iters", 1))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
         if not isinstance(self.normalize_rows, bool):  # "no" would be true
             raise ConfigError(f"normalize_rows must be a bool, "
                               f"got {self.normalize_rows!r}")
@@ -120,7 +106,9 @@ def _assign(cost, k) -> np.ndarray:
 def best_of_restarts(restarts: int, seed: int, run):
     """The lowest-objective result of ``run(rng)`` over ``restarts`` calls,
     ties to the earliest. A result ends with its objective, as ``alternate``'s
-    does; call r draws from a generator seeded with (seed, r)."""
+    does; call r draws from a generator seeded with (seed, r), so the calls
+    are independent. The seed is checked here, for every caller."""
+    seed = _check_seed(seed)
     results = (run(np.random.default_rng([seed, r])) for r in range(restarts))
     return min(results, key=lambda result: result[-1])
 
@@ -192,21 +180,22 @@ def _distinct_rows(points: np.ndarray):
     return points[first], inverse
 
 
-def kmeans(points, k: int, cfg: KMeansConfig | None = None, inverse=None):
+def kmeans(points, k: int, cfg: KMeansConfig | None = None, inverse=None,
+           seed: int = 0):
     """Cluster the datapoints that the rows of ``points`` stand for into k
     groups.
 
     ``inverse``, when given, maps each datapoint to its row of ``points``,
     and every row must stand for at least one datapoint; by default row i is
     datapoint i. With the rows in order of their first datapoint, the result
-    is that of ``kmeans(points[inverse], k, cfg)``, bit for bit.
+    is that of ``kmeans(points[inverse], k, cfg, seed=seed)``, bit for bit.
 
     Returns (labels, centers, inertia), one label per datapoint, for the
     best of ``cfg.restarts`` k-means++-seeded runs. All k labels are used
-    whenever the datapoint count allows it. Deterministic given
-    ``cfg.seed``. Each distinct row is clustered once, weighted by its
-    datapoints; with fewer distinct rows than k, every datapoint is
-    clustered on its own with unit weight.
+    whenever the datapoint count allows it. Deterministic given ``seed``.
+    Each distinct row is clustered once, weighted by its datapoints; with
+    fewer distinct rows than k, every datapoint is clustered on its own with
+    unit weight.
     """
     cfg = cfg or KMeansConfig()
     k = as_int(k, "cluster count k", 1)
@@ -246,5 +235,5 @@ def kmeans(points, k: int, cfg: KMeansConfig | None = None, inverse=None):
         return alternate(rows, no_codes, (), centers, no_modes, weights, p2, 0.0,
                          cfg.max_iters)
 
-    labels, centers, _, inertia = best_of_restarts(cfg.restarts, cfg.seed, restart)
+    labels, centers, _, inertia = best_of_restarts(cfg.restarts, seed, restart)
     return labels[inverse], centers, inertia

@@ -1,33 +1,20 @@
-"""End-to-end clusterers.
-
-``specmix`` runs normalized spectral clustering on the augmented graph
-(numeric similarities plus category extra nodes), applies K-means to the
-eigenvector rows of all n+t nodes, and keeps the first n labels. With all
-edge weights at zero the extra nodes are omitted entirely and the pipeline
-collapses to plain normalized spectral clustering on the numeric graph.
-
-``onlycat`` is the purely categorical specialization: without a numeric
-graph the augmentation (minus the extra-node self-loops) is exactly
-bipartite, so the generalized eigenproblem is solved on the small t x t
-side and each pair is lifted back. A datapoint's rows depend only on its
-category tuple, so after one O(nQ) pass over the codes every stage works on
-the u distinct tuples weighted by their counts, in O(u t (k+t)) plus the
-block Lanczos solve of the t x t reduction, O(t^3) at worst.
-
-Pipelines are pure given (dataset, config); many invocations may run
-concurrently.
+"""End-to-end clusterers, each ending in K-means on a spectral embedding:
+``specmix`` on the augmented graph (numeric similarities plus category extra
+nodes), ``numeric_spectral`` on the numeric graph alone, and ``onlycat``
+through the bipartite reduction. Pipelines are pure given (dataset, config);
+many invocations may run concurrently.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
 
-from .dataset import MixedDataset, _check_seed, _first_appearance, as_int
+from .dataset import MAX_SEED, MixedDataset, _check_seed, _first_appearance, as_int
 from .eigen import EigenPairs, _fix_signs, generalized_smallest_eigs
 from .errors import ConfigError, DataError, SpectralGapError
 from .graph import (AugmentedGraph, BaseWeights, StackedEncoder, as_lambdas,
@@ -46,10 +33,10 @@ class SpecMixConfig:
 
     ``lambdas``, checked when the config is built, is one finite nonnegative
     number for every categorical variable or a sequence of one per variable,
-    kept as a float or a tuple of floats. ``seed`` pins the whole run: it
-    supersedes ``kmeans.seed`` so a single value controls eigensolver starts
-    and K-means restarts. For ``onlycat`` it drives K-means only: the
-    reduced solve starts from seed 0 (see ``transfer_cut``).
+    kept as a float or a tuple of floats. ``seed`` pins the whole run: the
+    eigensolver starts and the K-means restarts. For ``onlycat`` it drives
+    K-means only: the reduced solve starts from seed 0 (see
+    ``transfer_cut``).
     """
 
     k: int
@@ -62,6 +49,8 @@ class SpecMixConfig:
         object.__setattr__(self, "seed", _check_seed(self.seed))
         values = as_lambdas(self.lambdas)
         object.__setattr__(self, "lambdas", values if np.ndim(self.lambdas) else values[0])
+        if not isinstance(self.kmeans, KMeansConfig):
+            raise ConfigError(f"kmeans must be a KMeansConfig, got {self.kmeans!r}")
 
     def resolve_lambdas(self, q: int) -> np.ndarray:
         lams = (np.full(q, self.lambdas) if isinstance(self.lambdas, float)
@@ -71,10 +60,9 @@ class SpecMixConfig:
         return lams
 
     def echo(self) -> dict:
-        kmeans = asdict(self.kmeans)
-        del kmeans["seed"]  # the run's seed supersedes it
         lams = self.lambdas if isinstance(self.lambdas, float) else list(self.lambdas)
-        return {"k": self.k, "lambdas": lams, "kmeans": kmeans, "seed": self.seed}
+        return {"k": self.k, "lambdas": lams, "kmeans": asdict(self.kmeans),
+                "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -118,7 +106,8 @@ class ClusteringResult:
     @classmethod
     def from_json(cls, text: str) -> "ClusteringResult":
         """Read what ``to_json`` wrote. Text that is not JSON, and a missing
-        field or one of the wrong type, raise a DataError naming it."""
+        field, one of the wrong type or one out of range, raise a DataError
+        naming it."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -131,25 +120,41 @@ class ClusteringResult:
         doc.setdefault("max_residual", 0.0)
         return cls(
             labels=_array_field(doc, "labels", "i", np.int64, "integers"),
-            eigenvalues=_array_field(doc, "eigenvalues", "iuf", np.float64, "numbers"),
-            embedding_rows_used=_field(doc, "embedding_rows_used", int, "an integer"),
-            timings=_field(doc, "timings", dict, "an object"),
+            eigenvalues=_finite("eigenvalues", _array_field(
+                doc, "eigenvalues", "iuf", np.float64, "numbers")),
+            embedding_rows_used=_field(doc, "embedding_rows_used", int, "an integer",
+                                       (0, _INT64_MAX)),
+            timings=_finite("timings", _field(doc, "timings", dict, "an object")),
             config=_field(doc, "config", dict, "an object"),
-            seed=_field(doc, "seed", int, "an integer"),
+            seed=_field(doc, "seed", int, "an integer", (0, MAX_SEED)),
             method=_field(doc, "method", str, "a string"),
-            max_residual=float(_field(doc, "max_residual", (int, float), "a number")),
+            max_residual=float(_field(doc, "max_residual", (int, float), "a number",
+                                      (0.0, _FLOAT_MAX))),
         )
 
 
-def _field(doc: dict, name: str, types, what: str):
+def _field(doc: dict, name: str, types, what: str, bounds=None):
     """``doc[name]``, which must be an instance of ``types`` (bools are not
-    numbers here)."""
+    numbers here) and lie within the closed interval ``bounds`` if given."""
     if name not in doc:
         raise DataError(f"result has no {name!r} field")
     value = doc[name]
     if not isinstance(value, types) or isinstance(value, bool):
         raise DataError(f"result field {name!r} is not {what}")
+    if bounds and not bounds[0] <= value <= bounds[1]:
+        raise DataError(f"result field {name!r} is not in {list(bounds)}, got {value}")
     return value
+
+
+def _finite(name: str, values):
+    """``values``, a list or an object, if its values are ints and floats
+    within the float range: Python's ``json`` also reads NaN, Infinity and
+    larger ints, which ``to_json`` cannot write (NaN fails any comparison)."""
+    numbers = values.values() if isinstance(values, dict) else values
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               and -_FLOAT_MAX <= v <= _FLOAT_MAX for v in numbers):
+        raise DataError(f"result field {name!r} holds a value that is not a finite number")
+    return values
 
 
 def _array_field(doc: dict, name: str, kinds: str, dtype, what: str) -> np.ndarray:
@@ -167,6 +172,7 @@ def _array_field(doc: dict, name: str, kinds: str, dtype, what: str) -> np.ndarr
 
 
 _INT64_MAX = np.iinfo(np.int64).max
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def distinct_tuples(codes: np.ndarray, cardinalities):
@@ -280,8 +286,7 @@ def _cluster(ds: MixedDataset, cfg: SpecMixConfig, method: str,
     t1 = time.perf_counter()
     pairs, embedding, inverse = solve(graph, cfg)
     t2 = time.perf_counter()
-    labels, _, _ = kmeans(embedding, cfg.k, replace(cfg.kmeans, seed=cfg.seed),
-                          inverse=inverse)
+    labels, _, _ = kmeans(embedding, cfg.k, cfg.kmeans, inverse=inverse, seed=cfg.seed)
     t3 = time.perf_counter()
     timings = dict(zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t3 - t0), strict=True))
     return ClusteringResult(
@@ -351,9 +356,13 @@ def specmix(ds: MixedDataset, cfg: SpecMixConfig) -> ClusteringResult:
 def onlycat(ds: MixedDataset, cfg: SpecMixConfig) -> ClusteringResult:
     """Cluster purely categorical data through the bipartite reduction.
 
-    The numeric part of the dataset, if any, is ignored. Any common positive
-    lambda yields the same labels up to numerical error, since a uniform
-    scale cancels from the reduced generalized problem and from the lift.
+    Without a numeric graph the augmentation, less the extra-node self-loops,
+    is exactly bipartite, so the eigenproblem is solved on the t x t category
+    side and lifted (``transfer_cut``). After one O(nQ) pass over the codes
+    (``distinct_tuples``) every stage works on the distinct tuples, weighted
+    by their counts. The numeric part of the dataset, if any, is ignored.
+    Any common positive lambda yields the same labels up to numerical error,
+    since a uniform scale cancels from the reduced problem and from the lift.
     """
     if ds.num_categorical < 1:
         raise ConfigError("onlycat requires at least one categorical variable")

@@ -49,7 +49,7 @@ CONFIG_CASES = {
     # ValueError; a whole float is refused like any other float
     "SpecMixConfig seed=2.5": lambda: SpecMixConfig(k=2, seed=2.5),
     "SpecMixConfig seed=2.0": lambda: SpecMixConfig(k=2, seed=2.0),
-    "KMeansConfig seed=-1": lambda: KMeansConfig(seed=-1),
+    "kmeans seed=-1": lambda: kmeans(POINTS, 2, seed=-1),
     "kmodes seed=-1": lambda: kmodes(CODES, 2, seed=-1),
     "kmodes seed=2.5": lambda: kmodes(CODES, 2, seed=2.5),
     "kprototypes seed=2.5": lambda: kprototypes(mixed(), 2, seed=2.5),
@@ -141,7 +141,7 @@ def test_numpy_seed_stored_as_int():
     # a numpy seed used to pass the check unchanged, and to_json then raised
     # "uint64 is not JSON serializable"
     seed = np.uint64(3)
-    cfg = SpecMixConfig(k=2, seed=seed, kmeans=KMeansConfig(seed=seed))
-    assert type(cfg.seed) is int and type(cfg.kmeans.seed) is int
+    cfg = SpecMixConfig(k=2, seed=seed)
+    assert type(cfg.seed) is int
     assert type(SyntheticParams(n=10, k=2, q=1, sigma=0.1, p=0.0, seed=seed).seed) is int
     assert json.loads(specmix(mixed(), cfg).to_json())["seed"] == 3

@@ -26,7 +26,7 @@ def brute_force_two_clusters(points):
 class TestKMeans:
     def test_two_tight_clusters(self):
         points = np.array([[0.0, 0.0]] * 5 + [[10.0, 10.0]] * 5)
-        labels, centers, inertia = kmeans(points, 2, KMeansConfig(seed=0))
+        labels, centers, inertia = kmeans(points, 2, seed=0)
         assert inertia == pytest.approx(0.0, abs=1e-12)
         assert len(set(labels[:5])) == 1 and len(set(labels[5:])) == 1
         assert labels[0] != labels[5]
@@ -34,14 +34,14 @@ class TestKMeans:
     def test_k_equals_rows(self):
         rng = np.random.default_rng(0)
         points = rng.standard_normal((6, 2))
-        labels, _, inertia = kmeans(points, 6, KMeansConfig(seed=1))
+        labels, _, inertia = kmeans(points, 6, seed=1)
         assert inertia == pytest.approx(0.0, abs=1e-12)
         assert sorted(labels.tolist()) == list(range(6))
 
     def test_k_one_closed_form(self):
         rng = np.random.default_rng(1)
         points = rng.standard_normal((20, 3))
-        labels, centers, inertia = kmeans(points, 1, KMeansConfig(seed=2))
+        labels, centers, inertia = kmeans(points, 1, seed=2)
         assert np.allclose(centers[0], points.mean(axis=0))
         expected = float(((points - points.mean(axis=0)) ** 2).sum())
         assert inertia == pytest.approx(expected, rel=1e-12)
@@ -66,12 +66,12 @@ class TestKMeans:
         for _ in range(10):
             points = rng.standard_normal((15, 2))
             k = int(rng.integers(2, 6))
-            labels, _, _ = kmeans(points, k, KMeansConfig(seed=4))
+            labels, _, _ = kmeans(points, k, seed=4)
             assert len(set(labels.tolist())) == k
 
     def test_identical_points_repaired(self):
         points = np.zeros((7, 2))
-        labels, _, inertia = kmeans(points, 2, KMeansConfig(seed=5))
+        labels, _, inertia = kmeans(points, 2, seed=5)
         assert len(set(labels.tolist())) == 2
         assert inertia == pytest.approx(0.0, abs=1e-12)
 
@@ -84,12 +84,12 @@ class TestKMeans:
         points = np.round(4.0 * (np.repeat(means, 15, axis=0)
                                   + 0.8 * rng.standard_normal((60, 3)))) / 4.0
         repeated = np.vstack([points[:20]] * 3)[rng.permutation(60)]
-        cfg = KMeansConfig(restarts=3, seed=9)
-        labels, _, inertia = kmeans(points, 4, cfg)
+        cfg = KMeansConfig(restarts=3)
+        labels, _, inertia = kmeans(points, 4, cfg, seed=9)
         assert "".join(map(str, labels)) == (
             "233333333323333000000020300030111111111111111022222022200222")
         assert inertia.hex() == "0x1.f6f679e79e7a0p+6"
-        labels, _, inertia = kmeans(repeated, 4, cfg)  # the weighted path
+        labels, _, inertia = kmeans(repeated, 4, cfg, seed=9)  # the weighted path
         assert "".join(map(str, labels)) == (
             "022220121022211112311123222300201222222332222221302123302230")
         assert inertia.hex() == "0x1.2b6cccccccccdp+6"
@@ -101,18 +101,18 @@ class TestKMeans:
         rng = np.random.default_rng(7)
         points = np.vstack([0.01 * rng.standard_normal((6, 2)),
                             10.0 + 0.01 * rng.standard_normal((6, 2))])
-        first, _, first_inertia = kmeans(points, 2, KMeansConfig(restarts=1, seed=seed))
+        first, _, first_inertia = kmeans(points, 2, KMeansConfig(restarts=1), seed=seed)
         for restarts in (2, 5, 10):
-            labels, _, inertia = kmeans(points, 2,
-                                        KMeansConfig(restarts=restarts, seed=seed))
+            labels, _, inertia = kmeans(points, 2, KMeansConfig(restarts=restarts),
+                                        seed=seed)
             assert inertia == first_inertia
             assert np.array_equal(labels, first)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
         points = rng.standard_normal((30, 4))
-        a = kmeans(points, 3, KMeansConfig(seed=7))
-        b = kmeans(points, 3, KMeansConfig(seed=7))
+        a = kmeans(points, 3, seed=7)
+        b = kmeans(points, 3, seed=7)
         assert np.array_equal(a[0], b[0])
         assert a[2] == b[2]
 
@@ -123,14 +123,14 @@ class TestKMeans:
         for _ in range(trials):
             n = int(rng.integers(4, 9))
             points = rng.standard_normal((n, 2))
-            _, _, inertia = kmeans(points, 2, KMeansConfig(seed=int(rng.integers(1000))))
+            _, _, inertia = kmeans(points, 2, seed=int(rng.integers(1000)))
             if inertia <= brute_force_two_clusters(points) + 1e-9:
                 hits += 1
         assert hits >= 0.95 * trials
 
     def test_row_normalization_flag(self):
         points = np.array([[10.0, 0.0], [0.1, 0.0], [0.0, 5.0], [0.0, 0.2]])
-        labels, _, _ = kmeans(points, 2, KMeansConfig(seed=6, normalize_rows=True))
+        labels, _, _ = kmeans(points, 2, KMeansConfig(normalize_rows=True), seed=6)
         # after unit-normalizing rows, co-directional points must co-cluster
         assert labels[0] == labels[1] and labels[2] == labels[3]
         assert labels[0] != labels[2]
@@ -158,7 +158,7 @@ class TestKMeans:
     def test_all_distinct_rows_pinned(self):
         # every row distinct: the same draws and bits as unweighted K-means
         points = np.random.default_rng(0).standard_normal((300, 4))
-        labels, centers, inertia = kmeans(points, 4, KMeansConfig(seed=3))
+        labels, centers, inertia = kmeans(points, 4, seed=3)
         assert hashlib.sha256(labels.astype("<i8").tobytes()).hexdigest() == (
             "eadd53c6c926f45088a3836f9578345b491cbe87f143f547541e3bb7cb4b80c2")
         assert np.bincount(labels).tolist() == [58, 114, 64, 64]
@@ -192,7 +192,7 @@ def repeated_rows(draw):
 @given(repeated_rows(), st.integers(0, 1000))
 def test_repeated_rows_weighted_invariants(data, seed):
     points, k = data
-    labels, centers, inertia = kmeans(points, k, KMeansConfig(restarts=2, seed=seed))
+    labels, centers, inertia = kmeans(points, k, KMeansConfig(restarts=2), seed=seed)
     distinct = np.unique(points, axis=0)
     if k <= distinct.shape[0]:
         for row in distinct:
@@ -221,9 +221,9 @@ def test_rows_with_an_inverse_cluster_as_their_datapoints(data, seed, normalize)
     order = inverse[np.sort(first)]  # the rows by their first datapoint
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    cfg = KMeansConfig(restarts=2, seed=seed, normalize_rows=normalize)
-    expected = kmeans(points[inverse], k, cfg)
-    result = kmeans(points[order], k, cfg, inverse=rank[inverse])
+    cfg = KMeansConfig(restarts=2, normalize_rows=normalize)
+    expected = kmeans(points[inverse], k, cfg, seed=seed)
+    result = kmeans(points[order], k, cfg, inverse=rank[inverse], seed=seed)
     assert np.array_equal(result[0], expected[0])
     assert np.array_equal(result[1], expected[1])
     assert result[2] == expected[2]

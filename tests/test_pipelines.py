@@ -302,6 +302,13 @@ class TestSpecMix:
         with pytest.raises(ConfigError, match="finite"):
             SpecMixConfig(k=2, lambdas=lam).resolve_lambdas(2)
 
+    @pytest.mark.parametrize("value", [{"restarts": 3}, None, 3])
+    def test_kmeans_settings_must_be_a_kmeans_config(self, value):
+        # such a value used to build, and the pipeline then failed with a raw
+        # TypeError from dataclasses.replace
+        with pytest.raises(ConfigError, match="KMeansConfig"):
+            SpecMixConfig(k=2, kmeans=value)
+
 
 def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
@@ -400,6 +407,15 @@ class TestResultSerialization:
         ("timings", []), ("config", []), ("max_residual", "0"),
         ("version", None), ("version", True), ("labels", [2 ** 63]),
         ("labels", [-2 ** 63 - 1]),
+        # to_json used to raise a raw ValueError or TypeError on these, or to
+        # write True back as 1.0, or NaN, which is not JSON
+        ("timings", {"total": "x"}), ("timings", {"total": None}),
+        ("timings", {"total": [1]}), ("timings", {"total": True}),
+        ("timings", {"total": float("nan")}), ("eigenvalues", [0.0, float("nan")]),
+        ("eigenvalues", [float("inf")]), ("max_residual", float("nan")),
+        ("max_residual", float("-inf")), ("max_residual", -1.0),
+        pytest.param("max_residual", 10 ** 400, id="max_residual-10**400"),
+        ("seed", -1), ("seed", 2 ** 64), ("embedding_rows_used", -1),
     ])
     def test_malformed_field_is_data_error(self, name, value):
         doc = json.loads(ClusteringResult(
