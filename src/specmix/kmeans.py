@@ -173,11 +173,13 @@ def _distinct_rows(points: np.ndarray):
     """(rows, inverse): the distinct rows of ``points`` in order of first
     appearance, and the distinct row of each given row. Rows are compared by
     their bytes, so ``points`` must be finite. -0.0 and 0.0 differ in their
-    bytes, so such rows stay apart, which is correct but merges less."""
+    bytes, so such rows stay apart, which is correct but merges less. With
+    every row distinct, the rows are ``points`` as a C-contiguous array, not
+    a copy."""
     flat = np.ascontiguousarray(points)
     keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
     first, inverse = _first_appearance(keys)
-    return points[first], inverse
+    return (flat if first.size == flat.shape[0] else points[first]), inverse
 
 
 def kmeans(points, k: int, cfg: KMeansConfig | None = None, inverse=None,

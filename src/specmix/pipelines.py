@@ -119,9 +119,9 @@ class ClusteringResult:
             raise DataError(f"unsupported result version {version!r}")
         doc.setdefault("max_residual", 0.0)
         return cls(
-            labels=_array_field(doc, "labels", "i", np.int64, "integers"),
+            labels=_array_field(doc, "labels", {int}, np.int64, "integers"),
             eigenvalues=_finite("eigenvalues", _array_field(
-                doc, "eigenvalues", "iuf", np.float64, "numbers")),
+                doc, "eigenvalues", {int, float}, np.float64, "numbers")),
             embedding_rows_used=_field(doc, "embedding_rows_used", int, "an integer",
                                        (0, _INT64_MAX)),
             timings=_finite("timings", _field(doc, "timings", dict, "an object")),
@@ -157,18 +157,17 @@ def _finite(name: str, values):
     return values
 
 
-def _array_field(doc: dict, name: str, kinds: str, dtype, what: str) -> np.ndarray:
-    """``doc[name]``, a list of numbers whose numpy dtype kind is in
-    ``kinds``, as a ``dtype`` vector."""
+def _array_field(doc: dict, name: str, types: set, dtype, what: str) -> np.ndarray:
+    """``doc[name]``, a list whose items are all of exactly the ``types`` (so
+    neither a bool nor a list), as a ``dtype`` vector. An int out of
+    ``dtype``'s range is refused too."""
     values = _field(doc, name, list, f"a list of {what}")
     try:
-        values = np.asarray(values)
-    except ValueError:  # ragged nesting
-        values = None
-    if (values is None or values.ndim != 1
-            or (values.size and values.dtype.kind not in kinds)):
-        raise DataError(f"result field {name!r} is not a list of {what}")
-    return values.astype(dtype, copy=False)
+        if set(map(type, values)) <= types:
+            return np.asarray(values, dtype=dtype)
+    except OverflowError:
+        pass
+    raise DataError(f"result field {name!r} is not a list of {what}")
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -251,23 +250,32 @@ def transfer_cut(stacked: StackedEncoder, k: int) -> tuple[EigenPairs, np.ndarra
             f"gamma_{k} = {gammas[-1]:.12g} is too close to 1")
     mus = 1.0 - np.sqrt(np.maximum(1.0 - gammas, 0.0))
 
-    # Whole r x k blocks: on cat-distinct (u = 45k tuples, k = 16, 2 CPUs)
-    # peak RSS was 119.3 MB, against 119.2 MB one column at a time.
+    # Whole r x k blocks, at most three at a time: the vectors, filled in
+    # place as one (r + t) x k block, plus a product and the one residual
+    # buffer. The embedding is copied only after that buffer is freed, so it
+    # never makes a fourth. Each in-place step rounds as the expression it
+    # stands for (a / b, a * c, a - b, a * a), so the bits do not move.
     rows = stacked.rows
-    lifted = stacked.apply(small.vectors) / (stacked.lam_total * (1.0 - mus))
-    vectors = np.concatenate([lifted, small.vectors]) * (1.0 / np.sqrt(2.0))
+    vectors = np.empty((rows + stacked.t, k))
+    np.divide(stacked.apply(small.vectors), stacked.lam_total * (1.0 - mus),
+              out=vectors[:rows])
+    vectors[rows:] = small.vectors
+    vectors *= 1.0 / np.sqrt(2.0)
     # Sign convention on the lifted vectors; keep the embedding consistent.
     # A column's first largest-magnitude entry is at the first appearance of
     # its tuple, so one row per tuple flips as one row per datapoint does.
-    vectors = _fix_signs(vectors)
-    embedding = vectors[:rows, :] * np.sqrt(2.0)
+    _fix_signs(vectors)
 
     # (D - W - mu D) v per node; each tuple's row stands for its datapoints'
     # equal rows. ``products`` counts the reduced solve's columns plus these k.
     f, u = vectors[:rows], vectors[rows:]
-    data = stacked.lam_total * (1.0 - mus) * f - stacked.apply(u)
     cats = (1.0 - mus) * d_small[:, None] * u - stacked.apply_transpose(f)
-    residuals = np.sqrt(stacked.counts @ (data * data) + np.einsum("ij,ij->j", cats, cats))
+    data = stacked.lam_total * (1.0 - mus) * f
+    data -= stacked.apply(u)
+    np.square(data, out=data)
+    residuals = np.sqrt(stacked.counts @ data + np.einsum("ij,ij->j", cats, cats))
+    del data
+    embedding = vectors[:rows] * np.sqrt(2.0)
     return EigenPairs(mus, vectors, residuals, small.products + k), embedding
 
 
@@ -285,19 +293,23 @@ def _cluster(ds: MixedDataset, cfg: SpecMixConfig, method: str,
     graph = build(ds, cfg)
     t1 = time.perf_counter()
     pairs, embedding, inverse = solve(graph, cfg)
+    # only the values and the worst residual outlive the solve: where the
+    # embedding is a copy (onlycat), the eigenvectors are freed before K-means
+    values, max_residual = pairs.values, float(np.max(pairs.residuals))
+    del pairs
     t2 = time.perf_counter()
     labels, _, _ = kmeans(embedding, cfg.k, cfg.kmeans, inverse=inverse, seed=cfg.seed)
     t3 = time.perf_counter()
     timings = dict(zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t3 - t0), strict=True))
     return ClusteringResult(
         labels=np.asarray(labels[:ds.n], dtype=np.int64),
-        eigenvalues=np.asarray(pairs.values, dtype=np.float64),
+        eigenvalues=np.asarray(values, dtype=np.float64),
         embedding_rows_used=labels.size,
         timings=timings,
         config=cfg.echo(),
         seed=cfg.seed,
         method=method,
-        max_residual=float(np.max(pairs.residuals)),
+        max_residual=max_residual,
     )
 
 

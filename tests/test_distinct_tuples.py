@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from specmix import (ConfigError, DataError, KMeansConfig, MixedDataset, SpecMixConfig,
                      SpecmixError, SpectralGapError, StackedEncoder, SyntheticParams,
-                     assemble_augmented, base_similarity, build_stacked,
-                     generate_synthetic, kmeans, onlycat, transfer_cut)
+                     assemble_augmented, base_similarity, build_bipartite_reduction,
+                     build_stacked, generate_synthetic, generalized_smallest_eigs, kmeans,
+                     onlycat, transfer_cut)
+from specmix.eigen import _fix_signs
 from specmix.pipelines import distinct_tuples
 
 
@@ -185,3 +187,60 @@ def test_onlycat_holds_no_n_by_k_array():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 8 * n
+
+
+def test_onlycat_holds_six_tuple_by_k_blocks():
+    # mostly distinct tuples: u = 16,427 in 20,000 rows. The lift is built
+    # once and the eigenvectors go before K-means, so at most 6.5 u x k
+    # float blocks are held at once; a separate lift next to its scaled
+    # copy, and the vectors kept through K-means, held 7.3
+    n, k, q = 20_000, 16, 8
+    ds, _ = generate_synthetic(SyntheticParams(n=n, k=k, q=q, sigma=1.0, p=0.3, seed=1))
+    u = distinct_tuples(ds.categorical, ds.cardinalities)[0].size
+    assert u == 16_427
+    tracemalloc.start()
+    try:
+        onlycat(ds, SpecMixConfig(k=k, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * u * k * 8
+
+
+def check_lift_bits(stacked, k):
+    """``transfer_cut``'s pairs and embedding are bit for bit those of the
+    written-out formulas: the lift divided, stacked on the reduced vectors,
+    scaled and sign-fixed, the residuals from its vectors, and the embedding
+    their scaled data rows."""
+    pairs, embedding = transfer_cut(stacked, k)
+    w_small, d_small = build_bipartite_reduction(stacked)
+    small = generalized_smallest_eigs(w_small, d_small, k)
+    mus, rows = pairs.values, stacked.rows
+    lifted = stacked.apply(small.vectors) / (stacked.lam_total * (1.0 - mus))
+    vectors = _fix_signs(np.concatenate([lifted, small.vectors]) * (1.0 / np.sqrt(2.0)))
+    assert np.array_equal(pairs.vectors, vectors)
+    f, u = vectors[:rows], vectors[rows:]
+    data = stacked.lam_total * (1.0 - mus) * f - stacked.apply(u)
+    cats = (1.0 - mus) * d_small[:, None] * u - stacked.apply_transpose(f)
+    residuals = np.sqrt(stacked.counts @ (data * data) + np.einsum("ij,ij->j", cats, cats))
+    assert np.array_equal(pairs.residuals, residuals)
+    assert np.array_equal(embedding, vectors[:rows] * np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("n, k, q, p", [(20000, 4, 3, 0.25), (6000, 16, 8, 0.3)])
+def test_lift_bits_on_the_golden_shapes(n, k, q, p):
+    ds, _ = generate_synthetic(SyntheticParams(n=n, k=k, q=q, sigma=1.0, p=p, seed=1))
+    check_lift_bits(build_stacked(ds, [1.0] * q), k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tuple_codes(), st.integers(2, 4))
+def test_lift_bits_on_drawn_encoders(problem, k):
+    codes, cards = problem
+    ds = MixedDataset(np.empty((codes.shape[0], 0)), codes, cards)
+    lams = np.linspace(0.5, 2.0, len(cards))
+    for stacked in (StackedEncoder(codes, cards, lams), build_stacked(ds, lams)):
+        try:
+            check_lift_bits(stacked, k)
+        except SpecmixError:  # no gap at k, or k above t: nothing to lift
+            pass

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmix import ConfigError, DataError, KMeansConfig, kmeans
-from specmix.kmeans import _choice, _plus_plus_init, _sq_dists, alternate
+from specmix.kmeans import (_choice, _distinct_rows, _plus_plus_init, _sq_dists,
+                            alternate)
 
 
 def brute_force_two_clusters(points):
@@ -372,3 +373,12 @@ def test_objective_falls_until_the_labels_repeat(clusterer):
         assert run[1].tobytes() == runs[repeat - 1][1].tobytes()
         assert np.array_equal(run[2], runs[repeat - 1][2])
         assert run[3] == runs[repeat - 1][3]
+
+
+def test_distinct_rows_are_not_copied():
+    points = np.random.default_rng(0).standard_normal((50, 3))
+    rows, inverse = _distinct_rows(points)
+    assert rows is points and np.array_equal(inverse, np.arange(50))
+    # a repeated row takes the copy that drops it
+    rows, inverse = _distinct_rows(points[[0, 1, 0, 2]])
+    assert np.array_equal(rows, points[:3]) and inverse.tolist() == [0, 1, 0, 2]

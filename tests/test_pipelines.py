@@ -416,6 +416,8 @@ class TestResultSerialization:
         ("max_residual", float("-inf")), ("max_residual", -1.0),
         pytest.param("max_residual", 10 ** 400, id="max_residual-10**400"),
         ("seed", -1), ("seed", 2 ** 64), ("embedding_rows_used", -1),
+        # numpy reads a bool among numbers as 1 or 0.0
+        ("labels", [True, 1]), ("eigenvalues", [False, 0.5]),
     ])
     def test_malformed_field_is_data_error(self, name, value):
         doc = json.loads(ClusteringResult(
