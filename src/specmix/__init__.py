@@ -11,8 +11,7 @@ in the number of datapoints.
 from .baselines import kmodes, kprototypes
 from .dataset import (ColumnSchema, MixedDataset, SyntheticParams,
                       generate_synthetic, load_mixed_csv, standardize_numeric)
-from .eigen import (EigenPairs, generalized_smallest_eigs,
-                    symmetric_smallest_eigs)
+from .eigen import EigenPairs, generalized_smallest_eigs
 from .errors import (ConfigError, ConvergenceError, DataError, SchemaError,
                      SpecmixError, SpectralGapError)
 from .graph import (AugmentedGraph, BaseWeights, StackedEncoder,
@@ -39,6 +38,5 @@ __all__ = [
     "derive_seed", "generalized_smallest_eigs", "generate_synthetic",
     "imbalance_ratio", "kmeans", "kmodes", "kprototypes", "label_agreement",
     "load_mixed_csv", "numeric_spectral", "onlycat", "purity", "run_sweep",
-    "specmix", "standardize_numeric", "symmetric_smallest_eigs",
-    "transfer_cut",
+    "specmix", "standardize_numeric", "transfer_cut",
 ]

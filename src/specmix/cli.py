@@ -22,15 +22,12 @@ import numpy as np
 
 from .dataset import (ColumnSchema, SyntheticParams, generate_synthetic,
                       load_mixed_csv, read_text, standardize_numeric)
-from .errors import ConfigError, DataError, SpecmixError
+from .errors import DataError, SpecmixError
 from .kmeans import KMeansConfig
 from .metrics import ContingencyTable, imbalance_ratio
-from .pipelines import (ClusteringResult, SpecMixConfig, specmix_graph,
-                        specmix_graph_dim)
+from .pipelines import ClusteringResult, SpecMixConfig
 from .sweep import (METHODS, ExperimentGrid, fmt, parse_values, run_method,
                     run_sweep, write_rows)
-
-DUMP_NODE_LIMIT = 5000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,10 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="skip standardization of numeric columns")
     cluster.add_argument("--output", help="write the result JSON here "
                                           "(default: stdout)")
-    cluster.add_argument("--dump-graph", metavar="PATH",
-                         help="debug: dump the dense augmented weight matrix "
-                              "and degrees to CSV (--method specmix only; "
-                              f"refused above {DUMP_NODE_LIMIT} nodes)")
 
     synth = sub.add_parser("synth", help="write a synthetic dataset CSV")
     synth.add_argument("--n", type=int, required=True)
@@ -103,22 +96,7 @@ def _load_schema(args) -> Optional[ColumnSchema]:
     return None
 
 
-def _dump_graph(ds, cfg, path) -> None:
-    dim = specmix_graph_dim(ds, cfg)  # refuse before the n x n build
-    if dim > DUMP_NODE_LIMIT:
-        raise ConfigError(f"refusing to dump a graph with {dim} > "
-                          f"{DUMP_NODE_LIMIT} nodes")
-    graph = specmix_graph(ds, cfg)
-    path = Path(path)
-    write_rows(path, ([fmt(v) for v in row] for row in graph.dense()))
-    write_rows(path.with_name(path.stem + ".degrees.csv"),
-               ([fmt(v)] for v in graph.degrees))
-
-
 def _cmd_cluster(args) -> int:
-    if args.dump_graph and args.method != "specmix":
-        raise ConfigError("--dump-graph dumps the specmix graph; it needs "
-                          "--method specmix")
     schema = _load_schema(args)
     lams = parse_values("--lambda", args.lam)
     cfg = SpecMixConfig(k=args.k, lambdas=lams[0] if len(lams) == 1 else lams,
@@ -128,8 +106,6 @@ def _cmd_cluster(args) -> int:
     ds, truth = load_mixed_csv(args.dataset, schema, missing_values=missing)
     if ds.num_numeric >= 1 and not args.no_standardize:
         ds = standardize_numeric(ds)
-    if args.dump_graph:
-        _dump_graph(ds, cfg, args.dump_graph)
 
     result = run_method(args.method, ds, cfg)
     doc = result.to_json()

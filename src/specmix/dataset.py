@@ -456,6 +456,8 @@ def standardize_numeric(ds: MixedDataset) -> MixedDataset:
         raise ConfigError("standardize_numeric requires at least one numeric column")
     means = ds.numeric.mean(axis=0)
     stds = ds.numeric.std(axis=0)
+    # a constant column whose mean rounds has a tiny positive std, not 0
+    stds[(ds.numeric == ds.numeric[:1]).all(axis=0)] = 0.0
     centered = ds.numeric - means
     out = np.where(stds > 0.0, centered / np.where(stds > 0.0, stds, 1.0), 0.0)
     return MixedDataset(out, ds.categorical, ds.cardinalities)

@@ -1,4 +1,4 @@
-"""Symmetric and generalized eigensolvers for the spectral relaxation.
+"""The generalized eigensolver of the spectral relaxation.
 
 Every solve runs block Lanczos with full reorthogonalization on a
 matrix-vector product, whatever the size of the problem and whether it comes
@@ -217,18 +217,6 @@ def _gershgorin(band) -> float:
     for d in range(1, ab.shape[0]):
         sums[d:] += ab[d, :-d]
     return max(1.0, float(sums.max()))
-
-
-def symmetric_smallest_eigs(a, k: int, seed: int = 0) -> EigenPairs:
-    """K algebraically smallest eigenpairs of a symmetric matrix or of an
-    operator: any object with ``dim`` and a ``matvec`` taking a dim x m block.
-    Eigenvectors are orthonormal; ``seed`` draws the start block.
-    """
-    matvec, dim = _as_operator(a)
-    values, vectors, columns = _lanczos_smallest(matvec, dim, k, seed)
-    vectors = _fix_signs(vectors)
-    residuals = _residual_norms(matvec(vectors), vectors, values)
-    return EigenPairs(values, vectors, residuals, columns + k)
 
 
 def generalized_smallest_eigs(weights, degrees, k: int, seed: int = 0) -> EigenPairs:

@@ -4,9 +4,9 @@ The base graph connects datapoints through a Gaussian similarity on their
 numeric features. The augmented graph appends one extra node per category of
 each categorical variable; datapoint i is linked to the extra node of its
 category in variable l with weight lambda_l, and every extra node carries a
-unit self-loop. The augmentation is never materialized densely except on
-demand: products go through the sparse one-hot matrix H, costing
-O(n^2 + nQ) per column, and take a vector or a block of column vectors.
+unit self-loop. The augmentation is never materialized densely: products go
+through the sparse one-hot matrix H, costing O(n^2 + nQ) per column, and
+take a vector or a block of column vectors.
 
 Graphs are immutable after assembly; all queries are pure.
 """
@@ -80,9 +80,6 @@ class BaseWeights:
         16-18 ms for W @ X.
         """
         return (_block(x, self.n).T @ self.matrix).T
-
-    def dense(self) -> np.ndarray:
-        return self.matrix
 
 
 def base_similarity(ds: MixedDataset) -> BaseWeights:
@@ -220,10 +217,6 @@ class StackedEncoder:
         counted = sparse.diags_array(self.counts.astype(np.float64)) @ self.unit
         return (self._unit_t @ counted).toarray()
 
-    def dense(self) -> np.ndarray:
-        """H, one row per row of ``codes``."""
-        return self.unit.toarray() * self.weights
-
     # Weights act on the t side, so H.T x is lambda times a sum of x_i and
     # rounds as a per-variable scatter-add. x.T puts the rows last, so the
     # weights broadcast over a vector and a block alike.
@@ -285,11 +278,6 @@ class AugmentedGraph:
         return np.concatenate([
             self.base.matvec(x[:n]) + self.stacked.apply(x[n:]),
             self.stacked.apply_transpose(x[:n]) + x[n:]])
-
-    def dense(self) -> np.ndarray:
-        """Materialize the full (n+t) x (n+t) weight matrix."""
-        h = self.stacked.dense()
-        return np.block([[self.base.matrix, h], [h.T, np.eye(self.t)]])
 
 
 def assemble_augmented(base: BaseWeights, stacked: StackedEncoder) -> AugmentedGraph:

@@ -29,14 +29,17 @@ class KMeansConfig:
 
     restarts: int = 10
     max_iters: int = 1
-    normalize_rows: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "restarts", as_int(self.restarts, "restarts", 1))
         object.__setattr__(self, "max_iters", as_int(self.max_iters, "max_iters", 1))
-        if not isinstance(self.normalize_rows, bool):  # "no" would be true
-            raise ConfigError(f"normalize_rows must be a bool, "
-                              f"got {self.normalize_rows!r}")
+
+
+def check_config(cfg) -> KMeansConfig:
+    """``cfg``, which must be a KMeansConfig: a dict or a number is a ConfigError."""
+    if not isinstance(cfg, KMeansConfig):
+        raise ConfigError(f"kmeans must be a KMeansConfig, got {cfg!r}")
+    return cfg
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray, p2) -> np.ndarray:
@@ -199,7 +202,7 @@ def kmeans(points, k: int, cfg: KMeansConfig | None = None, inverse=None,
     fewer distinct rows than k, every datapoint is clustered on its own with
     unit weight.
     """
-    cfg = cfg or KMeansConfig()
+    cfg = KMeansConfig() if cfg is None else check_config(cfg)
     k = as_int(k, "cluster count k", 1)
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -218,9 +221,6 @@ def kmeans(points, k: int, cfg: KMeansConfig | None = None, inverse=None,
         raise ConfigError(f"need at least k={k} rows, got {inverse.size}")
     if not np.isfinite(points).all():
         raise DataError("points have non-finite entries")
-    if cfg.normalize_rows:
-        norms = np.linalg.norm(points, axis=1, keepdims=True)
-        points = np.where(norms > 0.0, points / np.where(norms > 0.0, norms, 1.0), 0.0)
 
     rows, merged = _distinct_rows(points)
     if rows.shape[0] < k:  # too few to fill k clusters: one row per datapoint

@@ -19,7 +19,7 @@ from .eigen import EigenPairs, _fix_signs, generalized_smallest_eigs
 from .errors import ConfigError, DataError, SpectralGapError
 from .graph import (AugmentedGraph, BaseWeights, StackedEncoder, as_lambdas,
                     assemble_augmented, base_similarity)
-from .kmeans import KMeansConfig, kmeans
+from .kmeans import KMeansConfig, check_config, kmeans
 
 RESULT_FORMAT_VERSION = 1
 STAGES = ("graph", "eigen", "kmeans", "total")  # the timings of a spectral result
@@ -29,7 +29,8 @@ _GAP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SpecMixConfig:
-    """Clustering configuration shared by both pipelines.
+    """Clustering configuration of the three spectral pipelines; the
+    baselines read only ``k``, ``seed`` and ``kmeans.restarts``.
 
     ``lambdas``, checked when the config is built, is one finite nonnegative
     number for every categorical variable or a sequence of one per variable,
@@ -49,8 +50,7 @@ class SpecMixConfig:
         object.__setattr__(self, "seed", _check_seed(self.seed))
         values = as_lambdas(self.lambdas)
         object.__setattr__(self, "lambdas", values if np.ndim(self.lambdas) else values[0])
-        if not isinstance(self.kmeans, KMeansConfig):
-            raise ConfigError(f"kmeans must be a KMeansConfig, got {self.kmeans!r}")
+        check_config(self.kmeans)
 
     def resolve_lambdas(self, q: int) -> np.ndarray:
         lams = (np.full(q, self.lambdas) if isinstance(self.lambdas, float)
@@ -330,28 +330,13 @@ def specmix_graph(ds: MixedDataset,
     """The graph ``specmix`` clusters: the numeric similarity graph augmented
     with every categorical variable whose lambda is positive, or the bare
     similarity graph when every lambda is zero."""
-    active, lams = _augmenting(ds, cfg)
+    lams = cfg.resolve_lambdas(ds.num_categorical)
+    active = np.flatnonzero(lams > 0.0)
     weights = base_similarity(ds)
     if active.size == 0:
         return weights
     return assemble_augmented(weights, StackedEncoder(
-        ds.categorical[:, active], np.take(ds.cardinalities, active), lams))
-
-
-def _augmenting(ds: MixedDataset,
-                cfg: SpecMixConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The indices and lambdas of the categorical variables whose lambda is
-    positive: those that ``specmix_graph`` adds as extra nodes."""
-    lams = cfg.resolve_lambdas(ds.num_categorical)
-    active = np.flatnonzero(lams > 0.0)
-    return active, lams[active]
-
-
-def specmix_graph_dim(ds: MixedDataset, cfg: SpecMixConfig) -> int:
-    """The node count of ``specmix_graph(ds, cfg)``, found without building
-    the graph: n plus the categories of the augmenting variables."""
-    active, _ = _augmenting(ds, cfg)
-    return ds.n + int(np.take(ds.cardinalities, active).sum())
+        ds.categorical[:, active], np.take(ds.cardinalities, active), lams[active]))
 
 
 def specmix(ds: MixedDataset, cfg: SpecMixConfig) -> ClusteringResult:

@@ -508,9 +508,13 @@ class TestStandardize:
 
     def test_constant_column_zeroed(self):
         from specmix import MixedDataset
-        ds = MixedDataset(np.full((3, 1), 5.0), np.zeros((3, 1), dtype=int), (1,))
-        out = standardize_numeric(ds)
-        assert np.array_equal(out.numeric, np.zeros((3, 1)))
+        # the mean of 5.0 is exact; the means of the others round, which
+        # leaves the column a std of 1e-17 to 1e-14
+        for value, n in [(5.0, 3), (0.1, 3), (0.1, 7), (0.1, 1000), (0.3, 10),
+                         (0.7, 3), (123.456, 10)]:
+            ds = MixedDataset(np.full((n, 1), value), np.zeros((n, 1), dtype=int), (1,))
+            out = standardize_numeric(ds)
+            assert np.array_equal(out.numeric, np.zeros((n, 1))), (value, n)
 
     def test_idempotent(self):
         from specmix import MixedDataset

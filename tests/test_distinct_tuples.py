@@ -24,18 +24,15 @@ def labels_digest(labels) -> str:
 
 # recorded before onlycat ran on distinct tuples; any change to the
 # arithmetic or the K-means draws moves these bits
-@pytest.mark.parametrize("n, k, q, p, normalize, digest", [
+@pytest.mark.parametrize("n, k, q, p, digest", [
     # heavily duplicated: 64 distinct tuples
-    (20000, 4, 3, 0.25, False, "121258752309520c6a1fd98448f8572ca070d35d25ad8ba2a14845dc0e34af74"),
-    (20000, 4, 3, 0.25, True, "1c1d8163875a6e19683d197ffcc3f61e3158e08bb51f38d83ecb00c8f3c8ba3a"),
+    (20000, 4, 3, 0.25, "121258752309520c6a1fd98448f8572ca070d35d25ad8ba2a14845dc0e34af74"),
     # mostly distinct: 5344 tuples in 6000 rows
-    (6000, 16, 8, 0.3, False, "11d71273a22e763a493e92221e49d4f4a18b03f12644c05f62be167754bc53b8"),
-    (6000, 16, 8, 0.3, True, "cb18b010a589dd7f974cf98407632e7790a10d571e08b686ba48804a25ae94ae"),
+    (6000, 16, 8, 0.3, "11d71273a22e763a493e92221e49d4f4a18b03f12644c05f62be167754bc53b8"),
 ])
-def test_golden_onlycat_labels(n, k, q, p, normalize, digest):
+def test_golden_onlycat_labels(n, k, q, p, digest):
     ds, _ = generate_synthetic(SyntheticParams(n=n, k=k, q=q, sigma=1.0, p=p, seed=1))
-    cfg = SpecMixConfig(k=k, lambdas=1.0, seed=1,
-                        kmeans=KMeansConfig(normalize_rows=normalize))
+    cfg = SpecMixConfig(k=k, lambdas=1.0, seed=1)
     assert labels_digest(onlycat(ds, cfg).labels) == digest
 
 
@@ -92,10 +89,10 @@ def onlycat_problems(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(onlycat_problems(), st.booleans())
-def test_onlycat_labels_equal_kmeans_on_the_full_embedding(problem, normalize):
+@given(onlycat_problems())
+def test_onlycat_labels_equal_kmeans_on_the_full_embedding(problem):
     ds, k, lams, seed = problem
-    kcfg = KMeansConfig(normalize_rows=normalize, restarts=3)
+    kcfg = KMeansConfig(restarts=3)
     cfg = SpecMixConfig(k=k, lambdas=lams, kmeans=kcfg, seed=seed)
     full = StackedEncoder(ds.categorical, ds.cardinalities,
                           cfg.resolve_lambdas(ds.num_categorical))

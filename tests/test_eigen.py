@@ -7,8 +7,7 @@ from scipy.linalg import block_diag
 from specmix import (ConfigError, ConvergenceError, SpecMixConfig,
                      StackedEncoder, SyntheticParams, base_similarity,
                      build_bipartite_reduction, eigen,
-                     generalized_smallest_eigs, generate_synthetic, specmix,
-                     symmetric_smallest_eigs)
+                     generalized_smallest_eigs, generate_synthetic, specmix)
 
 
 class Operator:
@@ -16,6 +15,12 @@ class Operator:
 
     def __init__(self, matvec, dim):
         self.matvec, self.dim = matvec, dim
+
+
+def lanczos_core(a, k, seed=0):
+    """(values, vectors, columns) of the Lanczos core on the symmetric matrix
+    or operator ``a``: orthonormal vectors, without the sign convention."""
+    return eigen._lanczos_smallest(*eigen._as_operator(a), k, seed)
 
 
 def random_symmetric(rng, dim):
@@ -52,48 +57,47 @@ def subspace_sine(a, b):
 
 class TestSymmetric:
     def test_identity_spectrum(self):
-        pairs = symmetric_smallest_eigs(np.eye(4), 2)
-        assert np.allclose(pairs.values, [1.0, 1.0])
+        values, _, _ = lanczos_core(np.eye(4), 2)
+        assert np.allclose(values, [1.0, 1.0])
 
     def test_diagonal_matrix(self):
-        pairs = symmetric_smallest_eigs(np.diag([3.0, 1.0, 2.0]), 2)
-        assert np.allclose(pairs.values, [1.0, 2.0])
-        assert np.allclose(np.abs(pairs.vectors[:, 0]), [0, 1, 0])
-        assert np.allclose(np.abs(pairs.vectors[:, 1]), [0, 0, 1])
+        values, vectors, _ = lanczos_core(np.diag([3.0, 1.0, 2.0]), 2)
+        assert np.allclose(values, [1.0, 2.0])
+        assert np.allclose(np.abs(vectors[:, 0]), [0, 1, 0])
+        assert np.allclose(np.abs(vectors[:, 1]), [0, 0, 1])
 
     def test_residuals_random(self):
         rng = np.random.default_rng(0)
         a = random_symmetric(rng, 20)
-        pairs = symmetric_smallest_eigs(a, 5)
-        scale = max(1.0, np.abs(pairs.values).max())
+        values, vectors, _ = lanczos_core(a, 5)
+        scale = max(1.0, np.abs(values).max())
         for i in range(5):
-            res = np.linalg.norm(a @ pairs.vectors[:, i]
-                                 - pairs.values[i] * pairs.vectors[:, i])
+            res = np.linalg.norm(a @ vectors[:, i] - values[i] * vectors[:, i])
             assert res <= 1e-8 * scale
-        gram = pairs.vectors.T @ pairs.vectors
+        gram = vectors.T @ vectors
         assert np.abs(gram - np.eye(5)).max() <= 1e-8
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ConfigError):
-            symmetric_smallest_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
+            lanczos_core(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
     def test_rejects_k_too_large(self):
         with pytest.raises(ConfigError):
-            symmetric_smallest_eigs(np.eye(3), 4)
+            lanczos_core(np.eye(3), 4)
 
     def test_lanczos_matches_dense(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
             a = random_symmetric(rng, 50)
-            lanczos = symmetric_smallest_eigs(a, 6)
-            assert np.abs(dense_oracle(a)[0][:6] - lanczos.values).max() <= 1e-8
+            values, _, _ = lanczos_core(a, 6)
+            assert np.abs(dense_oracle(a)[0][:6] - values).max() <= 1e-8
 
     def test_operator_form(self):
         rng = np.random.default_rng(2)
         a = random_symmetric(rng, 40)
         op = Operator(lambda x: a @ x, 40)
-        pairs = symmetric_smallest_eigs(op, 3)
-        assert np.abs(pairs.values - dense_oracle(a)[0][:3]).max() <= 1e-8
+        values, _, _ = lanczos_core(op, 3)
+        assert np.abs(values - dense_oracle(a)[0][:3]).max() <= 1e-8
 
 
 class TestGeneralized:
@@ -222,17 +226,17 @@ class TestRepeatedEigenvalues:
         # k=6 needs all five copies of 1 and one of 2: the basis fills the
         # 15-dimensional space after three blocks, and the last block
         # narrows to what is left of it
-        pairs = symmetric_smallest_eigs(np.diag(np.repeat([1.0, 2.0, 3.0], 5)), 6)
-        assert np.abs(pairs.values - [1, 1, 1, 1, 1, 2]).max() <= 1e-8
-        assert np.abs(pairs.vectors.T @ pairs.vectors - np.eye(6)).max() <= 1e-8
+        values, vectors, _ = lanczos_core(np.diag(np.repeat([1.0, 2.0, 3.0], 5)), 6)
+        assert np.abs(values - [1, 1, 1, 1, 1, 2]).max() <= 1e-8
+        assert np.abs(vectors.T @ vectors - np.eye(6)).max() <= 1e-8
 
     def test_symmetric_block_copies(self):
         rng = np.random.default_rng(2)
         a = random_symmetric(rng, 30)
         b = block_diag(a, a, a)
-        pairs = symmetric_smallest_eigs(b, 7)
-        assert np.abs(pairs.values - dense_oracle(b)[0][:7]).max() <= 1e-8
-        assert np.abs(pairs.vectors.T @ pairs.vectors - np.eye(7)).max() <= 1e-8
+        values, vectors, _ = lanczos_core(b, 7)
+        assert np.abs(values - dense_oracle(b)[0][:7]).max() <= 1e-8
+        assert np.abs(vectors.T @ vectors - np.eye(7)).max() <= 1e-8
 
 
 class TestProducts:
@@ -243,11 +247,12 @@ class TestProducts:
             return a @ x
         return Operator(matvec, a.shape[0])
 
+    # a symmetric matrix as the weights at unit degrees: the solve of I - A
     @pytest.mark.parametrize("k", [1, 4, 60])
     def test_symmetric_counts_every_column(self, k):
         a = random_symmetric(np.random.default_rng(10), 60)
         columns = []
-        pairs = symmetric_smallest_eigs(self.counting(a, columns), k)
+        pairs = generalized_smallest_eigs(self.counting(a, columns), np.ones(60), k)
         assert pairs.products == sum(columns) >= 2 * k
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -262,14 +267,16 @@ class TestProducts:
 class TestNonFiniteInput:
     # NaN fails every comparison, so these inputs used to reach
     # eigh_tridiagonal (ValueError) or LAPACK (LinAlgError); ``method`` names
-    # the one solver, and keeps the test ids of the three matrix cases
+    # the one solver, and keeps the test ids of the three matrix cases. The
+    # symmetric cases give their matrix or operator as the weights of a graph
+    # with unit degrees.
     @pytest.mark.parametrize("method", ["lanczos"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_symmetric_matrix(self, method, bad):
         a = random_symmetric(np.random.default_rng(0), 6)
         a[2, 3] = a[3, 2] = bad
         with pytest.raises(ConfigError, match="non-finite"):
-            symmetric_smallest_eigs(a, 2)
+            generalized_smallest_eigs(a, np.ones(6), 2)
 
     @pytest.mark.parametrize("method", ["lanczos"])
     def test_generalized_matrix(self, method):
@@ -294,7 +301,7 @@ class TestNonFiniteInput:
     def test_symmetric_operator(self, bad):
         op = Operator(lambda x: bad * x, 5)
         with pytest.raises(ConfigError, match="non-finite"):
-            symmetric_smallest_eigs(op, 2)
+            generalized_smallest_eigs(op, np.ones(5), 2)
 
     def test_symmetric_operator_fails_mid_run(self):
         a = random_symmetric(np.random.default_rng(3), 40)
@@ -308,7 +315,7 @@ class TestNonFiniteInput:
             return y
 
         with pytest.raises(ConfigError, match="non-finite"):
-            symmetric_smallest_eigs(Operator(matvec, 40), 3)
+            generalized_smallest_eigs(Operator(matvec, 40), np.ones(40), 3)
 
     # the last product is the returned residual check; a NaN there used to
     # come back as a NaN residual, which passes every bound
@@ -327,9 +334,8 @@ class TestNonFiniteInput:
         def solve():
             calls.clear()
             op = Operator(matvec, 30)
-            if generalized:
-                return generalized_smallest_eigs(op, w.sum(axis=1), 3)
-            return symmetric_smallest_eigs(op, 3)
+            return generalized_smallest_eigs(op, w.sum(axis=1) if generalized
+                                             else np.ones(30), 3)
 
         last = 0
         solve()
@@ -445,9 +451,9 @@ def symmetric_copies(draw):
 @given(symmetric_copies())
 def test_symmetric_copies_match_dense_oracle(problem):
     b, k = problem
-    pairs = symmetric_smallest_eigs(b, k)
-    assert np.abs(pairs.values - dense_oracle(b)[0][:k]).max() <= 1e-8
-    assert np.abs(pairs.vectors.T @ pairs.vectors - np.eye(k)).max() <= 1e-8
+    values, vectors, _ = lanczos_core(b, k)
+    assert np.abs(values - dense_oracle(b)[0][:k]).max() <= 1e-8
+    assert np.abs(vectors.T @ vectors - np.eye(k)).max() <= 1e-8
 
 
 class TestCheckSchedule:

@@ -132,7 +132,7 @@ class TestAssemble:
             [1, 0, 1, 0],
             [0, 1, 0, 1],
         ], dtype=float)
-        assert np.array_equal(graph.dense(), expected)
+        assert np.array_equal(graph.matvec(np.eye(graph.dim)), expected)
         # data node 0: 1 + w + lambda; extra node (var 0, category 0): 1*1 + 1
         assert graph.degrees[0] == pytest.approx(2.0 + w)
         assert graph.degrees[2] == pytest.approx(2.0)
@@ -140,12 +140,12 @@ class TestAssemble:
     def test_degree_matches_dense_row_sums(self):
         rng = np.random.default_rng(1)
         graph, *_ = random_augmented(rng)
-        assert np.allclose(graph.degrees, graph.dense().sum(axis=1))
+        assert np.allclose(graph.degrees, graph.matvec(np.eye(graph.dim)).sum(axis=1))
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(2)
         graph, *_ = random_augmented(rng, n=17, r=3, q=3)
-        dense = graph.dense()
+        dense = graph.matvec(np.eye(graph.dim))
         for _ in range(5):
             x = rng.standard_normal(graph.dim)
             assert np.allclose(graph.matvec(x), dense @ x, atol=1e-12)
@@ -153,7 +153,7 @@ class TestAssemble:
     def test_dense_symmetric_nonnegative(self):
         rng = np.random.default_rng(3)
         graph, *_ = random_augmented(rng)
-        dense = graph.dense()
+        dense = graph.matvec(np.eye(graph.dim))
         assert np.array_equal(dense, dense.T)
         assert dense.min() >= 0.0
 
@@ -189,8 +189,9 @@ class TestStackedEncoderChecks:
         stacked = StackedEncoder(self.CODES, (3, 2), [1.0, 2.0])
         assert stacked.cardinalities == (3, 2) and stacked.lambdas == (1.0, 2.0)
         assert stacked.codes.dtype == np.int64 and not hasattr(stacked, "encoders")
-        assert stacked.dense().tolist() == [[1, 0, 0, 0, 2], [0, 1, 0, 2, 0],
-                                            [0, 0, 1, 2, 0]]
+        assert stacked.apply(np.eye(stacked.t)).tolist() == [[1, 0, 0, 0, 2],
+                                                             [0, 1, 0, 2, 0],
+                                                             [0, 0, 1, 2, 0]]
 
     @pytest.mark.parametrize("codes", [CODES[:, :1], CODES[:, 0], CODES[:, :, None]])
     def test_wrong_column_count_rejected(self, codes):
@@ -284,12 +285,12 @@ class TestEnergy:
             labels = nonempty_partition(rng, graph.dim, 3)
             z, _ = assignment_matrix(labels, graph.degrees, 3)
             assert assignment_energy(z, graph) == pytest.approx(
-                ncut_oracle(graph.dense(), labels, 3), rel=1e-10)
+                ncut_oracle(graph.matvec(np.eye(graph.dim)), labels, 3), rel=1e-10)
 
     def test_laplacian_psd_via_edge_sum(self):
         rng = np.random.default_rng(10)
         graph, *_ = random_augmented(rng)
-        dense = graph.dense()
+        dense = graph.matvec(np.eye(graph.dim))
         for _ in range(10):
             v = rng.standard_normal(graph.dim)
             quad = v @ (graph.degrees * v - graph.matvec(v))
@@ -440,7 +441,7 @@ def stacked_problems(draw):
 @given(stacked_problems())
 def test_block_products(problem):
     stacked, equal, u, x = problem
-    h = stacked.dense()
+    h = stacked.apply(np.eye(stacked.t))
     hu, htx = stacked.apply(u), stacked.apply_transpose(x)
     assert hu.shape == x.shape and htx.shape == u.shape
     for j in range(u.shape[1]):
@@ -459,7 +460,8 @@ def test_block_products(problem):
         numeric, np.empty((stacked.n, 0), dtype=int), ())), stacked)
     block = np.vstack([x, u])
     columns = np.column_stack([graph.matvec(block[:, j]) for j in range(u.shape[1])])
-    assert within(graph.matvec(block), columns, np.abs(graph.dense()) @ np.abs(block))
+    dense = graph.matvec(np.eye(graph.dim))
+    assert within(graph.matvec(block), columns, np.abs(dense) @ np.abs(block))
 
     w_small, _ = build_bipartite_reduction(stacked)
     reference = (h.T @ h) / stacked.lam_total
@@ -476,7 +478,8 @@ class TestBlockShape:
 
     def test_block_matches_matrix_product(self):
         block = np.random.default_rng(16).standard_normal((self.graph.dim, 3))
-        assert np.allclose(self.graph.matvec(block), self.graph.dense() @ block,
+        dense = self.graph.matvec(np.eye(self.graph.dim))
+        assert np.allclose(self.graph.matvec(block), dense @ block,
                            rtol=0.0, atol=1e-12)
         base = self.graph.base
         assert np.array_equal(base.matvec(block[:base.n]), base.matrix @ block[:base.n])

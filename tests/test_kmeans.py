@@ -129,25 +129,18 @@ class TestKMeans:
                 hits += 1
         assert hits >= 0.95 * trials
 
-    def test_row_normalization_flag(self):
-        points = np.array([[10.0, 0.0], [0.1, 0.0], [0.0, 5.0], [0.0, 0.2]])
-        labels, _, _ = kmeans(points, 2, KMeansConfig(normalize_rows=True), seed=6)
-        # after unit-normalizing rows, co-directional points must co-cluster
-        assert labels[0] == labels[1] and labels[2] == labels[3]
-        assert labels[0] != labels[2]
-
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             KMeansConfig(restarts=0)
         with pytest.raises(ConfigError):
             KMeansConfig(max_iters=0)
 
-    @pytest.mark.parametrize("field, value", [
-        ("normalize_rows", "no"), ("normalize_rows", 1)])
-    def test_wrong_type_is_config_error(self, field, value):
-        # normalize_rows="no" used to normalize the rows
-        with pytest.raises(ConfigError, match=field):
-            KMeansConfig(**{field: value})
+    # no dict or number is a config, not even a falsy one that would pass for None
+    @pytest.mark.parametrize("cfg", [{"restarts": 2}, 3, {}, 0],
+                             ids=["dict", "int", "empty-dict", "zero"])
+    def test_config_that_is_not_a_kmeans_config(self, cfg):
+        with pytest.raises(ConfigError, match="kmeans must be a KMeansConfig, got"):
+            kmeans(np.eye(3), 2, cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):
@@ -208,8 +201,8 @@ def test_repeated_rows_weighted_invariants(data, seed):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(repeated_rows(), st.integers(0, 1000), st.booleans())
-def test_rows_with_an_inverse_cluster_as_their_datapoints(data, seed, normalize):
+@given(repeated_rows(), st.integers(0, 1000))
+def test_rows_with_an_inverse_cluster_as_their_datapoints(data, seed):
     """Rows in order of their first datapoint that stand for datapoints
     through ``inverse`` give the bits that one row per datapoint gives, equal
     given rows and the fallback to one row per datapoint (fewer distinct rows
@@ -222,7 +215,7 @@ def test_rows_with_an_inverse_cluster_as_their_datapoints(data, seed, normalize)
     order = inverse[np.sort(first)]  # the rows by their first datapoint
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    cfg = KMeansConfig(restarts=2, normalize_rows=normalize)
+    cfg = KMeansConfig(restarts=2)
     expected = kmeans(points[inverse], k, cfg, seed=seed)
     result = kmeans(points[order], k, cfg, inverse=rank[inverse], seed=seed)
     assert np.array_equal(result[0], expected[0])

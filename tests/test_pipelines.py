@@ -25,7 +25,7 @@ def categorical_dataset(rng, n, cards):
 
 def dense_bipartite(stacked):
     """Oracle: the explicit bipartite graph, without extra-node self-loops."""
-    h = stacked.dense()
+    h = stacked.apply(np.eye(stacked.t))
     n, t = h.shape
     w = np.zeros((n + t, n + t))
     w[:n, n:] = h
@@ -38,20 +38,20 @@ class TestStackedEncoder:
         rng = np.random.default_rng(0)
         ds = categorical_dataset(rng, 20, [3, 2])
         stacked = build_stacked(ds, [2.0, 0.5])
-        assert np.allclose(stacked.dense().sum(axis=1), 2.5)
+        assert np.allclose(stacked.apply(np.eye(stacked.t)).sum(axis=1), 2.5)
         assert stacked.lam_total == 2.5
 
     def test_column_sums(self):
         rng = np.random.default_rng(1)
         ds = categorical_dataset(rng, 20, [3, 2])
         stacked = StackedEncoder(ds.categorical, ds.cardinalities, [2.0, 0.5])
-        assert np.allclose(stacked.column_sums, stacked.dense().sum(axis=0))
+        assert np.allclose(stacked.column_sums, stacked.apply(np.eye(stacked.t)).sum(axis=0))
 
     def test_apply_matches_dense(self):
         rng = np.random.default_rng(2)
         ds = categorical_dataset(rng, 15, [4, 3, 2])
         stacked = StackedEncoder(ds.categorical, ds.cardinalities, [1.0, 3.0, 0.2])
-        h = stacked.dense()
+        h = stacked.apply(np.eye(stacked.t))
         u = rng.standard_normal(stacked.t)
         x = rng.standard_normal(stacked.n)
         assert np.allclose(stacked.apply(u), h @ u)

@@ -602,96 +602,77 @@ class TestClusterCommand:
                          "--k", "2", "--output", str(out)]) == 0
             assert len(json.loads(out.read_text())["labels"]) == 40
 
-    def test_dump_graph(self, tmp_path):
-        data = self.make_dataset(tmp_path, n=10)
-        dump = tmp_path / "wall.csv"
-        assert main(["cluster", str(data), "--schema", "num,num,cat,cat,label",
-                     "--method", "specmix", "--k", "2", "--lambda", "2",
-                     "--output", str(tmp_path / "r.json"),
-                     "--dump-graph", str(dump)]) == 0
-        dense = np.loadtxt(dump, delimiter=",")
-        degrees = np.loadtxt(tmp_path / "wall.degrees.csv", delimiter=",")
-        assert dense.shape == (14, 14)  # 10 data nodes + 2x2 categories
-        assert np.allclose(dense.sum(axis=1), degrees, atol=1e-6)
 
-    @pytest.mark.parametrize("method, schema", [
-        ("kmodes", "num,num,cat,cat,label"),
-        ("onlycat", "ignore,ignore,cat,cat,label")])
-    def test_dump_graph_needs_specmix(self, tmp_path, capsys, method, schema):
-        data = self.make_dataset(tmp_path, n=10)
-        dump = tmp_path / "wall.csv"
-        code = main(["cluster", str(data), "--schema", schema, "--method",
-                     method, "--k", "2", "--output", str(tmp_path / "r.json"),
-                     "--dump-graph", str(dump)])
-        assert code == 4
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "config" and "--method specmix" in err["message"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
-        # refused before the CSV is read
-        assert main(["cluster", str(tmp_path / "missing.csv"), "--schema",
-                     schema, "--method", method, "--k", "2",
-                     "--dump-graph", str(dump)]) == 4
-
-    def test_dump_graph_checks_lambdas_first(self, tmp_path, capsys):
-        path = tmp_path / "three.csv"
-        main(["synth", "--n", "20", "--k", "2", "--q", "3", "--sigma", "0.2",
-              "--p", "0", "--seed", "5", "--output", str(path)])
-        dump = tmp_path / "g.csv"
-        code = main(["cluster", str(path), "--schema",
-                     "num,num,cat,cat,cat,label", "--k", "2",
-                     "--lambda", "1,2", "--dump-graph", str(dump)])
-        assert code == 4
-        assert "expected 3 lambda values" in capsys.readouterr().err
-        assert not dump.exists()
-
-    @pytest.mark.parametrize("lam, dim", [("2", 14), ("0,2", 12)])
-    def test_dump_graph_limit_checked_before_build(self, tmp_path, capsys,
-                                                   monkeypatch, lam, dim):
-        # the node count is checked before the n x n graph is built
-        data = self.make_dataset(tmp_path, n=10)
-        dump = tmp_path / "wall.csv"
-        args = ["cluster", str(data), "--schema", "num,num,cat,cat,label",
-                "--k", "2", "--lambda", lam, "--output",
-                str(tmp_path / "r.json"), "--dump-graph", str(dump)]
-
-        def no_build(ds):
-            raise AssertionError("the graph was built")
-
-        with monkeypatch.context() as patch:
-            patch.setattr("specmix.cli.DUMP_NODE_LIMIT", dim - 1)
-            patch.setattr("specmix.pipelines.base_similarity", no_build)
-            assert main(args) == 4
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "config" and f"{dim} > {dim - 1}" in err["message"]
-        assert not dump.exists()
-        monkeypatch.setattr("specmix.cli.DUMP_NODE_LIMIT", dim)
-        assert main(args) == 0
-        assert np.loadtxt(dump, delimiter=",").shape == (dim, dim)
-        assert np.loadtxt(tmp_path / "wall.degrees.csv").shape == (dim,)
-
-    def test_dump_graph_refuses_large(self, tmp_path, capsys):
-        # 120 rows x 50 categorical columns with 120 distinct values each
-        # pushes n + t over the dump limit while staying cheap to build
-        rng = np.random.default_rng(0)
-        n, q = 120, 50
-        path = tmp_path / "wide.csv"
-        header = ["x"] + [f"c{j}" for j in range(q)]
-        columns = [rng.permutation(n) for _ in range(q)]
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(",".join(header) + "\n")
-            for i in range(n):
-                row = [f"{rng.standard_normal():.4f}"]
-                row += [str(col[i]) for col in columns]
-                handle.write(",".join(row) + "\n")
-        code = main(["cluster", str(path), "--schema",
-                     ",".join(["num"] + ["cat"] * q), "--method", "specmix",
-                     "--k", "2", "--dump-graph", str(tmp_path / "wall.csv")])
-        assert code == 4
-        err = json.loads(capsys.readouterr().err)
-        assert "refusing" in err["message"]
+# A result that ``specmix cluster`` wrote while KMeansConfig still had a
+# row normalization flag, always false: synth --n 16 --k 2 --q 2 --sigma 1.5
+# --p 0.3 --seed 2, then cluster --k 2 --lambda 2 --seed 3.
+OLD_RESULT = """{
+  "config": {
+    "k": 2,
+    "kmeans": {
+      "max_iters": 1,
+      "normalize_rows": false,
+      "restarts": 10
+    },
+    "lambdas": 2.0,
+    "seed": 3
+  },
+  "eigenvalues": [
+    -1.2490009027033009e-16,
+    0.34159382586428666
+  ],
+  "embedding_rows_used": 20,
+  "labels": [
+    0,
+    1,
+    0,
+    0,
+    0,
+    0,
+    0,
+    0,
+    1,
+    1,
+    1,
+    1,
+    1,
+    0,
+    1,
+    0
+  ],
+  "max_residual": 1.1240976116498922e-15,
+  "method": "specmix",
+  "seed": 3,
+  "timings": {
+    "eigen": 0.0030858940008329228,
+    "graph": 0.0009513080003671348,
+    "kmeans": 0.003745097004866693,
+    "total": 0.007782299006066751
+  },
+  "version": 1
+}"""
 
 
 class TestEvalCommand:
+    def test_result_with_the_old_kmeans_config_still_reads(self, tmp_path, capsys):
+        old = ClusteringResult.from_json(OLD_RESULT)
+        assert old.to_json() == OLD_RESULT
+        assert old.labels.tolist() == [0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 1, 0]
+        data, pred, new = (tmp_path / name for name in ("data.csv", "old.json", "new.json"))
+        pred.write_text(OLD_RESULT + "\n")
+        main(["synth", "--n", "16", "--k", "2", "--q", "2", "--sigma", "1.5",
+              "--p", "0.3", "--seed", "2", "--output", str(data)])
+        assert main(["eval", "--pred", str(pred), "--truth", str(data),
+                     "--schema", "num,num,cat,cat,label"]) == 0
+        out = capsys.readouterr().out
+        assert "purity_weighted=0.8125\npurity_macro=0.817460317\n" in out
+        # today's run of the same command: the same labels, one setting fewer
+        assert main(["cluster", str(data), "--schema", "num,num,cat,cat,label",
+                     "--k", "2", "--lambda", "2", "--seed", "3", "--output", str(new)]) == 0
+        result = ClusteringResult.from_json(new.read_text())
+        assert np.array_equal(result.labels, old.labels)
+        assert result.config == {**old.config, "kmeans": {"max_iters": 1, "restarts": 10}}
+
     def test_eval_result_against_dataset(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         main(["synth", "--n", "30", "--k", "2", "--q", "2", "--sigma", "0.1",
