@@ -11,10 +11,13 @@ from specmix import (ConfigError, DataError, MixedDataset,
                      StackedEncoder, assemble_augmented, assignment_energy,
                      assignment_matrix, base_similarity,
                      build_bipartite_reduction, delta_counts)
+from specmix import graph
 from specmix.graph import _BLOCK_BYTES, BaseWeights
 
 # The largest n whose similarity build is a single row block.
 ONE_BLOCK_N = math.isqrt(_BLOCK_BYTES // 8)
+# Panel height of the panel tests.
+PANEL_ROWS = 16
 
 
 def random_mixed(rng, n, r, q, max_card=4):
@@ -90,17 +93,68 @@ class TestBaseSimilarity:
         assert np.array_equal(np.diag(w), np.ones(n))
         assert np.array_equal(weights.degrees, w.sum(axis=1))
 
-    def test_build_holds_one_n_by_n_buffer(self):
-        n = 2000
+    def test_build_holds_the_lower_triangle(self):
+        # five panels of at most 699 rows: the lower triangle is 0.5 x 8n^2
+        # bytes, the upper halves of the diagonal blocks 0.11 x (about
+        # _PANEL_BYTES / 2 at any n), and one row block's temporaries 0.015 x.
+        # One n x n buffer would be 1.0 x, and a check through w - w.T and
+        # its absolute value 2.0 x on top of the matrix
+        n = 3000
         ds = random_mixed(np.random.default_rng(3), n, 4, 0)
         tracemalloc.start()
         try:
             weights = base_similarity(ds)
-            _, peak = tracemalloc.get_traced_memory()
+            built = tracemalloc.get_traced_memory()[1]
+            dense = weights.matrix
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            BaseWeights(dense)
+            checked = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert weights.n == n
-        assert peak <= 1.1 * n * n * 8
+        assert len(weights.panels) == 5
+        assert built <= 0.65 * n * n * 8
+        assert checked <= 0.65 * n * n * 8
+
+    @pytest.mark.parametrize("n", [1, PANEL_ROWS - 1, PANEL_ROWS, PANEL_ROWS + 1,
+                                   3 * PANEL_ROWS + 7])
+    def test_panels_match_pairwise_definition(self, n, monkeypatch):
+        # panels of PANEL_ROWS rows, each built in row blocks of 5 or more
+        monkeypatch.setattr(graph, "_PANEL_BYTES", 8 * PANEL_ROWS * n)
+        monkeypatch.setattr(graph, "_BLOCK_BYTES", 8 * 5 * n)
+        rng = np.random.default_rng(n)
+        ds = random_mixed(rng, n, 3, 0)
+        weights = base_similarity(ds)
+        assert len(weights.panels) == -(-n // PANEL_ROWS)
+        w = weights.matrix
+        x = ds.numeric
+        expected = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+        assert np.abs(w - expected).max() <= 1e-12
+        assert np.array_equal(w, w.T)
+        assert np.array_equal(np.diag(w), np.ones(n))
+        assert np.abs(weights.degrees - w.sum(axis=1)).max() <= 1e-12 * n
+        block = rng.standard_normal((n, 3))
+        assert np.abs(weights.matvec(block) - w @ block).max() <= 1e-12
+        assert np.abs(weights.matvec(block[:, 0]) - w @ block[:, 0]).max() <= 1e-12
+        # a dense matrix keeps the same panels
+        again = BaseWeights(w)
+        assert all(map(np.array_equal, again.panels, weights.panels))
+        codes = np.column_stack([np.arange(n) % 3, rng.permutation(n) % 2])
+        op = assemble_augmented(weights, StackedEncoder(
+            codes, (min(n, 3), min(n, 2)), [2.0, 0.5]))
+        h = op.stacked.apply(np.eye(op.t))
+        dense = np.block([[w, h], [h.T, np.eye(op.t)]])
+        assert np.abs(op.matvec(np.eye(op.dim)) - dense).max() <= 1e-12
+
+    def test_asymmetry_found_in_a_later_panel(self, monkeypatch):
+        # three panels of 4 rows; the pair (9, 2) lies left of the third
+        # panel's diagonal block, its mirror (2, 9) above the first panel's
+        monkeypatch.setattr(graph, "_PANEL_BYTES", 8 * 4 * 12)
+        w = np.full((12, 12), 0.5)
+        np.fill_diagonal(w, 1.0)
+        w[2, 9] = 0.25
+        with pytest.raises(DataError, match="must be symmetric"):
+            BaseWeights(w)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
     def test_weights_outside_unit_interval_rejected(self, bad):

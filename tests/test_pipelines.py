@@ -1,4 +1,10 @@
+import inspect
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,6 +356,32 @@ def test_edge_weights_checked_when_the_config_is_built(case):
     echoed = json.loads(text, parse_constant=_refuse_constant)["config"]["lambdas"]
     assert echoed == (list(map(float, lambdas)) if isinstance(lambdas, (list, tuple))
                       else float(lambdas))
+
+
+def test_single_panel_result_bytes_are_pinned():
+    # sha256 of the result JSON, timings emptied, as written while the base
+    # graph was one dense n x n matrix. A graph of n <= 1448 is one panel,
+    # whose build and products are that matrix's; at K=8 the numeric solve
+    # fills its basis. The bits of a product depend on the BLAS thread
+    # count, so a child process runs at one thread
+    code = textwrap.dedent("""
+        import dataclasses, hashlib
+        from specmix import (SpecMixConfig, SyntheticParams, generate_synthetic,
+                             numeric_spectral, specmix)
+        ds, _ = generate_synthetic(SyntheticParams(n=500, k=8, q=3, sigma=1.0,
+                                                   p=0.25, seed=1))
+        cfg = SpecMixConfig(k=8, lambdas=10.0, seed=1)
+        for pipeline in (specmix, numeric_spectral):
+            text = dataclasses.replace(pipeline(ds, cfg), timings={}).to_json()
+            print(hashlib.sha256(text.encode()).hexdigest())
+        """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(inspect.getfile(specmix)).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == [
+        "c60ff7589d61d20ec89bf40a54098e442797a198dc7bf89ecebc5a3a5bea94fa",
+        "075dedd9429abf9fb332333e7ffcbe9311d48a8a567a719c7a56e2199610a274"]
 
 
 def test_eight_cluster_solves_pass_residual_gate():
