@@ -71,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a grid of synthetic experiments")
     sweep.add_argument("--grid", required=True, help="grid config file")
     sweep.add_argument("--output", required=True, help="results CSV path")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="process count (default: SPECMIX_WORKERS or 1)")
+    sweep.add_argument("--workers", type=int, default=1,
+                       help="process count (default: 1)")
 
     evaluate = sub.add_parser("eval", help="score predicted labels")
     evaluate.add_argument("--pred", required=True,

@@ -309,8 +309,6 @@ def _read_records(path):
             text = handle.read()
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
     if '"' in text:
         return _each_record(path, text)
     if "\r" in text:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .dataset import MixedDataset, as_int, check_codes, is_real
-from .eigen import _SYM_TOL, _as_operator
+from .eigen import _as_operator
 from .errors import ConfigError, DataError
 
 # Bytes per row block of the similarity build: small enough to stay in cache.
@@ -47,7 +47,7 @@ def _panel_bounds(n: int) -> list[tuple[int, int]]:
     return [(a, min(a + step, n)) for a in range(0, n, step)]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class BaseWeights:
     """Symmetric similarity matrix over the n datapoints, stored as its lower
     triangle.
@@ -61,27 +61,11 @@ class BaseWeights:
     panel [a, b) is the (b - a) x b block of rows a..b-1 and columns 0..b-1,
     its square diagonal block stored whole. What lies above the diagonal
     blocks is not stored; products read it from the panels below.
-    ``degrees`` holds the row sums. ``BaseWeights(matrix)`` checks a dense
-    matrix without an n x n temporary and keeps its panels.
+    ``degrees`` holds the row sums.
     """
 
     panels: tuple[np.ndarray, ...]
     degrees: np.ndarray
-
-    def __init__(self, matrix):
-        w = np.asarray(matrix, dtype=np.float64)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise DataError("weight matrix must be square")
-        if w.size and not (w.min() >= 0.0 and w.max() <= 1.0 + _SYM_TOL):  # NaN fails
-            raise DataError("base similarities must lie in [0, 1]")
-        bounds = _panel_bounds(w.shape[0])
-        for a, b in bounds:
-            if np.abs(w[a:b, :b] - w[:b, a:b].T).max(initial=0.0) > _SYM_TOL:
-                raise DataError("weight matrix must be symmetric")
-        if w.size and np.abs(np.diag(w) - 1.0).max() > _SYM_TOL:
-            raise DataError("base similarity diagonal must be 1 (unit self-loops)")
-        object.__setattr__(self, "panels", tuple(w[a:b, :b].copy() for a, b in bounds))
-        object.__setattr__(self, "degrees", w.sum(axis=1))
 
     @property
     def n(self) -> int:
@@ -90,17 +74,6 @@ class BaseWeights:
     @property
     def dim(self) -> int:
         return self.n
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense n x n matrix, assembled from the panels on each call:
-        for test oracles."""
-        w = np.empty((self.n, self.n))
-        for p in self.panels:
-            a, b = p.shape[1] - p.shape[0], p.shape[1]
-            w[a:b, :b] = p
-            w[:a, a:b] = p[:, :a].T
-        return w
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Weight matrix times a vector or a block of column vectors.
@@ -135,12 +108,19 @@ def base_similarity(ds: MixedDataset) -> BaseWeights:
     its similarities, then its row sums and the column sums left of the
     diagonal block, while it is still in cache. The degree vector comes
     from the same pass.
+
+    The features are centered first: that moves no distance, but far from
+    the origin ``(sq_i + sq_j) - 2 g_ij`` would cancel to noise. Features
+    whose doubled squared norms overflow raise DataError.
     """
     if ds.num_numeric < 1:
         raise ConfigError("numeric features required; use onlycat")
-    x = ds.numeric
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        x = ds.numeric - ds.numeric.mean(axis=0)
+        sq = np.einsum("ij,ij->i", x, x)
+    if not (sq <= np.finfo(np.float64).max / 2).all():  # NaN fails too
+        raise DataError("numeric features too large: their squared norms overflow")
     n = x.shape[0]
-    sq = np.einsum("ij,ij->i", x, x)
     degrees = np.zeros(n)
     panels = []
     for a, b in _panel_bounds(n):
@@ -160,12 +140,7 @@ def base_similarity(ds: MixedDataset) -> BaseWeights:
             degrees[r] += blk.sum(axis=1)
             degrees[:a] += blk[:, :a].sum(axis=0)
         panels.append(panel)
-    # Symmetric, in [0, 1] and with a unit diagonal by construction. The
-    # constructor's checks would take about 28% of the build at n=4000.
-    weights = object.__new__(BaseWeights)
-    object.__setattr__(weights, "panels", tuple(panels))
-    object.__setattr__(weights, "degrees", degrees)
-    return weights
+    return BaseWeights(tuple(panels), degrees)
 
 
 def as_lambdas(lambdas) -> tuple[float, ...]:

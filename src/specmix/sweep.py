@@ -19,9 +19,9 @@ replaced whole, so an interrupted write leaves the previous one. All CSVs
 are UTF-8, comma-delimited, with a header row, '.' decimal separator and
 9-significant-digit floats.
 
-Rows may execute in a process pool (``workers`` argument or the
-SPECMIX_WORKERS environment variable); the output is ordered canonically
-before writing, so concurrency never changes the artifacts.
+Rows may execute in a process pool of ``workers`` processes; the output is
+ordered canonically before writing, so concurrency never changes the
+artifacts.
 """
 
 from __future__ import annotations
@@ -305,16 +305,13 @@ def sidecar_paths(results_path) -> dict[str, Path]:
     }
 
 
-def run_sweep(grid: ExperimentGrid, results_path, workers: int | None = None) -> dict:
+def run_sweep(grid: ExperimentGrid, results_path, workers: int = 1) -> dict:
     """Run every missing row of the grid and (re)write all output files.
 
     Returns a summary dict with row counts. Rows already in the results CSV
     are checked and skipped, which makes interrupted sweeps resumable and
     completed reruns no-ops.
     """
-    if workers is None:  # a value that is not a whole number fails as_int
-        workers = os.environ.get("SPECMIX_WORKERS", "1")
-        workers = int(workers) if workers.strip().isdecimal() else workers
     workers = as_int(workers, "workers", 1)
 
     keys = grid.row_keys()

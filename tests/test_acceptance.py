@@ -71,7 +71,7 @@ def test_criterion_01_energy_decomposition():
         z, _ = assignment_matrix(labels, graph.degrees, k)
         lhs = assignment_energy(z, graph)
         x = z[:ds.n]
-        w = graph.base.matrix
+        w = graph.base.matvec(np.eye(ds.n))
         rhs = float(np.trace(x.T @ (np.diag(w.sum(axis=1)) - w) @ x))
         off = ds.n
         # E_l Y, variable l's one-hot matrix times its extra-node rows, is

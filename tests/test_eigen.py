@@ -484,7 +484,7 @@ class TestCheckSchedule:
         assert all(5 * end < 4 * graph.dim for end in widths[:-1])
         assert widths[-1] == graph.dim
         assert widths[:-1] == [16, 32, 48, 64, 80, 96, 112, 128, 152]
-        assert oracle_mismatch(pairs, graph.matrix, graph.degrees, 8) is None
+        assert oracle_mismatch(pairs, graph.matvec(np.eye(graph.n)), graph.degrees, 8) is None
 
     def test_a_converging_solve_keeps_its_checks(self, monkeypatch):
         ds, _ = generate_synthetic(SyntheticParams(n=500, k=4, q=3, sigma=1.0,

@@ -298,13 +298,9 @@ class TestSweep:
         assert (sidecar_paths(serial)["aggregated"].read_bytes()
                 == sidecar_paths(pooled)["aggregated"].read_bytes())
 
-    @pytest.mark.parametrize("workers, env", [("2", None), (0, None),
-                                              (None, "two"), (None, "0")])
-    def test_bad_workers_is_config_error(self, tmp_path, monkeypatch,
-                                         workers, env):
-        # used to raise a raw TypeError ("2") or ValueError ("two")
-        if env is not None:
-            monkeypatch.setenv("SPECMIX_WORKERS", env)
+    @pytest.mark.parametrize("workers", ["2", 0], ids=["2-None", "0-None"])
+    def test_bad_workers_is_config_error(self, tmp_path, workers):
+        # "2" used to raise a raw TypeError
         grid = ExperimentGrid(n_values=(20,), k_values=(2,), q_values=(1,),
                               methods=("onlycat",))
         with pytest.raises(ConfigError, match="workers"):
@@ -557,7 +553,7 @@ class TestClusterCommand:
     @pytest.mark.parametrize("flags", [
         ["--lambda", "abc"], ["--k", "1"], ["--restarts", "0"]])
     def test_config_checked_before_the_load(self, tmp_path, capsys, flags):
-        # the dataset does not exist, which would be a data error (exit 3)
+        # the dataset does not exist, which would be an io error (exit 3)
         code = main(["cluster", str(tmp_path / "missing.csv"), "--schema",
                      "num,cat", "--k", "2", *flags])
         assert code == 4
@@ -569,6 +565,14 @@ class TestClusterCommand:
         code = main(["cluster", str(data), "--schema", "num,cat", "--k", "2"])
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "data"
+
+    def test_missing_csv_is_io_error(self, tmp_path, capsys):
+        # an unreadable dataset used to be a data error; every other
+        # unreadable or unwritable file was already io
+        code = main(["cluster", str(tmp_path / "missing.csv"), "--schema",
+                     "num,cat", "--k", "2"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "io"
 
     def test_non_utf8_csv_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
@@ -818,16 +822,14 @@ class TestEvalCommand:
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"] == "config"
 
-    def test_sweep_command_bad_workers_env(self, tmp_path, capsys,
-                                           monkeypatch):
+    def test_sweep_command_bad_workers_env(self, tmp_path, capsys):
         grid_path = tmp_path / "grid.txt"
         grid_path.write_text("n = 20\nK = 2\nQ = 1\nmethods = onlycat\n")
-        monkeypatch.setenv("SPECMIX_WORKERS", "two")
         code = main(["sweep", "--grid", str(grid_path),
-                     "--output", str(tmp_path / "results.csv")])
+                     "--output", str(tmp_path / "results.csv"), "--workers", "0"])
         assert code == 4
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "config" and "'two'" in err["message"]
+        assert err["error"] == "config" and "workers" in err["message"]
 
     def test_sweep_command_refuses_rows_that_must_fail(self, tmp_path, capsys):
         grid_path = tmp_path / "grid.txt"
