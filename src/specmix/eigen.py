@@ -39,8 +39,8 @@ _MAX_PASSES = 4
 class EigenPairs:
     """Eigenvalues in ascending order, matching eigenvectors as columns,
     the per-pair residual norms reported by the solver, and ``products``:
-    the number of operator columns the solve applied, residual checks
-    included."""
+    the number of operator columns the solve applied, the k columns of its
+    one verification product included."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -77,32 +77,24 @@ def _as_operator(a):
     return (lambda x: arr @ x), arr.shape[0]
 
 
-def _residual_norms(product, vectors, values) -> np.ndarray:
-    """The k residual norms of a solve from one block ``product``."""
-    residuals = np.linalg.norm(product - vectors * values, axis=0)
-    if not np.isfinite(residuals).all():  # NaN would pass every bound
-        raise ConfigError("operator product has non-finite entries")
-    return residuals
-
-
 def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
     """(values, vectors, columns): the k algebraically smallest eigenpairs via
     block Lanczos with full reorthogonalization, from a random start block of
-    k columns, and the number of operator columns applied, checks included.
+    k columns, and the number of operator columns applied: the basis columns.
 
     Block j of the basis, Q_j, satisfies A Q_j = Q_{j-1} B_{j-1}^T + Q_j A_j
     + Q_{j+1} B_j, so the basis carries a block tridiagonal T, kept in band
     form. A Ritz pair (theta, V s) of T has the residual norm ||B_j s_j||,
-    s_j being the rows of s on the last block. Once those estimates are small
-    against a Gershgorin bound of T for the k smallest pairs, one block
-    product checks the residuals exactly, against the largest product column
-    norm seen: a lower bound on ||A|| that, unlike the Gershgorin bound, does
-    not grow with the block width. A basis that fills the space gives exact
-    pairs.
+    s_j being the rows of s on the last block; under full reorthogonalization
+    it is the true residual up to rounding (Parlett, 1998, ch. 13). The solve
+    returns once those estimates are small against a Gershgorin bound of T
+    for the k smallest pairs; the caller verifies the pairs exactly. A basis
+    that fills the space gives exact pairs.
 
-    A check costs O(end^3) in ``eig_banded``, which forms the orthogonal
-    factor of its band reduction, so checks are spaced out as the basis
-    grows: at least ``_CHECK_EVERY`` and at least end/8 new columns apart.
+    A check is one ``eig_banded`` call and applies no product. It costs
+    O(end^3), as ``eig_banded`` forms the orthogonal factor of its band
+    reduction, so checks are spaced out as the basis grows: at least
+    ``_CHECK_EVERY`` and at least end/8 new columns apart.
     None is made once the basis holds ``_CHECK_SHARE`` (4/5) of the space:
     from there one more check costs about as much as the remaining dim - end
     columns do, and the full basis ends in one exact solve. A solve that
@@ -116,7 +108,6 @@ def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
     width, _ = _orthonormalize(basis, 0, rng.standard_normal((dim, k)), rng,
                                _LANCZOS_TOL)
     start, prev, checked, columns = 0, None, 0, 0  # prev is B_{j-1}
-    a_norm = 1.0  # max(1, largest ||A q|| over basis columns q) <= max(1, ||A||)
     while True:
         end = start + width
         q = basis[:, start:end]
@@ -124,7 +115,6 @@ def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
         columns += width
         if not np.isfinite(aq).all():
             raise ConfigError("operator product has non-finite entries")
-        a_norm = max(a_norm, float(np.linalg.norm(aq, axis=0).max()))
         a = q.T @ aq
         a = 0.5 * (a + a.T)
         for d in range(width):
@@ -149,11 +139,7 @@ def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
             theta, s = eig_banded(band[:, :end], lower=True, select="i",
                                   select_range=(0, k - 1))
             if (np.linalg.norm(b @ s[start:end], axis=0) <= _LANCZOS_TOL * scale).all():
-                vectors = basis[:, :end] @ s
-                residuals = _residual_norms(matvec(vectors), vectors, theta)
-                columns += k
-                if (residuals <= _RESIDUAL_TOL * a_norm).all():
-                    return theta, vectors, columns
+                return theta, basis[:, :end] @ s, columns
         start, width, prev = end, new_width, b
 
     theta, s = eig_banded(band, lower=True, select="i", select_range=(0, k - 1))
@@ -246,7 +232,9 @@ def generalized_smallest_eigs(weights, degrees, k: int, seed: int = 0) -> EigenP
     vectors = _fix_signs(u * dinv_sqrt[:, None])
     scale = max(1.0, float(degrees.max()))
     dv = degrees[:, None] * vectors
-    residuals = _residual_norms(dv - w_matvec(vectors), dv, values)
+    residuals = np.linalg.norm((dv - w_matvec(vectors)) - dv * values, axis=0)
+    if not np.isfinite(residuals).all():  # NaN would pass every bound
+        raise ConfigError("operator product has non-finite entries")
     if (residuals > _RESIDUAL_TOL * scale).any():
         worst = float(residuals.max())
         raise ConvergenceError(

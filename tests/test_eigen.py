@@ -8,6 +8,7 @@ from specmix import (ConfigError, ConvergenceError, SpecMixConfig,
                      StackedEncoder, SyntheticParams, base_similarity,
                      build_bipartite_reduction, eigen,
                      generalized_smallest_eigs, generate_synthetic, specmix)
+from specmix.pipelines import specmix_graph
 
 
 class Operator:
@@ -492,3 +493,14 @@ class TestCheckSchedule:
         widths = self.record_widths(monkeypatch)
         specmix(ds, SpecMixConfig(k=4, lambdas=10.0))
         assert widths == [12, 24, 36, 48, 60]  # of 512 columns
+
+    def test_a_converging_solve_verifies_once(self, monkeypatch):
+        # the problem above: the basis columns and one verification product
+        # of k columns, so a check applies no product of its own
+        ds, _ = generate_synthetic(SyntheticParams(n=500, k=4, q=3, sigma=1.0,
+                                                   p=0.25, seed=1))
+        graph = specmix_graph(ds, SpecMixConfig(k=4, lambdas=10.0))
+        widths = self.record_widths(monkeypatch)
+        pairs = generalized_smallest_eigs(graph, graph.degrees, 4)
+        assert widths[-1] < graph.dim
+        assert pairs.products == widths[-1] + 4
