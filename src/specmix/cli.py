@@ -27,7 +27,7 @@ from .kmeans import KMeansConfig
 from .metrics import ContingencyTable, imbalance_ratio
 from .pipelines import ClusteringResult, SpecMixConfig
 from .sweep import (METHODS, ExperimentGrid, fmt, parse_values, run_method,
-                    run_sweep, write_rows)
+                    run_sweep, write_rows, write_whole)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,7 +110,7 @@ def _cmd_cluster(args) -> int:
     result = run_method(args.method, ds, cfg)
     doc = result.to_json()
     if args.output:
-        Path(args.output).write_text(doc + "\n", encoding="utf-8")
+        write_whole(args.output, lambda handle: handle.write(doc + "\n"))
     else:
         print(doc)
     if truth is not None:

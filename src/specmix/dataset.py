@@ -48,34 +48,16 @@ DEFAULT_MISSING = ("?",)
 MAX_SEED = 2**64 - 1
 
 
-def _not_utf8(path, error: type[SpecmixError] = DataError) -> SpecmixError:
-    """``error`` for a file that is not UTF-8, naming the line of its first
-    undecodable byte. A text reader decodes in chunks, so its own error
-    cannot say which line."""
+def read_text(path, error: type[SpecmixError] = DataError) -> str:
+    """The UTF-8 text of ``path``, line ends as they are in the file. A byte
+    that does not decode raises ``error`` naming its line."""
     data = Path(path).read_bytes()
-    where = ""
     try:
-        data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[:exc.start]  # lines end at \r\n, \r or \n, as in csv
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        where = f", line {line}"
-    return error(f"{path}{where}: not UTF-8 text")
-
-
-def read_text(path, error: type[SpecmixError] = DataError) -> str:
-    """The UTF-8 text of ``path``; bytes that do not decode raise ``error``."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise _not_utf8(path, error) from None
-
-
-def csv_error(path, reader, exc: Exception) -> DataError:
-    """The DataError for a decode or ``csv.Error`` met by ``reader``."""
-    if isinstance(exc, UnicodeDecodeError):
-        return _not_utf8(path)
-    return DataError(f"{path}, line {reader.line_num}: {exc}")
+        raise error(f"{path}, line {line}: not UTF-8 text") from None
 
 
 def as_codes(values, message: str, error: type[SpecmixError] = DataError) -> np.ndarray:
@@ -286,7 +268,7 @@ def _each_record(path, text: str):
                 lines.append(end + 1)
             end = reader.line_num
     except csv.Error as exc:
-        raise csv_error(path, reader, exc) from None
+        raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
     header, *records = records or [None]
     return header, records, np.arange(len(records)), np.array(lines[1:], np.int64)
 
@@ -304,11 +286,7 @@ def _read_records(path):
     one dictionary pass, and only the distinct lines are parsed. Text with a
     ``"`` is parsed record by record (``_each_record``).
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            text = handle.read()
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+    text = read_text(path)
     if '"' in text:
         return _each_record(path, text)
     if "\r" in text:

@@ -42,8 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import kmodes, kprototypes
-from .dataset import (MixedDataset, SyntheticParams, _check_seed, as_int,
-                      csv_error, generate_synthetic, read_text)
+from .dataset import (MixedDataset, SyntheticParams, _check_seed,
+                      _read_records, as_int, generate_synthetic, read_text)
 from .errors import ConfigError, DataError, SpecmixError
 from .metrics import ContingencyTable
 from .pipelines import (STAGES, ClusteringResult, SpecMixConfig,
@@ -239,31 +239,28 @@ def _compute_row(args: tuple[tuple, str]) -> tuple[tuple, dict]:
 
 def _read_table(path, columns) -> dict[tuple[str, ...], dict]:
     """The rows of a ``columns`` CSV by coordinates; none if it is missing.
-    A row that lacks a cell or has one too many, or a number cell that the
-    aggregates read that is not finite, is a DataError naming its line."""
+    The file is read as a dataset CSV is (``_read_records``). A row that
+    lacks a cell or has one too many, or a number cell that the aggregates
+    read that is not finite, is a DataError naming its line."""
     if not Path(path).exists():
         return {}
+    header, records, _, lines = _read_records(path)
+    if header != list(columns):
+        raise DataError(f"{path} has unexpected columns")
     table = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            if tuple(next(reader, ())) != columns:
-                raise DataError(f"{path} has unexpected columns")
-            for cells in filter(None, reader):  # blank lines hold no row
-                where = f"{path}, line {reader.line_num}"
-                if len(cells) != len(columns):
-                    raise DataError(f"{where}: {len(cells)} cells, expected "
-                                    f"{len(columns)}")
-                row = dict(zip(columns, cells))
-                for col in columns:  # an error row has no purities
-                    number = col.startswith("seconds_") or (
-                        col.startswith("purity_") and not row["error"])
-                    if number and not _is_finite(row[col]):
-                        raise DataError(f"{where}, column {col}: {row[col]!r} "
-                                        "is not a finite number")
-                table[tuple(cells[:len(COORDS)])] = row
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise csv_error(path, reader, exc) from None
+    for cells, line in zip(records, lines):
+        where = f"{path}, line {line}"
+        if len(cells) != len(columns):
+            raise DataError(f"{where}: {len(cells)} cells, expected "
+                            f"{len(columns)}")
+        row = dict(zip(columns, cells))
+        for col in columns:  # an error row has no purities
+            number = col.startswith("seconds_") or (
+                col.startswith("purity_") and not row["error"])
+            if number and not _is_finite(row[col]):
+                raise DataError(f"{where}, column {col}: {row[col]!r} "
+                                "is not a finite number")
+        table[tuple(cells[:len(COORDS)])] = row
     return table
 
 
@@ -274,20 +271,32 @@ def _is_finite(text: str) -> bool:
         return False
 
 
-def write_rows(path, rows) -> None:
-    """Write ``rows``, each a sequence of cells, as a UTF-8 CSV with '\n'
-    line ends: the settings of every CSV that specmix writes. The rows go to
-    a sibling file that replaces ``path`` once all are written, so a write
-    that fails or is interrupted leaves ``path`` as it was."""
+def write_whole(path, write) -> None:
+    """Call ``write`` with a UTF-8 text handle, line ends written as given,
+    on a sibling file that replaces ``path`` once ``write`` returns, so a
+    write that fails or is interrupted leaves ``path`` as it was. A ``path``
+    that is neither absent nor a regular file, such as a pipe or
+    ``/dev/null``, is written through, not replaced."""
     path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            write(handle)
+        return
     partial = path.with_name(path.name + ".tmp")
     try:
         with open(partial, "w", newline="", encoding="utf-8") as handle:
-            csv.writer(handle, lineterminator="\n").writerows(rows)
+            write(handle)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+
+
+def write_rows(path, rows) -> None:
+    """Write ``rows``, each a sequence of cells, whole (``write_whole``) as a
+    CSV with '\n' line ends: the settings of every CSV that specmix writes."""
+    write_whole(path, lambda handle: csv.writer(
+        handle, lineterminator="\n").writerows(rows))
 
 
 def _write_csv(path, columns, rows) -> None:

@@ -2,17 +2,20 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
-from specmix import (ClusteringResult, ConfigError, DataError,
+from specmix import (ClusteringResult, ColumnSchema, ConfigError, DataError,
                      ExperimentGrid, KMeansConfig, SpecMixConfig,
                      SyntheticParams, generate_synthetic, run_sweep)
 from specmix import cli, errors
 from specmix.cli import _build_parser, main
 from specmix.sweep import (COORDS, METHODS, RESULT_COLUMNS, derive_seed,
-                           run_method, sidecar_paths, write_rows)
+                           run_method, sidecar_paths, write_rows,
+                           write_whole)
 
 SMALL_GRID = """\
 # tiny smoke grid
@@ -31,6 +34,27 @@ seed = 7
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
+
+
+def write_csv_rows(path, fail):
+    """Write a CSV with ``write_rows``, raising after its header if ``fail``."""
+    def rows():
+        yield ["a", "b"]
+        if fail:
+            raise RuntimeError("interrupted")
+        yield ["1", "2"]
+    write_rows(path, rows())
+
+
+def write_json_text(path, fail):
+    """Write a JSON document with ``write_whole``, as ``specmix cluster
+    --output`` does, raising halfway through if ``fail``."""
+    def write(handle):
+        handle.write('{\n  "labels": [')
+        if fail:
+            raise RuntimeError("interrupted")
+        handle.write("0, 1]\n}\n")
+    write_whole(path, write)
 
 
 class TestGrid:
@@ -237,19 +261,28 @@ class TestSweep:
                  for row in read_rows(sidecar_paths(out)["timings"])]
         assert len(ok) == 4 and timed == ok
 
-    def test_failed_write_leaves_the_old_file(self, tmp_path):
-        out = tmp_path / "results.csv"
-        write_rows(out, [["a", "b"], ["1", "2"]])
+    @pytest.mark.parametrize("write", [write_csv_rows, write_json_text],
+                             ids=["csv", "json"])
+    def test_failed_write_leaves_the_old_file(self, tmp_path, write):
+        out = tmp_path / "results.out"
+        write(out, fail=False)
         before = out.read_bytes()
-
-        def rows():
-            yield ["a", "b"]
-            raise RuntimeError("interrupted")
-
         with pytest.raises(RuntimeError):
-            write_rows(out, rows())
+            write(out, fail=True)
         assert out.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+        assert [p.name for p in tmp_path.iterdir()] == ["results.out"]
+
+    def test_a_pipe_is_written_through_not_replaced(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_json_text(pipe, fail=False)
+            assert os.read(reader, 100) == b'{\n  "labels": [0, 1]\n}\n'
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
     def test_row_shape_and_timings_sidecar(self, tmp_path):
         grid = ExperimentGrid.from_text(SMALL_GRID)
@@ -874,6 +907,40 @@ class TestEvalCommand:
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"] == "config"
 
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_every_input_file_reads_alike_at_any_line_end(tmp_path, end):
+    # the reader keeps line ends; each reader after it splits at all three
+    def with_ends(path):
+        copy = path.with_name(f"ends-{path.name}")
+        copy.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+        return copy
+
+    schema, grid, labels = (tmp_path / name for name in
+                            ("schema.txt", "grid.txt", "labels.txt"))
+    schema.write_text("num, cat,label\n\n")
+    assert ColumnSchema.from_file(with_ends(schema)) == ColumnSchema.from_file(schema)
+    grid.write_text(SMALL_GRID)
+    assert ExperimentGrid.from_file(with_ends(grid)) == ExperimentGrid.from_file(grid)
+    labels.write_text("label\n0\n2\n\n1\n")
+    assert cli._read_labels(with_ends(labels)).tolist() == [0, 2, 1]
+    data, result = tmp_path / "data.csv", tmp_path / "result.json"
+    main(["synth", "--n", "20", "--k", "2", "--q", "2", "--output", str(data)])
+    main(["cluster", str(data), "--schema", "num,num,cat,cat,label",
+          "--method", "onlycat", "--k", "2", "--output", str(result)])
+    assert np.array_equal(cli._read_labels(with_ends(result)),
+                          cli._read_labels(result))
+
+    # a resume over copies of the results and timings CSVs keeps every row
+    # and writes them back with \n line ends
+    out = tmp_path / "results.csv"
+    run_sweep(seeded_grid(1), out)
+    before = output_bytes(out)
+    for path in (out, sidecar_paths(out)["timings"]):
+        with_ends(path).replace(path)
+    assert run_sweep(seeded_grid(1), out)["computed"] == 0
+    assert output_bytes(out) == before
 
 
 class TestExitCodes:
