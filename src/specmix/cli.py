@@ -64,8 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--sigma", type=float, default=0.0)
     synth.add_argument("--p", type=float, default=0.0)
     synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--corruption", choices=("others", "uniform"),
-                       default="others")
     synth.add_argument("--output", required=True)
 
     sweep = sub.add_parser("sweep", help="run a grid of synthetic experiments")
@@ -123,8 +121,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_synth(args) -> int:
     params = SyntheticParams(n=args.n, k=args.k, q=args.q, sigma=args.sigma,
-                             p=args.p, seed=args.seed,
-                             corruption=args.corruption)
+                             p=args.p, seed=args.seed)
     ds, labels = generate_synthetic(params)
     header = ([f"num{j}" for j in range(ds.num_numeric)]
               + [f"cat{j}" for j in range(ds.num_categorical)] + ["label"])

@@ -441,13 +441,7 @@ def standardize_numeric(ds: MixedDataset) -> MixedDataset:
 
 @dataclass(frozen=True)
 class SyntheticParams:
-    """Parameters for the synthetic mixed-data generator.
-
-    ``corruption`` selects how a corrupted categorical value is drawn:
-    ``"others"`` (default) draws uniformly over the K-1 non-attached
-    categories, so ``p`` is exactly the probability of landing outside the
-    attached cluster's category; ``"uniform"`` draws over all K categories.
-    """
+    """Parameters for the synthetic mixed-data generator."""
 
     n: int
     k: int
@@ -455,7 +449,6 @@ class SyntheticParams:
     sigma: float
     p: float
     seed: int = 0
-    corruption: str = "others"
 
     def __post_init__(self):
         for name, value in dict(
@@ -469,8 +462,6 @@ class SyntheticParams:
             raise ConfigError("p must lie in [0, 1]")
         if not 0.0 <= self.sigma < np.inf:
             raise ConfigError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        if self.corruption not in ("others", "uniform"):
-            raise ConfigError("corruption must be 'others' or 'uniform'")
 
 
 def generate_synthetic(params: SyntheticParams) -> tuple[MixedDataset, np.ndarray]:
@@ -480,7 +471,9 @@ def generate_synthetic(params: SyntheticParams) -> tuple[MixedDataset, np.ndarra
     clusters), drawn from an isotropic normal around the k-th canonical basis
     vector of R^K with standard deviation sigma. Each of the q categorical
     columns has K categories; a point of cluster k keeps category k with
-    probability 1-p and is otherwise corrupted per ``params.corruption``.
+    probability 1-p and is otherwise corrupted: it takes one of the K-1
+    other categories, uniformly, so ``p`` is exactly the probability of
+    landing outside the attached cluster's category.
     Points are emitted in cluster order; output is bitwise reproducible for a
     fixed seed (numeric part drawn first, then categorical columns in order).
     """
@@ -503,11 +496,8 @@ def generate_synthetic(params: SyntheticParams) -> tuple[MixedDataset, np.ndarra
         corrupt = rng.random(n) < params.p
         m = int(corrupt.sum())
         if m:
-            if params.corruption == "others":
-                draw = rng.integers(0, k - 1, size=m)
-                values[corrupt] = draw + (draw >= labels[corrupt])
-            else:
-                values[corrupt] = rng.integers(0, k, size=m)
+            draw = rng.integers(0, k - 1, size=m)
+            values[corrupt] = draw + (draw >= labels[corrupt])
         columns.append(values)
     categorical = (np.column_stack(columns) if columns
                    else np.empty((n, 0), dtype=np.int64))

@@ -62,19 +62,21 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _as_operator(a):
-    """Normalize a matrix or an operator to (matvec, dim)."""
-    if hasattr(a, "matvec") and hasattr(a, "dim"):
-        return a.matvec, a.dim
+    """Normalize a graph to (matvec, degrees): an object with ``matvec`` and
+    ``degrees`` gives its own, and a dense symmetric matrix its product and
+    its row sums."""
+    if hasattr(a, "matvec") and hasattr(a, "degrees"):
+        return a.matvec, np.asarray(a.degrees, dtype=np.float64)
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ConfigError("expected a square matrix or an object exposing "
-                          "matvec and dim")
+                          "matvec and degrees")
     if not np.isfinite(arr).all():
         raise ConfigError("matrix has non-finite entries")
     err = np.abs(arr - arr.T).max(initial=0.0)
     if err > _SYM_TOL * max(1.0, np.abs(arr).max(initial=0.0)):
         raise ConfigError(f"matrix is not symmetric (max asymmetry {err:.3g})")
-    return (lambda x: arr @ x), arr.shape[0]
+    return (lambda x: arr @ x), arr.sum(axis=1)
 
 
 def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
@@ -91,10 +93,10 @@ def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
     for the k smallest pairs; the caller verifies the pairs exactly. A basis
     that fills the space gives exact pairs.
 
-    A check is one ``eig_banded`` call and applies no product. It costs
-    O(end^3), as ``eig_banded`` forms the orthogonal factor of its band
-    reduction, so checks are spaced out as the basis grows: at least
-    ``_CHECK_EVERY`` and at least end/8 new columns apart.
+    A check is one band eigensolve (``_band_smallest``) and applies no
+    product. It costs O(end^3), as ``eig_banded`` forms the orthogonal factor
+    of its band reduction, so checks are spaced out as the basis grows: at
+    least ``_CHECK_EVERY`` and at least end/8 new columns apart.
     None is made once the basis holds ``_CHECK_SHARE`` (4/5) of the space:
     from there one more check costs about as much as the remaining dim - end
     columns do, and the full basis ends in one exact solve. A solve that
@@ -136,14 +138,24 @@ def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
 
         if end - checked >= max(_CHECK_EVERY, end // 8) and end < _CHECK_SHARE * dim:
             checked = end
-            theta, s = eig_banded(band[:, :end], lower=True, select="i",
-                                  select_range=(0, k - 1))
+            theta, s = _band_smallest(band[:, :end], k)
             if (np.linalg.norm(b @ s[start:end], axis=0) <= _LANCZOS_TOL * scale).all():
                 return theta, basis[:, :end] @ s, columns
         start, width, prev = end, new_width, b
 
-    theta, s = eig_banded(band, lower=True, select="i", select_range=(0, k - 1))
+    theta, s = _band_smallest(band, k)
     return theta, basis @ s, columns
+
+
+def _band_smallest(band, k: int):
+    """The k smallest eigenpairs of the symmetric matrix whose lower band form
+    is ``band``: by inverse iteration (LAPACK sbevx), or, where that fails on
+    clustered eigenvalues, from the whole spectrum (sbevd)."""
+    try:
+        return eig_banded(band, lower=True, select="i", select_range=(0, k - 1))
+    except np.linalg.LinAlgError:
+        theta, s = eig_banded(band, lower=True)
+        return theta[:k], s[:, :k]
 
 
 def _orthonormalize(basis, m: int, block, rng, drop: float):
@@ -205,30 +217,28 @@ def _gershgorin(band) -> float:
     return max(1.0, float(sums.max()))
 
 
-def generalized_smallest_eigs(weights, degrees, k: int, seed: int = 0) -> EigenPairs:
+def generalized_smallest_eigs(graph, k: int, seed: int = 0) -> EigenPairs:
     """K smallest eigenpairs of L v = mu D v with L = D - W.
 
-    ``weights`` is a dense symmetric matrix or an object with ``matvec`` and
-    ``dim`` (the augmented graph qualifies); ``seed`` draws the start block.
-    Solved through the symmetric reduction D^{-1/2} L D^{-1/2};
+    ``graph`` is W with its own degrees D: a dense symmetric matrix, whose
+    degrees are its row sums, or an object with ``matvec`` and ``degrees``
+    (``AugmentedGraph`` and ``BaseWeights`` qualify); ``seed`` draws the
+    start block. Solved through the symmetric reduction D^{-1/2} L D^{-1/2};
     eigenvalues lie in [0, 2] and eigenvectors are D-orthonormal. The
     eigenvalue 0 appears once per connected component, and its eigenvectors
     span the components' indicator vectors.
     """
-    degrees = np.asarray(degrees, dtype=np.float64)
+    w_matvec, degrees = _as_operator(graph)
     bad = np.flatnonzero(~(np.isfinite(degrees) & (degrees > 0.0)))
     if bad.size:
         raise ConfigError(f"node {int(bad[0])} has nonpositive or non-finite degree")
-    w_matvec, dim = _as_operator(weights)
-    if degrees.shape != (dim,):
-        raise ConfigError("degree vector length does not match graph dimension")
 
     dinv_sqrt = 1.0 / np.sqrt(degrees)
 
     def lsym_matvec(x):  # a block of column vectors
         return x - dinv_sqrt[:, None] * w_matvec(dinv_sqrt[:, None] * x)
 
-    values, u, columns = _lanczos_smallest(lsym_matvec, dim, k, seed)
+    values, u, columns = _lanczos_smallest(lsym_matvec, degrees.size, k, seed)
     vectors = _fix_signs(u * dinv_sqrt[:, None])
     scale = max(1.0, float(degrees.max()))
     dv = degrees[:, None] * vectors

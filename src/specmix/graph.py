@@ -71,10 +71,6 @@ class BaseWeights:
     def n(self) -> int:
         return self.degrees.size
 
-    @property
-    def dim(self) -> int:
-        return self.n
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Weight matrix times a vector or a block of column vectors.
 
@@ -337,13 +333,14 @@ def assignment_energy(z, graph) -> float:
 
     Equals the normalized-cut value of the partition whose assignment
     matrix is ``z``. ``graph`` is an AugmentedGraph, BaseWeights or a
-    symmetric matrix.
+    symmetric matrix, read with its degrees as the eigensolver reads it
+    (``eigen._as_operator``).
     """
-    matvec, dim = _as_operator(graph)
-    degrees = graph.degrees if hasattr(graph, "degrees") else np.asarray(graph).sum(axis=1)
+    matvec, degrees = _as_operator(graph)
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] != dim:
-        raise ConfigError(f"assignment must be a {dim}-row matrix, got shape {z.shape}")
+    if z.ndim != 2 or z.shape[0] != degrees.size:
+        raise ConfigError(f"assignment must be a {degrees.size}-row matrix, "
+                          f"got shape {z.shape}")
     degree_term = float(np.sum(degrees * np.einsum("ik,ik->i", z, z)))
     return degree_term - float(np.einsum("ik,ik->", z, matvec(z)))
 

@@ -242,7 +242,7 @@ def transfer_cut(stacked: StackedEncoder, k: int) -> tuple[EigenPairs, np.ndarra
     if k > stacked.t:
         raise ConfigError(f"k={k} exceeds the {stacked.t} category nodes")
     w_small, d_small = build_bipartite_reduction(stacked)
-    small = generalized_smallest_eigs(w_small, d_small, k)
+    small = generalized_smallest_eigs(w_small, k)
     gammas = small.values
     if gammas[-1] >= 1.0 - _GAP_TOL:
         raise SpectralGapError(
@@ -315,7 +315,7 @@ def _cluster(ds: MixedDataset, cfg: SpecMixConfig, method: str,
 
 def _spectral_embedding(graph, cfg: SpecMixConfig):
     """The k smallest generalized pairs of ``graph``, whose vectors embed it."""
-    pairs = generalized_smallest_eigs(graph, graph.degrees, cfg.k, seed=cfg.seed)
+    pairs = generalized_smallest_eigs(graph, cfg.k, seed=cfg.seed)
     return pairs, pairs.vectors, None
 
 

@@ -274,10 +274,11 @@ def _is_finite(text: str) -> bool:
 def write_whole(path, write) -> None:
     """Call ``write`` with a UTF-8 text handle, line ends written as given,
     on a sibling file that replaces ``path`` once ``write`` returns, so a
-    write that fails or is interrupted leaves ``path`` as it was. A ``path``
+    write that fails or is interrupted leaves ``path`` as it was. A symlink
+    is followed, so its target is replaced and the link stays. A ``path``
     that is neither absent nor a regular file, such as a pipe or
     ``/dev/null``, is written through, not replaced."""
-    path = Path(path)
+    path = Path(os.path.realpath(path))
     if path.exists() and not path.is_file():
         with open(path, "w", newline="", encoding="utf-8") as handle:
             write(handle)

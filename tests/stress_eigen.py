@@ -53,7 +53,7 @@ def stress(problems, examples: int) -> tuple[int, list[str]]:
         w, d, k = problem
         seen.append(1)
         try:
-            mismatch = oracle_mismatch(generalized_smallest_eigs(w, d, k), w, d, k)
+            mismatch = oracle_mismatch(generalized_smallest_eigs(w, k), w, d, k)
         except Exception as exc:  # a stable error code or a raw one: both wrong
             mismatch = f"raised {type(exc).__name__}: {exc}"
         if mismatch is not None:

@@ -568,13 +568,6 @@ class TestSynthetic:
         assert freqs[0] == 0.0
         assert np.abs(freqs[1:] - 1.0 / 3.0).max() <= 0.02
 
-    def test_uniform_corruption_mode(self):
-        ds, labels = generate_synthetic(SyntheticParams(
-            n=4000, k=4, q=1, sigma=0.0, p=1.0, seed=3, corruption="uniform"))
-        col = ds.categorical[:, 0]
-        match = np.mean(col == labels)
-        assert abs(match - 0.25) <= 0.03
-
     def test_bitwise_reproducible(self):
         params = SyntheticParams(n=100, k=3, q=2, sigma=0.7, p=0.2, seed=11)
         a, la = generate_synthetic(params)

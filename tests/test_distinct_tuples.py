@@ -211,7 +211,7 @@ def check_lift_bits(stacked, k):
     their scaled data rows."""
     pairs, embedding = transfer_cut(stacked, k)
     w_small, d_small = build_bipartite_reduction(stacked)
-    small = generalized_smallest_eigs(w_small, d_small, k)
+    small = generalized_smallest_eigs(w_small, k)
     mus, rows = pairs.values, stacked.rows
     lifted = stacked.apply(small.vectors) / (stacked.lam_total * (1.0 - mus))
     vectors = _fix_signs(np.concatenate([lifted, small.vectors]) * (1.0 / np.sqrt(2.0)))

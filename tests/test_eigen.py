@@ -12,16 +12,17 @@ from specmix.pipelines import specmix_graph
 
 
 class Operator:
-    """The operator protocol the solvers accept: ``matvec`` and ``dim``."""
+    """The graph protocol the solver accepts: ``matvec`` and ``degrees``."""
 
-    def __init__(self, matvec, dim):
-        self.matvec, self.dim = matvec, dim
+    def __init__(self, matvec, degrees):
+        self.matvec, self.degrees = matvec, degrees
 
 
 def lanczos_core(a, k, seed=0):
     """(values, vectors, columns) of the Lanczos core on the symmetric matrix
     or operator ``a``: orthonormal vectors, without the sign convention."""
-    return eigen._lanczos_smallest(*eigen._as_operator(a), k, seed)
+    matvec, degrees = eigen._as_operator(a)
+    return eigen._lanczos_smallest(matvec, degrees.size, k, seed)
 
 
 def random_symmetric(rng, dim):
@@ -96,7 +97,7 @@ class TestSymmetric:
     def test_operator_form(self):
         rng = np.random.default_rng(2)
         a = random_symmetric(rng, 40)
-        op = Operator(lambda x: a @ x, 40)
+        op = Operator(lambda x: a @ x, np.ones(40))
         values, _, _ = lanczos_core(op, 3)
         assert np.abs(values - dense_oracle(a)[0][:3]).max() <= 1e-8
 
@@ -104,13 +105,13 @@ class TestSymmetric:
 class TestGeneralized:
     def test_complete_graph_three_nodes(self):
         w = np.ones((3, 3)) - np.eye(3)
-        pairs = generalized_smallest_eigs(w, w.sum(axis=1), 3)
+        pairs = generalized_smallest_eigs(w, 3)
         assert np.allclose(pairs.values, [0.0, 1.5, 1.5], atol=1e-10)
 
     def test_connected_graph_null_vector(self):
         rng = np.random.default_rng(3)
         w = random_graph_weights(rng, 12)
-        pairs = generalized_smallest_eigs(w, w.sum(axis=1), 3)
+        pairs = generalized_smallest_eigs(w, 3)
         assert abs(pairs.values[0]) <= 1e-10
         v0 = pairs.vectors[:, 0]
         assert np.abs(v0 - v0.mean()).max() <= 1e-8 * abs(v0.mean())
@@ -119,7 +120,7 @@ class TestGeneralized:
         rng = np.random.default_rng(4)
         w = random_graph_weights(rng, 25)
         d = w.sum(axis=1)
-        pairs = generalized_smallest_eigs(w, d, 6)
+        pairs = generalized_smallest_eigs(w, 6)
         lap = np.diag(d) - w
         for i in range(6):
             res = np.linalg.norm(lap @ pairs.vectors[:, i]
@@ -131,7 +132,7 @@ class TestGeneralized:
         for _ in range(5):
             w = random_graph_weights(rng, 15)
             d = w.sum(axis=1)
-            pairs = generalized_smallest_eigs(w, d, 15)
+            pairs = generalized_smallest_eigs(w, 15)
             assert pairs.values.min() >= -1e-10
             assert pairs.values.max() <= 2.0 + 1e-10
             gram = pairs.vectors.T @ (d[:, None] * pairs.vectors)
@@ -140,29 +141,24 @@ class TestGeneralized:
     def test_zero_degree_rejected(self):
         w = np.zeros((3, 3))
         with pytest.raises(ConfigError):
-            generalized_smallest_eigs(w, w.sum(axis=1), 1)
+            generalized_smallest_eigs(w, 1)
 
     def test_non_square_matrix_rejected(self):
         with pytest.raises(ConfigError, match="square matrix"):
-            generalized_smallest_eigs(np.ones((3, 4)), np.ones(3), 1)
-
-    def test_degree_length_must_match(self):
-        with pytest.raises(ConfigError, match="degree vector length"):
-            generalized_smallest_eigs(np.ones((3, 3)), np.ones(2), 1)
+            generalized_smallest_eigs(np.ones((3, 4)), 1)
 
     def test_non_symmetric_operator_fails_the_residual_check(self):
         # an operator is not checked for symmetry; its Ritz pairs are not
         # eigenpairs, and the residual check says so
         w = np.random.default_rng(7).uniform(0.0, 1.0, (12, 12))
         with pytest.raises(ConvergenceError, match="residual"):
-            generalized_smallest_eigs(Operator(lambda x: w @ x, 12), w.sum(axis=1), 3)
+            generalized_smallest_eigs(Operator(lambda x: w @ x, w.sum(axis=1)), 3)
 
     def test_deterministic_with_sign_convention(self):
         rng = np.random.default_rng(6)
         w = random_graph_weights(rng, 18)
-        d = w.sum(axis=1)
-        a = generalized_smallest_eigs(w, d, 4)
-        b = generalized_smallest_eigs(w, d, 4)
+        a = generalized_smallest_eigs(w, 4)
+        b = generalized_smallest_eigs(w, 4)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.vectors, b.vectors)
 
@@ -173,7 +169,7 @@ class TestGeneralized:
             w = random_graph_weights(rng, dim)
             d = w.sum(axis=1)
             k = 4
-            pairs = generalized_smallest_eigs(w, d, k)
+            pairs = generalized_smallest_eigs(w, k)
             ref_vals, ref_vecs = dense_oracle(w, d)
             assert np.abs(pairs.values - ref_vals[:k]).max() <= 1e-8
             gap = ref_vals[k] - ref_vals[k - 1]
@@ -186,8 +182,8 @@ class TestGeneralized:
         rng = np.random.default_rng(8)
         w = random_graph_weights(rng, 60)
         d = w.sum(axis=1)
-        op = Operator(lambda x: w @ x, 60)
-        lanczos = generalized_smallest_eigs(op, d, 5)
+        op = Operator(lambda x: w @ x, d)
+        lanczos = generalized_smallest_eigs(op, 5)
         assert np.abs(dense_oracle(w, d)[0][:5] - lanczos.values).max() <= 1e-8
 
     def test_default_matches_dense_at_dim_2100(self):
@@ -195,7 +191,7 @@ class TestGeneralized:
         dim = 2100
         w = random_graph_weights(rng, dim)
         d = w.sum(axis=1)
-        default = generalized_smallest_eigs(w, d, 2)
+        default = generalized_smallest_eigs(w, 2)
         assert np.abs(default.values - dense_oracle(w, d)[0][:2]).max() <= 1e-8
 
 
@@ -207,7 +203,7 @@ class TestRepeatedEigenvalues:
         c = connected_block(np.random.default_rng(0), 46, 1.0)
         w = np.block([[c, np.full_like(c, link)], [np.full_like(c, link), c]])
         d = w.sum(axis=1)
-        pairs = generalized_smallest_eigs(w, d, k)
+        pairs = generalized_smallest_eigs(w, k)
         assert np.abs(pairs.values - dense_oracle(w, d)[0][:k]).max() <= 1e-8
 
     def test_one_null_vector_per_component(self):
@@ -216,12 +212,25 @@ class TestRepeatedEigenvalues:
         rng = np.random.default_rng(1)
         sizes = [12, 20, 9, 15]
         w = block_diag(*[random_graph_weights(rng, s) for s in sizes])
-        d = w.sum(axis=1)
-        pairs = generalized_smallest_eigs(w, d, 4)
+        pairs = generalized_smallest_eigs(w, 4)
         assert np.abs(pairs.values).max() <= 1e-10
         labels = np.repeat(np.arange(4), sizes)
         indicators = (labels[:, None] == np.arange(4)).astype(float)
         assert subspace_sine(indicators, pairs.vectors) <= 1e-8
+
+    def test_inverse_iteration_failure_falls_back(self):
+        # two 3-node paths joined by edges of 1e-18: mu = 0, 1 and 2 twice
+        # each, and LAPACK's inverse iteration (sbevx) does not converge on
+        # the band matrix of the filled basis, which raised LinAlgError
+        w = np.full((6, 6), 1e-18)
+        w[:3, :3] = [[0.0, 0.7674835508884524, 0.0],
+                     [0.7674835508884524, 0.0, 0.5377452629845352],
+                     [0.0, 0.5377452629845352, 0.0]]
+        w[3:, 3:] = [[0.0, 0.0, 0.5420978021245769],
+                     [0.0, 0.0, 0.5339158059052364],
+                     [0.5420978021245769, 0.5339158059052364, 0.0]]
+        pairs = generalized_smallest_eigs(w, 3)
+        assert oracle_mismatch(pairs, w, w.sum(axis=1), 3) is None
 
     def test_repeated_values_past_the_start_block(self):
         # k=6 needs all five copies of 1 and one of 2: the basis fills the
@@ -242,18 +251,18 @@ class TestRepeatedEigenvalues:
 
 class TestProducts:
     @staticmethod
-    def counting(a, columns):
+    def counting(a, degrees, columns):
         def matvec(x):
             columns.append(1 if x.ndim == 1 else x.shape[1])
             return a @ x
-        return Operator(matvec, a.shape[0])
+        return Operator(matvec, degrees)
 
     # a symmetric matrix as the weights at unit degrees: the solve of I - A
     @pytest.mark.parametrize("k", [1, 4, 60])
     def test_symmetric_counts_every_column(self, k):
         a = random_symmetric(np.random.default_rng(10), 60)
         columns = []
-        pairs = generalized_smallest_eigs(self.counting(a, columns), np.ones(60), k)
+        pairs = generalized_smallest_eigs(self.counting(a, np.ones(60), columns), k)
         assert pairs.products == sum(columns) >= 2 * k
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -261,31 +270,30 @@ class TestProducts:
         w = random_graph_weights(np.random.default_rng(11), 50)
         d = w.sum(axis=1)
         columns = []
-        pairs = generalized_smallest_eigs(self.counting(w, columns), d, k)
+        pairs = generalized_smallest_eigs(self.counting(w, d, columns), k)
         assert pairs.products == sum(columns) >= 2 * k
 
 
 class TestNonFiniteInput:
     # NaN fails every comparison, so these inputs used to reach
     # eigh_tridiagonal (ValueError) or LAPACK (LinAlgError); ``method`` names
-    # the one solver, and keeps the test ids of the three matrix cases. The
-    # symmetric cases give their matrix or operator as the weights of a graph
-    # with unit degrees.
+    # the one solver, and keeps the test ids of the three matrix cases. A
+    # dense matrix is refused before its row sums are read; the operator
+    # cases carry unit degrees, or broken ones.
     @pytest.mark.parametrize("method", ["lanczos"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_symmetric_matrix(self, method, bad):
         a = random_symmetric(np.random.default_rng(0), 6)
         a[2, 3] = a[3, 2] = bad
         with pytest.raises(ConfigError, match="non-finite"):
-            generalized_smallest_eigs(a, np.ones(6), 2)
+            generalized_smallest_eigs(a, 2)
 
     @pytest.mark.parametrize("method", ["lanczos"])
     def test_generalized_matrix(self, method):
         w = random_graph_weights(np.random.default_rng(1), 6)
-        d = w.sum(axis=1)
         w[0, 1] = w[1, 0] = np.nan
         with pytest.raises(ConfigError, match="non-finite"):
-            generalized_smallest_eigs(w, d, 2)
+            generalized_smallest_eigs(w, 2)
 
     @pytest.mark.parametrize("method", ["lanczos"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -294,15 +302,15 @@ class TestNonFiniteInput:
         d = w.sum(axis=1)
         d[4] = bad
         with pytest.raises(ConfigError, match="node 4"):
-            generalized_smallest_eigs(w, d, 2)
+            generalized_smallest_eigs(Operator(lambda x: w @ x, d), 2)
 
     # operators are not inspected up front; a non-finite product used to
     # escape from eigh_tridiagonal as a raw ValueError
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_symmetric_operator(self, bad):
-        op = Operator(lambda x: bad * x, 5)
+        op = Operator(lambda x: bad * x, np.ones(5))
         with pytest.raises(ConfigError, match="non-finite"):
-            generalized_smallest_eigs(op, np.ones(5), 2)
+            generalized_smallest_eigs(op, 2)
 
     def test_symmetric_operator_fails_mid_run(self):
         a = random_symmetric(np.random.default_rng(3), 40)
@@ -316,7 +324,7 @@ class TestNonFiniteInput:
             return y
 
         with pytest.raises(ConfigError, match="non-finite"):
-            generalized_smallest_eigs(Operator(matvec, 40), np.ones(40), 3)
+            generalized_smallest_eigs(Operator(matvec, np.ones(40)), 3)
 
     # the last product is the returned residual check; a NaN there used to
     # come back as a NaN residual, which passes every bound
@@ -334,9 +342,8 @@ class TestNonFiniteInput:
 
         def solve():
             calls.clear()
-            op = Operator(matvec, 30)
-            return generalized_smallest_eigs(op, w.sum(axis=1) if generalized
-                                             else np.ones(30), 3)
+            op = Operator(matvec, w.sum(axis=1) if generalized else np.ones(30))
+            return generalized_smallest_eigs(op, 3)
 
         last = 0
         solve()
@@ -346,9 +353,9 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_generalized_operator(self, bad):
-        op = Operator(lambda x: bad * x, 5)
+        op = Operator(lambda x: bad * x, np.ones(5))
         with pytest.raises(ConfigError, match="non-finite"):
-            generalized_smallest_eigs(op, np.ones(5), 2)
+            generalized_smallest_eigs(op, 2)
 
 
 def connected_block(rng, size, density):
@@ -399,10 +406,23 @@ def oracle_mismatch(pairs, w, d, k) -> str | None:
 def test_default_solver_matches_dense_oracle(graph):
     w, k, perm = graph
     d = w.sum(axis=1)
-    pairs = generalized_smallest_eigs(w, d, k)
+    pairs = generalized_smallest_eigs(w, k)
     assert oracle_mismatch(pairs, w, d, k) is None
-    permuted = generalized_smallest_eigs(w[np.ix_(perm, perm)], d[perm], k)
+    permuted = generalized_smallest_eigs(w[np.ix_(perm, perm)], k)
     assert np.abs(permuted.values - pairs.values).max() <= 1e-8
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(weighted_graphs())
+def test_a_matrix_solves_as_the_operator_of_its_row_sums(graph):
+    # a dense matrix's degrees are its row sums: the same solve, bit for
+    # bit, as an operator that carries them
+    w, k, _ = graph
+    dense = generalized_smallest_eigs(w, k)
+    op = generalized_smallest_eigs(Operator(lambda x: w @ x, w.sum(axis=1)), k)
+    for field in ("values", "vectors", "residuals"):
+        assert np.array_equal(getattr(dense, field), getattr(op, field))
+    assert dense.products == op.products
 
 
 @st.composite
@@ -435,7 +455,7 @@ def bipartite_reductions(draw):
 @given(bipartite_reductions())
 def test_bipartite_reductions_match_dense_oracle(problem):
     w, d, k = problem
-    assert oracle_mismatch(generalized_smallest_eigs(w, d, k), w, d, k) is None
+    assert oracle_mismatch(generalized_smallest_eigs(w, k), w, d, k) is None
 
 
 @st.composite
@@ -481,9 +501,9 @@ class TestCheckSchedule:
                                                    p=0.25, seed=1))
         graph = base_similarity(ds)
         widths = self.record_widths(monkeypatch)
-        pairs = generalized_smallest_eigs(graph, graph.degrees, 8)
-        assert all(5 * end < 4 * graph.dim for end in widths[:-1])
-        assert widths[-1] == graph.dim
+        pairs = generalized_smallest_eigs(graph, 8)
+        assert all(5 * end < 4 * graph.n for end in widths[:-1])
+        assert widths[-1] == graph.n
         assert widths[:-1] == [16, 32, 48, 64, 80, 96, 112, 128, 152]
         assert oracle_mismatch(pairs, graph.matvec(np.eye(graph.n)), graph.degrees, 8) is None
 
@@ -501,6 +521,6 @@ class TestCheckSchedule:
                                                    p=0.25, seed=1))
         graph = specmix_graph(ds, SpecMixConfig(k=4, lambdas=10.0))
         widths = self.record_widths(monkeypatch)
-        pairs = generalized_smallest_eigs(graph, graph.degrees, 4)
+        pairs = generalized_smallest_eigs(graph, 4)
         assert widths[-1] < graph.dim
         assert pairs.products == widths[-1] + 4

@@ -146,8 +146,8 @@ class TestTransferCut:
         rng = np.random.default_rng(6)
         ds = categorical_dataset(rng, 60, [5, 4])
         stacked = build_stacked(ds, [1.5, 0.7])
-        w_small, d_small = build_bipartite_reduction(stacked)
-        gammas = generalized_smallest_eigs(w_small, d_small, 4).values
+        w_small, _ = build_bipartite_reduction(stacked)
+        gammas = generalized_smallest_eigs(w_small, 4).values
         mus = transfer_cut(stacked, 4)[0].values
         assert np.abs(mus * (2.0 - mus) - gammas).max() <= 1e-12
 
@@ -155,7 +155,7 @@ class TestTransferCut:
         rng = np.random.default_rng(9)
         stacked = build_stacked(categorical_dataset(rng, 80, [6, 5, 4]),
                                 [1.0, 2.0, 0.5])
-        small = generalized_smallest_eigs(*build_bipartite_reduction(stacked), 4)
+        small = generalized_smallest_eigs(build_bipartite_reduction(stacked)[0], 4)
         assert transfer_cut(stacked, 4)[0].products == small.products + 4
 
     def test_k_above_categories_rejected(self):
@@ -536,9 +536,30 @@ def test_pipeline_eigenvectors_are_d_orthonormal(problem, lam, augmented, seed):
     ds, k = problem
     graph = (specmix_graph(ds, SpecMixConfig(k=k, lambdas=lam)) if augmented
              else base_similarity(ds))
-    pairs = generalized_smallest_eigs(graph, graph.degrees, k, seed=seed)
+    pairs = generalized_smallest_eigs(graph, k, seed=seed)
     v = pairs.vectors
     assert np.abs(v.T @ (graph.degrees[:, None] * v) - np.eye(k)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [200, 400])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_small_lambda_leaves_the_smallest_pairs_to_the_category_nodes(n, seed):
+    """The small-lambda limit at the eigenvalue level. A category node has a
+    unit self-loop and edges of weight lambda·count, so the span of k
+    category indicators has Rayleigh quotients at most lambda·(largest
+    count), and by Courant-Fischer so does mu_k. Once that lies far below
+    ``numeric_spectral``'s mu_k, eigenvectors 2..k live on the category
+    nodes: the data rows get a near-constant embedding."""
+    k, lam = 4, 1e-6
+    ds, _ = generate_synthetic(SyntheticParams(n=n, k=k, q=3, sigma=1.0, p=0.25, seed=seed))
+    graph = specmix_graph(ds, SpecMixConfig(k=k, lambdas=lam))
+    lam_count = float(graph.stacked.column_sums.max())
+    assert graph.t >= k
+    assert lam_count <= 0.01 * generalized_smallest_eigs(base_similarity(ds), k).values[-1]
+    pairs = generalized_smallest_eigs(graph, k)
+    assert pairs.values[-1] <= lam_count + 1e-12
+    mass = graph.degrees[:, None] * pairs.vectors ** 2  # D-mass per node, columns sum to 1
+    assert (mass[graph.n:, 1:].sum(axis=0) >= 0.99).all()
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

@@ -272,6 +272,24 @@ class TestSweep:
         assert out.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["results.out"]
 
+    @pytest.mark.parametrize("write", [write_csv_rows, write_json_text],
+                             ids=["csv", "json"])
+    def test_a_symlink_is_written_through_not_replaced(self, tmp_path, write):
+        # a relative link: its target is replaced whole, the link stays, and
+        # a failed write leaves the target as it was
+        plain, target, link = (tmp_path / f"{name}.out" for name in ("plain", "target", "link"))
+        write(plain, fail=False)
+        target.write_text("{}")
+        link.symlink_to(target.name)
+        write(link, fail=False)
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_bytes() == plain.read_bytes()
+        with pytest.raises(RuntimeError):
+            write(link, fail=True)
+        assert target.read_bytes() == plain.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "link.out", "plain.out", "target.out"]
+
     def test_a_pipe_is_written_through_not_replaced(self, tmp_path):
         pipe = tmp_path / "pipe"
         os.mkfifo(pipe)
