@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import MixedDataset, as_codes, as_int, as_real
 from .errors import ConfigError, DataError
-from .kmeans import KMeansConfig, alternate, best_of_restarts
+from .kmeans import KMeansConfig, alternate, best_of_restarts, weighted_columns
 
 
 def _best_run(numeric, codes, cards, k, gamma_mix, seed, restarts, max_iters):
@@ -24,12 +24,13 @@ def _best_run(numeric, codes, cards, k, gamma_mix, seed, restarts, max_iters):
     if n < k:
         raise ConfigError(f"need at least k={k} rows, got {n}")
     unit = np.ones(n)
-    p2 = np.einsum("ij,ij->i", numeric, numeric)  # once for all restarts
+    p2 = np.einsum("ij,ij->i", numeric, numeric)  # these two once for all restarts
+    weighted = weighted_columns(numeric, unit)
 
     def restart(rng):
         init = rng.choice(n, size=k, replace=False)
         return alternate(numeric, codes, cards, numeric[init], codes[init], unit, p2,
-                         gamma_mix, cfg.max_iters)
+                         weighted, gamma_mix, cfg.max_iters)
 
     return best_of_restarts(cfg.restarts, seed, restart)
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded
 
 from .errors import ConfigError, ConvergenceError
 
@@ -93,14 +92,14 @@ def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
     for the k smallest pairs; the caller verifies the pairs exactly. A basis
     that fills the space gives exact pairs.
 
-    A check is one band eigensolve (``_band_smallest``) and applies no
-    product. It costs O(end^3), as ``eig_banded`` forms the orthogonal factor
-    of its band reduction, so checks are spaced out as the basis grows: at
-    least ``_CHECK_EVERY`` and at least end/8 new columns apart.
-    None is made once the basis holds ``_CHECK_SHARE`` (4/5) of the space:
-    from there one more check costs about as much as the remaining dim - end
-    columns do, and the full basis ends in one exact solve. A solve that
-    converges before the cutoff takes the same steps as without it.
+    A check is one eigensolve of T (``_band_smallest``) and applies no
+    product. It costs O(end^3), as it solves T whole, so checks are spaced
+    out as the basis grows: at least ``_CHECK_EVERY`` and at least end/8 new
+    columns apart. None is made once the basis holds ``_CHECK_SHARE`` (4/5)
+    of the space: from there one more check costs about as much as the
+    remaining dim - end columns do, and the full basis ends in one exact
+    solve. A solve that converges before the cutoff takes the same steps as
+    without it.
     """
     if not 1 <= k <= dim:
         raise ConfigError(f"k must lie in [1, {dim}], got {k}")
@@ -149,13 +148,14 @@ def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
 
 def _band_smallest(band, k: int):
     """The k smallest eigenpairs of the symmetric matrix whose lower band form
-    is ``band``: by inverse iteration (LAPACK sbevx), or, where that fails on
-    clustered eigenvalues, from the whole spectrum (sbevd)."""
-    try:
-        return eig_banded(band, lower=True, select="i", select_range=(0, k - 1))
-    except np.linalg.LinAlgError:
-        theta, s = eig_banded(band, lower=True)
-        return theta[:k], s[:, :k]
+    is ``band``: the whole spectrum of its dense lower triangle (LAPACK
+    syevd), filled in O(end^2)."""
+    end = band.shape[1]
+    dense = np.zeros((end, end))
+    for d, diagonal in enumerate(band[:end]):
+        np.fill_diagonal(dense[d:], diagonal[:end - d])
+    values, vectors = np.linalg.eigh(dense)  # reads the lower triangle
+    return values[:k], vectors[:, :k]
 
 
 def _orthonormalize(basis, m: int, block, rng, drop: float):

@@ -6,8 +6,9 @@ each categorical variable; datapoint i is linked to the extra node of its
 category in variable l with weight lambda_l, and every extra node carries a
 unit self-loop. The base graph keeps only its lower triangle, in row panels
 (``BaseWeights``). The augmentation is never materialized densely: products
-go through the sparse one-hot matrix H, costing O(n^2 + nQ) per column, and
-take a vector or a block of column vectors.
+go through the one-hot matrix H, kept as the category column of each row and
+variable, costing O(n^2 + nQ) per column, and take a vector or a block of
+column vectors.
 
 Graphs are immutable after assembly; all queries are pure.
 """
@@ -16,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from .dataset import MixedDataset, as_int, check_codes, is_real
 from .eigen import _as_operator
@@ -155,8 +156,9 @@ def as_lambdas(lambdas) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class StackedEncoder:
     """The n x t matrix H = unit @ diag(weights) of the n x Q ``codes``:
-    ``unit`` is the sparse one-hot matrix of all Q variables side by side (one
-    unit entry per row and variable), and ``weights`` holds each column's lambda.
+    ``unit`` is the one-hot matrix of all Q variables side by side (one unit
+    entry per row and variable), kept as ``cols``, the column of each row's
+    entry for each variable, and ``weights`` holds each column's lambda.
 
     Every row sums to the total edge weight (``lam_total``); column j of
     variable l sums to lambda_l times that category's count.
@@ -189,21 +191,17 @@ class StackedEncoder:
         object.__setattr__(self, "codes", check_codes(self.codes, cards, "category codes"))
         # Columns ascend within each row, so products sum in variable order.
         cols = self.codes + np.cumsum((0,) + cards[:-1])
-        shape = (cols.shape[0], sum(cards))
-        indptr = np.arange(0, cols.size + 1, len(cards))
-        unit = sparse.csr_array((np.ones(cols.size), cols.ravel(), indptr), shape=shape)
         if self.inverse is None:
-            counts = np.ones(shape[0], dtype=np.int64)
+            counts = np.ones(cols.shape[0], dtype=np.int64)
         else:
             if np.ndim(self.inverse) != 1:
                 raise DataError("tuple inverse must be a 1-D array")
-            inverse = check_codes(self.inverse, shape[0], "tuple inverse")
+            inverse = check_codes(self.inverse, cols.shape[0], "tuple inverse")
             object.__setattr__(self, "inverse", inverse)
-            counts = np.bincount(inverse, minlength=shape[0])
+            counts = np.bincount(inverse, minlength=cols.shape[0])
             if not counts.all():
                 raise DataError(f"tuple {int(np.argmin(counts))} has no datapoints")
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "_unit_t", unit.T)  # a CSC view; .T rebuilds it per call
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "weights", np.repeat(self.lambdas, cards))
         # An unused category would be an isolated extra node (specmix) or a
@@ -220,11 +218,11 @@ class StackedEncoder:
     @property
     def rows(self) -> int:
         """The row count of ``codes``: n, or the tuple count with ``inverse``."""
-        return self.unit.shape[0]
+        return self.cols.shape[0]
 
     @property
     def t(self) -> int:
-        return self.unit.shape[1]
+        return self.weights.size
 
     @property
     def lam_total(self) -> float:
@@ -232,27 +230,58 @@ class StackedEncoder:
         return float(sum(self.lambdas))
 
     @cached_property
+    def category_counts(self) -> np.ndarray:
+        """How many datapoints take each category, exact integers."""
+        q = self.cols.shape[1]
+        return np.bincount(self.cols.ravel(), np.repeat(self.counts, q), self.t)
+
+    @cached_property
     def column_sums(self) -> np.ndarray:
-        return self.weights * (self._unit_t @ self.counts)  # exact integer counts
+        return self.weights * self.category_counts
 
     def cooccurrence(self) -> np.ndarray:
         """The dense t x t matrix unit.T @ unit over the n datapoints: how
-        many datapoints take both categories, exact integers."""
-        counted = sparse.diags_array(self.counts.astype(np.float64)) @ self.unit
-        return (self._unit_t @ counted).toarray()
+        many datapoints take both categories, exact integers. The category
+        counts make the diagonal, and one bincount over the pair keys
+        code_a * card_b + code_b the block of each two variables a < b."""
+        cards, lows = self.cardinalities, np.cumsum((0,) + self.cardinalities)
+        codes = [np.ascontiguousarray(column) for column in self.codes.T]
+        out = np.diag(self.category_counts)
+        for a, b in combinations(range(len(cards)), 2):
+            pairs = np.bincount(codes[a] * cards[b] + codes[b], self.counts, cards[a] * cards[b])
+            out[lows[a]:lows[a + 1], lows[b]:lows[b + 1]] = pairs.reshape(cards[a], cards[b])
+            out[lows[b]:lows[b + 1], lows[a]:lows[a + 1]] = pairs.reshape(cards[a], cards[b]).T
+        return out
 
-    # Weights act on the t side, so H.T x is lambda times a sum of x_i and
-    # rounds as a per-variable scatter-add. x.T puts the rows last, so the
-    # weights broadcast over a vector and a block alike.
     def apply(self, x: np.ndarray) -> np.ndarray:
         """H @ x for a length-t vector or a t x m block, one row per row of
-        ``codes``."""
-        return self.unit @ (self.weights * _block(x, self.t).T).T
+        ``codes``: each row of the weighted ``x`` gathered once per variable
+        and added in variable order to +0.0, as a sparse row-by-row product
+        sums, a chunk of rows at a time, so no whole gathered block is held."""
+        xw = np.ascontiguousarray((self.weights * _block(x, self.t).T).T)
+        out = np.zeros((self.rows,) + xw.shape[1:])
+        step = max(1, _BLOCK_BYTES // (8 * max(1, xw[0].size)))
+        gathered = np.empty((min(step, self.rows),) + xw.shape[1:])
+        for a in range(0, self.rows, step):
+            chunk = out[a:a + step]
+            for col in self.cols[a:a + step].T:
+                chunk += np.take(xw, col, axis=0, out=gathered[:chunk.shape[0]], mode="clip")
+        return out
 
     def apply_transpose(self, x: np.ndarray) -> np.ndarray:
-        """H.T @ x for a vector or block with one row per row of ``codes``."""
-        counted = (self.counts * _block(x, self.rows).T).T  # exact at count 1
-        return (self.weights * (self._unit_t @ counted).T).T
+        """H.T @ x for a vector or block with one row per row of ``codes``:
+        each row, times its count, added to its Q columns in row order from
+        +0.0, as a sparse column-by-column product sums: one ``np.bincount``
+        per variable and column of ``x``."""
+        x = _block(x, self.rows)
+        counted = np.multiply(self.counts, x.T, order="C")  # a row per column of x
+        sums = np.empty(counted.shape[:-1] + (self.t,))
+        lows = np.cumsum((0,) + self.cardinalities)
+        for codes, lo, hi in zip(self.codes.T, lows[:-1], lows[1:]):
+            codes = np.ascontiguousarray(codes)
+            for column, out in zip(counted.reshape(-1, self.rows), sums.reshape(-1, self.t)):
+                out[lo:hi] = np.bincount(codes, column, hi - lo)
+        return (self.weights * sums).T
 
 
 @dataclass(frozen=True)

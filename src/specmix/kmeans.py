@@ -13,12 +13,17 @@ rows exactly as an unweighted run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.sparse import csc_array
 
 from .dataset import _check_seed, _first_appearance, as_int, check_codes
 from .errors import ConfigError, DataError
+
+# Bytes of the rows that one step of ``_row_keys`` reads: small enough to stay
+# in cache.
+_CHUNK_BYTES = 1 << 20
+_KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd: multiplying by it is one-to-one
 
 
 @dataclass(frozen=True)
@@ -116,13 +121,26 @@ def best_of_restarts(restarts: int, seed: int, run):
     return min(results, key=lambda result: result[-1])
 
 
-def cluster_means(points, labels, k, w) -> np.ndarray:
-    """The k means of the rows of ``points`` by label, row i weighing ``w[i]``:
-    one product with the k x m one-hot, built in CSC form (column i holds
-    ``w[i]`` in row ``labels[i]``), which sums each cluster's rows in row
-    order."""
-    one_hot = csc_array((w, labels, np.arange(labels.size + 1)), shape=(k, labels.size))
-    return (one_hot @ points) / np.bincount(labels, weights=w, minlength=k)[:, None]
+def weighted_columns(points, w):
+    """A function that returns the d x m array of w[i] * points[i, j], one
+    C-contiguous row per column of ``points``, what ``cluster_means`` sums,
+    building it on its first call only. ``alternate`` first calls it after
+    the first assignment: built there, once for all restarts, the array
+    reuses memory that the assignment's m x k temporaries freed, where one
+    built before the restarts made K-means fault in several times more
+    pages."""
+    return cache(lambda: np.multiply(w, points.T, order="C"))
+
+
+def cluster_means(weighted, labels, k, w) -> np.ndarray:
+    """The k means by label of the rows whose weighted columns are
+    ``weighted`` (``weighted_columns``), row i weighing ``w[i]``. Each
+    cluster's weighted rows are added in row order to +0.0, one
+    ``np.bincount`` per column, as a product with the k x m one-hot sums."""
+    sums = np.empty((k, weighted.shape[0]))
+    for j, column in enumerate(weighted):
+        sums[:, j] = np.bincount(labels, column, k)
+    return sums / np.bincount(labels, weights=w, minlength=k)[:, None]
 
 
 def _column_modes(codes, labels, k, cards, w) -> np.ndarray:
@@ -134,15 +152,18 @@ def _column_modes(codes, labels, k, cards, w) -> np.ndarray:
     return modes
 
 
-def alternate(numeric, codes, cards, centers, modes, w, p2, gamma_mix, max_iters):
+def alternate(numeric, codes, cards, centers, modes, w, p2, weighted, gamma_mix,
+              max_iters):
     """Alternating minimization from the given prototypes, as K-means,
     K-modes and K-prototypes run it: (labels, centers, modes, objective).
     Row i of ``numeric`` and of ``codes`` (either may have no columns)
     weighs ``w[i]`` and costs its squared distance to a center, ``p2[i]``
     being its squared norm, plus ``gamma_mix`` times its mismatches with a
-    mode. Each of at most ``max_iters`` iterations assigns the rows and stops
-    if the labels repeat, or else updates the means and modes. The objective
-    is the weighted cost of the last labels and prototypes."""
+    mode; ``weighted()`` returns the weighted columns of ``numeric``
+    (``weighted_columns``). Each of at most ``max_iters`` iterations assigns
+    the rows and stops if the labels repeat, or else updates the means and
+    modes. The objective is the weighted cost of the last labels and
+    prototypes."""
     (m, d), (k, q) = numeric.shape, modes.shape
     labels = np.full(m, -1, dtype=np.int64)
     for _ in range(max_iters):
@@ -160,7 +181,7 @@ def alternate(numeric, codes, cards, centers, modes, w, p2, gamma_mix, max_iters
             break
         labels = new_labels
         if d:
-            centers = cluster_means(numeric, labels, k, w)
+            centers = cluster_means(weighted(), labels, k, w)
         if q:
             modes = _column_modes(codes, labels, k, cards, w)
     diff = centers[labels]
@@ -172,16 +193,43 @@ def alternate(numeric, codes, cards, centers, modes, w, p2, gamma_mix, max_iters
     return labels, centers, modes, objective
 
 
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """One uint64 key per row of the m x d uint64 ``words``, mixed in column
+    by column, a chunk of rows at a time: key = mix(key) + word, where
+    mix(h) = g ^ (g >> 32) for g = h * 0x9E3779B97F4A7C15 (mod 2**64) is
+    one-to-one. Rows with equal words get equal keys; distinct rows may too,
+    rarely."""
+    keys = np.zeros(words.shape[0], dtype=np.uint64)
+    step = max(1, _CHUNK_BYTES // (8 * max(1, words.shape[1])))
+    shifted = np.empty(min(step, keys.size), dtype=np.uint64)
+    for a in range(0, keys.size, step):
+        chunk = keys[a:a + step]
+        for column in words[a:a + step].T:
+            chunk *= _KEY_MULTIPLIER
+            chunk ^= np.right_shift(chunk, 32, out=shifted[:chunk.size])
+            chunk += column
+    return keys
+
+
 def _distinct_rows(points: np.ndarray):
     """(rows, inverse): the distinct rows of ``points`` in order of first
     appearance, and the distinct row of each given row. Rows are compared by
     their bytes, so ``points`` must be finite. -0.0 and 0.0 differ in their
     bytes, so such rows stay apart, which is correct but merges less. With
     every row distinct, the rows are ``points`` as a C-contiguous array, not
-    a copy."""
+    a copy.
+
+    Rows are grouped by one uint64 key each (``_row_keys``), and every row
+    is checked against the first of its group, byte for byte; only where
+    two distinct rows share a key are the rows sorted by their bytes."""
     flat = np.ascontiguousarray(points)
-    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
-    first, inverse = _first_appearance(keys)
+    words = flat.view(np.uint64)
+    first, inverse = _first_appearance(_row_keys(words))
+    firsts = first[inverse]
+    later = np.flatnonzero(firsts != np.arange(firsts.size))
+    if not (words[later] == words[firsts[later]]).all():
+        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+        first, inverse = _first_appearance(keys)
     return (flat if first.size == flat.shape[0] else points[first]), inverse
 
 
@@ -229,13 +277,14 @@ def kmeans(points, k: int, cfg: KMeansConfig | None = None, inverse=None,
     else:
         weights = np.bincount(merged, weights=counts)  # sums of counts: exact
         inverse = merged[inverse]
-    p2 = np.einsum("ij,ij->i", rows, rows)  # once for all restarts
+    p2 = np.einsum("ij,ij->i", rows, rows)  # these two once for all restarts
+    weighted = weighted_columns(rows, weights)
     no_codes, no_modes = np.empty((rows.shape[0], 0), np.int64), np.empty((k, 0), np.int64)
 
     def restart(rng):
         centers = _plus_plus_init(rows, k, rng, weights, inverse, p2)
-        return alternate(rows, no_codes, (), centers, no_modes, weights, p2, 0.0,
-                         cfg.max_iters)
+        return alternate(rows, no_codes, (), centers, no_modes, weights, p2, weighted,
+                         0.0, cfg.max_iters)
 
     labels, centers, _, inertia = best_of_restarts(cfg.restarts, seed, restart)
     return labels[inverse], centers, inertia

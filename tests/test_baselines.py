@@ -6,7 +6,7 @@ import pytest
 from specmix import (ConfigError, DataError, MixedDataset, SyntheticParams,
                      generate_synthetic, kmodes, kprototypes, label_agreement)
 from specmix.baselines import _best_run
-from specmix.kmeans import alternate
+from specmix.kmeans import alternate, weighted_columns
 
 
 class TestKModes:
@@ -165,7 +165,8 @@ def test_two_blocks_every_restart_ties(numeric, gamma_mix):
     def restart(rng):  # as the baselines start each restart
         init = rng.choice(ds.n, size=2, replace=False)
         return alternate(features, ds.categorical, ds.cardinalities, features[init],
-                         ds.categorical[init], np.ones(ds.n), p2, gamma_mix, 100)
+                         ds.categorical[init], np.ones(ds.n), p2,
+                         weighted_columns(features, np.ones(ds.n)), gamma_mix, 100)
 
     objectives = {restart(np.random.default_rng([seed, r]))[-1]
                   for seed in range(3) for r in range(10)}

@@ -218,10 +218,11 @@ class TestRepeatedEigenvalues:
         indicators = (labels[:, None] == np.arange(4)).astype(float)
         assert subspace_sine(indicators, pairs.vectors) <= 1e-8
 
-    def test_inverse_iteration_failure_falls_back(self):
+    def test_clustered_eigenvalues_of_a_filled_basis(self):
         # two 3-node paths joined by edges of 1e-18: mu = 0, 1 and 2 twice
-        # each, and LAPACK's inverse iteration (sbevx) does not converge on
-        # the band matrix of the filled basis, which raised LinAlgError
+        # each. A band solver's inverse iteration (LAPACK sbevx) did not
+        # converge on the band matrix of the filled basis and raised
+        # LinAlgError
         w = np.full((6, 6), 1e-18)
         w[:3, :3] = [[0.0, 0.7674835508884524, 0.0],
                      [0.7674835508884524, 0.0, 0.5377452629845352],
@@ -479,19 +480,19 @@ def test_symmetric_copies_match_dense_oracle(problem):
 
 class TestCheckSchedule:
     """The convergence checks of the Lanczos solver, seen as the basis width
-    of each ``eig_banded`` call: one at least every max(10, end/8) new
-    columns, none once the basis holds 4/5 of the space, and the exact solve
-    of a filled basis."""
+    of each band solve (``_band_smallest``): one at least every max(10,
+    end/8) new columns, none once the basis holds 4/5 of the space, and the
+    exact solve of a filled basis."""
 
     @staticmethod
     def record_widths(monkeypatch) -> list:
-        widths, solve = [], eigen.eig_banded
+        widths, solve = [], eigen._band_smallest
 
-        def recording(band, *args, **kwargs):
+        def recording(band, k):
             widths.append(band.shape[1])
-            return solve(band, *args, **kwargs)
+            return solve(band, k)
 
-        monkeypatch.setattr(eigen, "eig_banded", recording)
+        monkeypatch.setattr(eigen, "_band_smallest", recording)
         return widths
 
     def test_no_check_past_four_fifths_of_a_filled_basis(self, monkeypatch):

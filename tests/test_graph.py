@@ -246,6 +246,31 @@ class TestStackedEncoderChecks:
                                                              [0, 1, 0, 2, 0],
                                                              [0, 0, 1, 2, 0]]
 
+    @pytest.mark.parametrize("shape", [(5,), (5, 1), (5, 3)])
+    def test_products_add_in_row_and_variable_order(self, monkeypatch, shape):
+        # H x row by row, ((0.0 + x'[c_0]) + x'[c_1]) + x'[c_2] for the
+        # weighted x', and H.T y column by column, count times y added in
+        # row order to +0.0, bit for bit, over 40 decades and across chunks
+        # of rows
+        rng = np.random.default_rng(len(shape))
+        codes = np.column_stack([np.arange(7) % 3, np.arange(7) % 2, (np.arange(7) // 2) % 4])
+        stacked = StackedEncoder(codes, (3, 2, 4), [0.3, 1.7, 2.9], inverse=np.arange(9) % 7)
+        monkeypatch.setattr(graph, "_BLOCK_BYTES", 2 * 8 * int(np.prod(shape[1:])))
+        x = rng.standard_normal((stacked.t,) + shape[1:]) * np.exp(rng.uniform(-46, 46, (stacked.t,) + shape[1:]))
+        xw = (stacked.weights * x.T).T
+        expected = np.zeros((stacked.rows,) + shape[1:])
+        for i, cols in enumerate(stacked.cols):
+            for c in cols:
+                expected[i] = expected[i] + xw[c]
+        assert stacked.apply(x).tobytes() == expected.tobytes()
+        y = rng.standard_normal((stacked.rows,) + shape[1:]) * np.exp(rng.uniform(-46, 46, (stacked.rows,) + shape[1:]))
+        y[stacked.codes[:, 0] == 0] = -0.0  # whose sum is +0.0
+        sums = np.zeros((stacked.t,) + shape[1:])
+        for i, cols in enumerate(stacked.cols):
+            for c in cols:
+                sums[c] = sums[c] + stacked.counts[i] * y[i]
+        assert stacked.apply_transpose(y).tobytes() == (stacked.weights * sums.T).T.tobytes()
+
     @pytest.mark.parametrize("codes", [CODES[:, :1], CODES[:, 0], CODES[:, :, None]])
     def test_wrong_column_count_rejected(self, codes):
         with pytest.raises(DataError, match="n x 2"):

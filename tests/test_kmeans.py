@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmix import ConfigError, DataError, KMeansConfig, kmeans
-from specmix.kmeans import (_choice, _distinct_rows, _plus_plus_init, _sq_dists,
-                            alternate)
+from specmix.kmeans import (_choice, _distinct_rows, _plus_plus_init, _row_keys, _sq_dists,
+                            alternate, weighted_columns)
 
 
 def brute_force_two_clusters(points):
@@ -58,8 +58,9 @@ class TestKMeans:
         p2 = np.einsum("ij,ij->i", points, points)
         centers = _plus_plus_init(points, 4, rng, unit, identity, p2)
         no_codes, no_modes = np.empty((40, 0), np.int64), np.empty((4, 0), np.int64)
+        weighted = weighted_columns(points, unit)
         once, converged = (alternate(points, no_codes, (), centers, no_modes, unit, p2,
-                                     0.0, max_iters)[-1] for max_iters in (1, 300))
+                                     weighted, 0.0, max_iters)[-1] for max_iters in (1, 300))
         assert converged < once
 
     def test_all_clusters_used(self):
@@ -326,7 +327,8 @@ def test_center_update_matches_per_column_bincounts(m, d, k, seed):
     p2 = np.einsum("ij,ij->i", points, points)
     start = points[rng.choice(m, k, replace=False)]
     labels, centers, _, _ = alternate(points, np.empty((m, 0), np.int64), (), start,
-                                      np.empty((k, 0), np.int64), w, p2, 0.0, 1)
+                                      np.empty((k, 0), np.int64), w, p2,
+                                      weighted_columns(points, w), 0.0, 1)
     mass = np.bincount(labels, weights=w, minlength=k)
     expected = np.empty((k, d))
     for dim in range(d):
@@ -347,7 +349,7 @@ def fixed_start(clusterer):
     start = rng.choice(m, k, replace=False)
     gamma_mix = {"kmeans": 0.0, "kmodes": 1.0, "kprototypes": 0.5}[clusterer]
     return (numeric, codes, (4,) * codes.shape[1], numeric[start], codes[start], w,
-            np.einsum("ij,ij->i", numeric, numeric), gamma_mix)
+            np.einsum("ij,ij->i", numeric, numeric), weighted_columns(numeric, w), gamma_mix)
 
 
 @pytest.mark.parametrize("clusterer", ["kmeans", "kmodes", "kprototypes"])
@@ -375,3 +377,27 @@ def test_distinct_rows_are_not_copied():
     # a repeated row takes the copy that drops it
     rows, inverse = _distinct_rows(points[[0, 1, 0, 2]])
     assert np.array_equal(rows, points[:3]) and inverse.tolist() == [0, 1, 0, 2]
+
+
+def test_rows_that_share_a_key_stay_apart():
+    # y's last word is chosen so that x and y get one key: key = mix(key) +
+    # word, so the keys of [x0, 0] and [y0, 0] differ from theirs by the last
+    # words alone
+    x = np.array([1.0, 2.0])
+    for y0 in np.nextafter(1.0, np.arange(2.0, 10.0)):
+        heads = _row_keys(np.array([[x[0], 0.0], [y0, 0.0]]).view(np.uint64))
+        last = x[1:].view(np.uint64) + heads[:1] - heads[1:]
+        if np.isfinite(last.view(np.float64)).all():
+            break
+    y = np.array([y0, last.view(np.float64)[0]])
+    pair = np.array([x, y])
+    keys = _row_keys(pair.view(np.uint64))
+    assert keys[0] == keys[1] and not np.array_equal(x, y)
+    rows, inverse = _distinct_rows(pair[[0, 1, 0, 1, 1]])
+    assert rows.tobytes() == pair.tobytes() and inverse.tolist() == [0, 1, 0, 1, 1]
+
+
+def test_signed_zeros_stay_apart():
+    points = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+    rows, inverse = _distinct_rows(points)
+    assert rows.tobytes() == points[:2].tobytes() and inverse.tolist() == [0, 1, 0]

@@ -19,6 +19,16 @@ def test_import_does_not_load_scipy_optimize():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_import_loads_no_scipy():
+    # the one-hot products, the cluster means and the band solve are numpy
+    # code: only the agreement score imports scipy, when it is called
+    env = dict(os.environ, PYTHONPATH=str(Path(specmix.__file__).parent.parent))
+    code = ("import sys, specmix, specmix.cli; "
+            "sys.exit(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 class TestPurity:
     def test_perfect_clustering(self):
         labels = [0, 0, 1, 1, 2]

@@ -360,7 +360,9 @@ def test_edge_weights_checked_when_the_config_is_built(case):
 
 def test_single_panel_result_bytes_are_pinned():
     # sha256 of the result JSON, timings emptied, as written once the
-    # build centered the features (the labels did not move). A graph of
+    # Lanczos checks solved T as a dense matrix (numpy's eigh), not as a
+    # band: the labels did not move, and the eigenvalues by at most 9.1e-16
+    # at one BLAS thread. A graph of
     # n <= 1448 is one panel, whose build and products are the dense
     # matrix's; at K=8 the numeric solve fills its basis. The bits of a product depend on the BLAS thread
     # count, so a child process runs at one thread
@@ -380,8 +382,8 @@ def test_single_panel_result_bytes_are_pinned():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == [
-        "28d6ac69226cd1f1732b872fe99e408d8ea015a53a8655dafcfd44a2a1cd3caa",
-        "ad197d7c5e8846fd8cc539e5aec9c5d2e340f87a561174d726a537098f3e7616"]
+        "97cee70f16947ea59ca5bdd41422e896830e052ee3f92ab5cfb562589411ed9e",
+        "22d4000fd28aa2606392b4e157b7f226be3ce2869e02eb2c0b262e8e27a8d126"]
 
 
 def test_eight_cluster_solves_pass_residual_gate():
