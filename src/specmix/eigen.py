@@ -84,31 +84,32 @@ def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
     k columns, and the number of operator columns applied: the basis columns.
 
     Block j of the basis, Q_j, satisfies A Q_j = Q_{j-1} B_{j-1}^T + Q_j A_j
-    + Q_{j+1} B_j, so the basis carries a block tridiagonal T, kept in band
-    form. A Ritz pair (theta, V s) of T has the residual norm ||B_j s_j||,
-    s_j being the rows of s on the last block; under full reorthogonalization
-    it is the true residual up to rounding (Parlett, 1998, ch. 13). The solve
-    returns once those estimates are small against a Gershgorin bound of T
-    for the k smallest pairs; the caller verifies the pairs exactly. A basis
-    that fills the space gives exact pairs.
+    + Q_{j+1} B_j, so the basis carries a block tridiagonal T, kept dense with
+    both triangles and grown with the basis. A Ritz pair (theta, V s) of T has
+    the residual norm ||B_j s_j||, s_j being the rows of s on the last block;
+    under full reorthogonalization it is the true residual up to rounding
+    (Parlett, 1998, ch. 13). The solve returns once those estimates are small
+    against a Gershgorin bound of T for the k smallest pairs; the caller
+    verifies the pairs exactly. A basis that fills the space gives exact
+    pairs. Step j completes the rows of blocks j-1 and j, and no row sum
+    shrinks as T grows, so the bound is a running maximum over those rows.
 
-    A check is one eigensolve of T (``_band_smallest``) and applies no
-    product. It costs O(end^3), as it solves T whole, so checks are spaced
-    out as the basis grows: at least ``_CHECK_EVERY`` and at least end/8 new
-    columns apart. None is made once the basis holds ``_CHECK_SHARE`` (4/5)
-    of the space: from there one more check costs about as much as the
-    remaining dim - end columns do, and the full basis ends in one exact
-    solve. A solve that converges before the cutoff takes the same steps as
-    without it.
+    A check is one eigensolve of T (``_smallest``) and applies no product. It
+    costs O(end^3), as it solves T whole, so checks are spaced out as the
+    basis grows: at least ``_CHECK_EVERY`` and at least end/8 new columns
+    apart. None is made once the basis holds ``_CHECK_SHARE`` (4/5) of the
+    space: from there one more check costs about as much as the remaining
+    dim - end columns do, and the full basis ends in one exact solve. A solve
+    that converges before the cutoff takes the same steps as without it.
     """
     if not 1 <= k <= dim:
         raise ConfigError(f"k must lie in [1, {dim}], got {k}")
     rng = np.random.default_rng(seed)
-    band = np.zeros((min(k, dim - 1) + 1, dim))  # T[i, j] at band[i - j, j], i >= j
     basis = np.empty((dim, min(dim, max(4 * k, 128))), order="F")
+    t = np.zeros((basis.shape[1],) * 2)
     width, _ = _orthonormalize(basis, 0, rng.standard_normal((dim, k)), rng,
                                _LANCZOS_TOL)
-    start, prev, checked, columns = 0, None, 0, 0  # prev is B_{j-1}
+    last, start, checked, columns, scale = 0, 0, 0, 0, 1.0  # block j-1 is last:start
     while True:
         end = start + width
         q = basis[:, start:end]
@@ -117,44 +118,35 @@ def _lanczos_smallest(matvec, dim: int, k: int, seed: int):
         if not np.isfinite(aq).all():
             raise ConfigError("operator product has non-finite entries")
         a = q.T @ aq
-        a = 0.5 * (a + a.T)
-        for d in range(width):
-            band[d, start:end - d] = np.diagonal(a, -d)
+        t[start:end, start:end] = 0.5 * (a + a.T)
         if end == dim:
             break
-        r = aq - q @ a
-        if prev is not None:
-            r -= basis[:, start - prev.shape[1]:start] @ prev.T
-        scale = _gershgorin(band[:, :end])
+        r = aq - q @ t[start:end, start:end]
+        r -= basis[:, last:start] @ t[last:start, start:end]
+        scale = max(scale, float(np.abs(t[last:end]).sum(axis=1).max()))
         if end + width > basis.shape[1]:
             grown = np.empty((dim, min(dim, 2 * (end + width))), order="F")
             grown[:, :end] = basis[:, :end]
+            t = np.pad(t, (0, grown.shape[1] - t.shape[0]))
             basis = grown
         new_width, b = _orthonormalize(basis, end, r, rng, _LANCZOS_TOL * scale)
-        for o in range(width):  # b is upper trapezoidal: T[end + i, start + i + o]
-            diag = np.diagonal(b, o)
-            band[width - o, start + o:start + o + diag.size] = diag
+        t[end:end + new_width, start:end] = b
+        t[start:end, end:end + new_width] = b.T
 
         if end - checked >= max(_CHECK_EVERY, end // 8) and end < _CHECK_SHARE * dim:
             checked = end
-            theta, s = _band_smallest(band[:, :end], k)
+            theta, s = _smallest(t[:end, :end], k)
             if (np.linalg.norm(b @ s[start:end], axis=0) <= _LANCZOS_TOL * scale).all():
                 return theta, basis[:, :end] @ s, columns
-        start, width, prev = end, new_width, b
+        last, start, width = start, end, new_width
 
-    theta, s = _band_smallest(band, k)
+    theta, s = _smallest(t[:end, :end], k)
     return theta, basis @ s, columns
 
 
-def _band_smallest(band, k: int):
-    """The k smallest eigenpairs of the symmetric matrix whose lower band form
-    is ``band``: the whole spectrum of its dense lower triangle (LAPACK
-    syevd), filled in O(end^2)."""
-    end = band.shape[1]
-    dense = np.zeros((end, end))
-    for d, diagonal in enumerate(band[:end]):
-        np.fill_diagonal(dense[d:], diagonal[:end - d])
-    values, vectors = np.linalg.eigh(dense)  # reads the lower triangle
+def _smallest(t, k: int):
+    """The k smallest eigenpairs of the symmetric matrix ``t`` (LAPACK syevd)."""
+    values, vectors = np.linalg.eigh(t)
     return values[:k], vectors[:, :k]
 
 
@@ -205,16 +197,6 @@ def _gram_schmidt(basis, x):
         if norm >= _KEEP * before:
             break
     return coeffs, norm
-
-
-def _gershgorin(band) -> float:
-    """max(1, largest absolute row sum) of the symmetric matrix whose lower
-    band form is ``band``: a bound on its spectrum's scale."""
-    ab = np.abs(band)
-    sums = ab.sum(axis=0)
-    for d in range(1, ab.shape[0]):
-        sums[d:] += ab[d, :-d]
-    return max(1.0, float(sums.max()))
 
 
 def generalized_smallest_eigs(graph, k: int, seed: int = 0) -> EigenPairs:

@@ -480,19 +480,19 @@ def test_symmetric_copies_match_dense_oracle(problem):
 
 class TestCheckSchedule:
     """The convergence checks of the Lanczos solver, seen as the basis width
-    of each band solve (``_band_smallest``): one at least every max(10,
-    end/8) new columns, none once the basis holds 4/5 of the space, and the
-    exact solve of a filled basis."""
+    of each eigensolve of its block tridiagonal T (``_smallest``): one at
+    least every max(10, end/8) new columns, none once the basis holds 4/5 of
+    the space, and the exact solve of a filled basis."""
 
     @staticmethod
     def record_widths(monkeypatch) -> list:
-        widths, solve = [], eigen._band_smallest
+        widths, solve = [], eigen._smallest
 
-        def recording(band, k):
-            widths.append(band.shape[1])
-            return solve(band, k)
+        def recording(t, k):
+            widths.append(t.shape[1])
+            return solve(t, k)
 
-        monkeypatch.setattr(eigen, "_band_smallest", recording)
+        monkeypatch.setattr(eigen, "_smallest", recording)
         return widths
 
     def test_no_check_past_four_fifths_of_a_filled_basis(self, monkeypatch):
@@ -509,11 +509,15 @@ class TestCheckSchedule:
         assert oracle_mismatch(pairs, graph.matvec(np.eye(graph.n)), graph.degrees, 8) is None
 
     def test_a_converging_solve_keeps_its_checks(self, monkeypatch):
-        ds, _ = generate_synthetic(SyntheticParams(n=500, k=4, q=3, sigma=1.0,
-                                                   p=0.25, seed=1))
+        # of 512 columns, a one-panel graph, and of 2012, a two-panel one
         widths = self.record_widths(monkeypatch)
-        specmix(ds, SpecMixConfig(k=4, lambdas=10.0))
-        assert widths == [12, 24, 36, 48, 60]  # of 512 columns
+        for n, checks in [(500, [12, 24, 36, 48, 60]),
+                          (2000, [12, 24, 36, 48, 60, 72, 84])]:
+            ds, _ = generate_synthetic(SyntheticParams(n=n, k=4, q=3, sigma=1.0,
+                                                       p=0.25, seed=1))
+            widths.clear()
+            specmix(ds, SpecMixConfig(k=4, lambdas=10.0))
+            assert widths == checks, n
 
     def test_a_converging_solve_verifies_once(self, monkeypatch):
         # the problem above: the basis columns and one verification product

@@ -20,8 +20,9 @@ def test_import_does_not_load_scipy_optimize():
 
 
 def test_import_loads_no_scipy():
-    # the one-hot products, the cluster means and the band solve are numpy
-    # code: only the agreement score imports scipy, when it is called
+    # the one-hot products, the cluster means and the Lanczos eigensolve of
+    # T are numpy code: only the agreement score imports scipy, when it is
+    # called
     env = dict(os.environ, PYTHONPATH=str(Path(specmix.__file__).parent.parent))
     code = ("import sys, specmix, specmix.cli; "
             "sys.exit(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)")
